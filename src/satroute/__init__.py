@@ -20,24 +20,21 @@ from .analytic_greedy import (
 )
 from .analytic_scpr import (
     MgfEvaluator,
-    mgf_table,
     scpr_delay_lower_bound,
     scpr_path_success_prob,
     scpr_throughput_bound,
 )
 from .comparison import delay_crossover_tc, throughput_crossover_tc
 from .grid_topology import (
-    DirectedLink,
     GridSpec,
     NodeCoord,
-    Path,
     hop_distance,
     neighbors,
     normalize,
     random_shortest_path,
-    shortest_connected_path,
+    shortest_connected_hops,
 )
-from .link_dynamics import LinkParams, from_epsilons, from_p_mu, sample_k_steps, sample_next, transition_prob
+from .link_dynamics import LinkParams, from_epsilons, from_p_mu, transition_prob
 from .optimal_policies import (
     ValueTable,
     check_mean_delay_ordering,

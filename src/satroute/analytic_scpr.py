@@ -195,7 +195,3 @@ class MgfEvaluator:
         """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i."""
         log_mu = math.log(self.params.mu)
         return [[cell.v / log_mu for cell in row] for row in self._rows]
-
-
-def mgf_table(evaluator: MgfEvaluator) -> list[list[float]]:
-    return evaluator.table()

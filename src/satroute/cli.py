@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic'")
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: trials run in one thread, and the "
+                             "output is the same for any value")
         sp.add_argument("--out", type=str, default=None, help="CSV output path")
         sp.add_argument("--config", type=str, default=None, help="key=value config file")
 

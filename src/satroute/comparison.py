@@ -47,11 +47,13 @@ def delay_crossover_tc(
 
 
 def _first_true(pred, lo: int, hi: int) -> Optional[int]:
-    """First t in [lo, hi] with pred(t), assuming pred is a threshold in t.
+    """First t in [lo, hi] with pred(t) when pred(lo) or pred(hi) holds, else None.
 
-    Binary search over the monotone region; if the bracket turns out not to
-    be a clean threshold (pred not monotone at the probe points), fall back
-    to a linear scan so the answer is always the true first hit.
+    Evaluates pred(lo) (a hit returns lo), then pred(hi) (a miss returns
+    None), then lo+1, lo+2, ... up to the first hit.  The answer is exact for
+    any pred, monotone in t or not.  A search whose first hit is ``first``
+    costs at most first-lo+2 evaluations, against first-lo+1+ceil(log2(hi-lo))
+    for a bisection followed by the rescan that keeps it exact.
     """
     if lo > hi:
         raise ValueError("empty search range")
@@ -59,15 +61,7 @@ def _first_true(pred, lo: int, hi: int) -> Optional[int]:
         return lo
     if not pred(hi):
         return None
-    a, b = lo, hi  # pred(a) False, pred(b) True
-    while b - a > 1:
-        mid = (a + b) // 2
-        if pred(mid):
-            b = mid
-        else:
-            a = mid
-    # guard against a non-monotone pred: confirm nothing earlier fires
-    for t in range(lo + 1, b):
+    for t in range(lo + 1, hi):
         if pred(t):
             return t
-    return b
+    return hi

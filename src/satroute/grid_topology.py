@@ -1,10 +1,13 @@
-"""N x M toroidal mesh: coordinates, directed links, distances, shortest paths.
+"""N x M toroidal mesh: coordinates, node and link ids, distances, shortest paths.
 
 Nodes carry centered coordinates: x in {floor(-M/2)+1, ..., floor(M/2)},
 y in {floor(-N/2)+1, ..., floor(N/2)}, where N is the number of satellites
 per orbital plane (y axis) and M the number of planes (x axis).  Every node
 has exactly four neighbors (left, down, right, up) with wraparound, and the
 link a->b is distinct from b->a.
+
+Routes are hop lists ``[(tail node index, direction), ...]``; the directed
+link leaving node ``nid`` in direction ``d`` has id ``nid * 4 + d``.
 """
 
 from __future__ import annotations
@@ -12,22 +15,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 # Direction indices, in the fixed expansion order used everywhere.
 LEFT, DOWN, RIGHT, UP = 0, 1, 2, 3
 DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))
-DIR_NAMES = ("L", "D", "R", "U")
 
 
 class NodeCoord(NamedTuple):
     x: int
     y: int
-
-
-class DirectedLink(NamedTuple):
-    tail: NodeCoord
-    head: NodeCoord
 
 
 ORIGIN = NodeCoord(0, 0)
@@ -87,18 +84,6 @@ def node_index(spec: GridSpec, node: NodeCoord) -> int:
     return (node[0] - spec.x_lo()) * spec.n_per_plane + (node[1] - spec.y_lo())
 
 
-def link_index(spec: GridSpec, tail: NodeCoord, direction: int) -> int:
-    """Dense id of the directed link leaving ``tail`` in ``direction``."""
-    return node_index(spec, tail) * 4 + direction
-
-
-def direction_between(spec: GridSpec, tail: NodeCoord, head: NodeCoord) -> int:
-    for d in range(4):
-        if step(spec, tail, d) == head:
-            return d
-    raise ValueError(f"{head} is not a torus neighbor of {tail}")
-
-
 def hop_distance(spec: GridSpec, a: NodeCoord, b: NodeCoord) -> int:
     """Minimum hop count between two nodes, wrap-aware per axis."""
     dx = abs(a[0] - b[0]) % spec.m_planes
@@ -108,7 +93,7 @@ def hop_distance(spec: GridSpec, a: NodeCoord, b: NodeCoord) -> int:
 
 @lru_cache(maxsize=None)
 def coord_table(spec: GridSpec) -> tuple[NodeCoord, ...]:
-    """Node coordinates indexed by node_index (Monte Carlo hot path)."""
+    """Node coordinates indexed by node_index."""
     table = [ORIGIN] * spec.n_nodes
     for node in spec.nodes():
         table[node_index(spec, node)] = node
@@ -124,75 +109,18 @@ def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class Path:
-    """An ordered chain of directed hops; empty means src == dst."""
-
-    hops: tuple[DirectedLink, ...]
-
-    def __len__(self) -> int:
-        return len(self.hops)
-
-    def nodes(self) -> list[NodeCoord]:
-        if not self.hops:
-            return []
-        return [self.hops[0].tail] + [h.head for h in self.hops]
-
-    def validate(self, spec: GridSpec) -> None:
-        seen = set()
-        for i, hop in enumerate(self.hops):
-            direction_between(spec, hop.tail, hop.head)  # raises if not adjacent
-            if i > 0 and self.hops[i - 1].head != hop.tail:
-                raise ValueError(f"hop {i} does not chain")
-            if hop.tail in seen:
-                raise ValueError(f"node {hop.tail} repeated")
-            seen.add(hop.tail)
-        if self.hops and self.hops[-1].head in seen:
-            raise ValueError("path is not simple")
-
-
-def path_from_nodes(nodes: list[NodeCoord]) -> Path:
-    return Path(tuple(DirectedLink(a, b) for a, b in zip(nodes, nodes[1:])))
-
-
-LinkPredicate = Callable[[NodeCoord, int], bool]
-
-
-def shortest_connected_path(
-    spec: GridSpec,
-    link_on: LinkPredicate,
-    src: NodeCoord,
-    dst: NodeCoord,
-) -> Optional[Path]:
-    """BFS over links that are ON in the given snapshot; None if unreachable.
-
-    ``link_on(tail, direction)`` reports the snapshot state of one directed
-    link.  Deterministic tie-break: neighbors are expanded in (L, D, R, U)
-    order and the first-found parent is kept.
-    """
-    coords = coord_table(spec)
-    hops = shortest_connected_hops(
-        spec,
-        lambda nid, d: link_on(coords[nid], d),
-        node_index(spec, normalize(spec, src)),
-        node_index(spec, normalize(spec, dst)),
-    )
-    if hops is None:
-        return None
-    nbr = neighbor_id_table(spec)
-    return Path(tuple(DirectedLink(coords[t], coords[nbr[t][d]]) for t, d in hops))
-
-
 def shortest_connected_hops(
     spec: GridSpec,
     link_on_id,
     src_id: int,
     dst_id: int,
 ) -> Optional[list[tuple[int, int]]]:
-    """Id-level BFS core: hop list [(tail node index, direction), ...] or None.
+    """BFS over links that are ON in the given snapshot; None if unreachable.
 
-    ``link_on_id(node_index, direction)`` is the snapshot predicate.  Same
-    expansion order and tie-break as shortest_connected_path.
+    Returns the hop list [(tail node index, direction), ...], empty when
+    src_id == dst_id.  ``link_on_id(node_index, direction)`` is the snapshot
+    predicate.  Deterministic tie-break: neighbors are expanded in
+    (L, D, R, U) order and the first-found parent is kept.
     """
     if src_id == dst_id:
         return []
@@ -225,30 +153,32 @@ def shortest_connected_hops(
     return None
 
 
-def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) -> Path:
+def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) -> list[tuple[int, int]]:
     """A uniformly random minimum-length monotone path from src to dst.
 
     Per axis the shorter wrap direction is taken (fair coin on an exact tie),
     then the horizontal/vertical moves are interleaved uniformly at random
-    among the C(a+b, a) shortest staircases.
+    among the C(a+b, a) shortest staircases.  Returns the hop list
+    [(tail node index, direction), ...], like shortest_connected_hops.
     """
     src = normalize(spec, src)
     dst = normalize(spec, dst)
-    xdir, xcount = _axis_moves(src[0], dst[0], spec.m_planes, LEFT, RIGHT, rng)
-    ydir, ycount = _axis_moves(src[1], dst[1], spec.n_per_plane, DOWN, UP, rng)
-    nodes = [src]
-    a, b = xcount, ycount
-    node = src
+    xdir, a = _axis_moves(src[0], dst[0], spec.m_planes, LEFT, RIGHT, rng)
+    ydir, b = _axis_moves(src[1], dst[1], spec.n_per_plane, DOWN, UP, rng)
+    nbr = neighbor_id_table(spec)
+    nid = node_index(spec, src)
+    hops = []
     while a + b > 0:
         # choosing x with prob a/(a+b) yields a uniform interleaving
         if rng.random() * (a + b) < a:
-            node = step(spec, node, xdir)
+            d = xdir
             a -= 1
         else:
-            node = step(spec, node, ydir)
+            d = ydir
             b -= 1
-        nodes.append(node)
-    return path_from_nodes(nodes)
+        hops.append((nid, d))
+        nid = nbr[nid][d]
+    return hops
 
 
 def _axis_moves(c_src: int, c_dst: int, span: int, neg_dir: int, pos_dir: int, rng) -> tuple[int, int]:

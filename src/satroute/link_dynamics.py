@@ -1,4 +1,4 @@
-"""Two-state Markov link model: parameters, steady state, k-stage transitions, sampling.
+"""Two-state Markov link model: parameters, steady state, k-stage transitions.
 
 A link is ON (available) or OFF.  Per slot it flips ON->OFF with probability
 ``epsilon1`` and OFF->ON with probability ``epsilon2``.  The long-run ON
@@ -7,15 +7,13 @@ parameter is ``mu = 1 - epsilon1 - epsilon2``.  Only positive-memory chains
 (``mu >= 0``) are supported: an ON link is then always at least as likely to
 be ON after k slots as an OFF link is to have turned ON.
 
-Link states are plain bools (True == ON).
+Link states are plain bools (True == ON).  The Monte Carlo samples them in
+``simulator.NetworkState``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-ON = True
-OFF = False
 
 # Chains this close to static make geometric waits effectively infinite and
 # 1/log(mu) catastrophically cancel; reject them up front.
@@ -87,30 +85,6 @@ def transition_prob(params: LinkParams, from_on: bool, to_on: bool, k: int) -> f
     else:
         p_on = params.p - params.p * muk
     return _clamp01(p_on if to_on else 1.0 - p_on)
-
-
-def sample_next(params: LinkParams, on: bool, rng) -> bool:
-    """Advance the link one slot.  ``rng`` needs only a ``random()`` method."""
-    if on:
-        return rng.random() >= params.epsilon1
-    return rng.random() < params.epsilon2
-
-
-def sample_k_steps(params: LinkParams, on: bool, k: int, rng) -> bool:
-    """Advance the link k slots with a single draw from the k-step kernel.
-
-    Distributionally identical to k applications of sample_next, but consumes
-    one uniform regardless of k.  This is what makes lazy network-state
-    evaluation cheap.
-    """
-    if k == 0:
-        return on
-    return rng.random() < transition_prob(params, on, ON, k)
-
-
-def steady_state_sample(params: LinkParams, rng) -> bool:
-    """Draw a link state from the stationary distribution."""
-    return rng.random() < params.p
 
 
 def _clamp01(v: float) -> float:

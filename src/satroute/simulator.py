@@ -2,16 +2,15 @@
 
 A trial owns a lazily evaluated NetworkState and an RNG substream; links are
 only sampled when a policy actually observes them, via the k-step transition
-kernel from their last observation.  Delays are integer slot counts, so
-estimates aggregate as exact integer sums and are bit-identical for any
-parallelism degree.
+kernel from their last observation.  Both policies address links by id
+(``node index * 4 + direction``).  Delays are integer slot counts, so
+estimates aggregate as exact integer sums.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,24 +48,16 @@ class NetworkState:
     A link observed for the first time at slot t is drawn from the steady
     state (the chain is stationary, so this matches an implicit time-0 draw).
     Re-observation at a later slot advances it through the k-step kernel in
-    one draw, or slot-by-slot when step_mode == "slotwise" (the two modes are
-    distributionally identical; the slow mode exists to test exactly that).
-    Time must never move backwards for any single link.
+    one draw.  Time must never move backwards for any single link.
     """
 
-    __slots__ = ("spec", "params", "rng", "step_mode", "_cache")
+    __slots__ = ("spec", "params", "rng", "_cache")
 
-    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_mode: str = "jump"):
-        if step_mode not in ("jump", "slotwise"):
-            raise ValueError(f"unknown step_mode {step_mode!r}")
+    def __init__(self, spec: GridSpec, params: LinkParams, rng):
         self.spec = spec
         self.params = params
         self.rng = rng
-        self.step_mode = step_mode
         self._cache: dict[int, tuple[bool, int]] = {}
-
-    def link_on(self, tail: NodeCoord, direction: int, t: int) -> bool:
-        return self.link_on_id(grid.link_index(self.spec, tail, direction), t)
 
     def link_on_id(self, lid: int, t: int) -> bool:
         cached = self._cache.get(lid)
@@ -79,17 +70,9 @@ class NetworkState:
             if k < 0:
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
             if k > 0:
-                if self.step_mode == "jump":
-                    on = self.rng.random() < transition_prob(params, on, True, k)
-                else:
-                    e1, e2 = params.epsilon1, params.epsilon2
-                    for _ in range(k):
-                        on = (self.rng.random() >= e1) if on else (self.rng.random() < e2)
+                on = self.rng.random() < transition_prob(params, on, True, k)
         self._cache[lid] = (on, t)
         return on
-
-    def link_on_link(self, link: grid.DirectedLink, t: int) -> bool:
-        return self.link_on(link.tail, grid.direction_between(self.spec, link.tail, link.head), t)
 
 
 def run_scpr_trial(
@@ -109,20 +92,14 @@ def run_scpr_trial(
     Delay is counted from t_c (the snapshot staleness itself is excluded).
     """
     spec = state.spec
-    src = grid.normalize(spec, src)
-    dst = grid.normalize(spec, dst)
     hops = grid.shortest_connected_hops(
         spec,
         lambda nid, d: state.link_on_id(nid * 4 + d, 0),
-        grid.node_index(spec, src),
-        grid.node_index(spec, dst),
+        grid.node_index(spec, grid.normalize(spec, src)),
+        grid.node_index(spec, grid.normalize(spec, dst)),
     )
     if hops is None:
-        path = grid.random_shortest_path(spec, src, dst, rng)
-        hops = [
-            (grid.node_index(spec, hop.tail), grid.direction_between(spec, hop.tail, hop.head))
-            for hop in path.hops
-        ]
+        hops = grid.random_shortest_path(spec, src, dst, rng)
     t = t_c
     for nid, d in hops:
         lid = nid * 4 + d
@@ -148,23 +125,29 @@ def run_gr_trial(
     """One greedy-routing trial toward the origin.
 
     At each node only the one or two links that reduce the remaining distance
-    are observed.  Both ON: tie-break (probability ``tie.u`` vertical, or the
-    deterministic farther-dimension rule).  One ON: forced.  None ON:
-    bufferless drops, buffered waits one slot and re-observes.  The move
-    count at first boundary contact is recorded.
+    are observed, horizontal first.  Both ON: tie-break (probability
+    ``tie.u`` vertical, or the deterministic farther-dimension rule).  One
+    ON: forced.  None ON: bufferless drops, buffered waits one slot and
+    re-observes.  The move count at first boundary contact is recorded.
+
+    The walk never crosses the wrap seam, so a vertical move changes the node
+    index by one and a horizontal move by N (``spec.n_per_plane``).
     """
     spec = state.spec
-    x, y = grid.normalize(spec, src)
+    link_on_id = state.link_on_id
+    n = spec.n_per_plane
+    node = grid.normalize(spec, src)
+    x, y = node
+    nid = grid.node_index(spec, node)
     t = 0
     moves = 0
     hit_boundary: Optional[int] = 0 if (x == 0 or y == 0) and (x, y) != (0, 0) else None
-    while (x, y) != (0, 0):
-        xdir = LEFT if x > 0 else (RIGHT if x < 0 else None)
-        ydir = DOWN if y > 0 else (UP if y < 0 else None)
-        node = NodeCoord(x, y)
+    while x or y:
+        x_lid = nid * 4 + (LEFT if x > 0 else RIGHT) if x else None
+        y_lid = nid * 4 + (DOWN if y > 0 else UP) if y else None
         while True:
-            x_on = xdir is not None and state.link_on(node, xdir, t)
-            y_on = ydir is not None and state.link_on(node, ydir, t)
+            x_on = x_lid is not None and link_on_id(x_lid, t)
+            y_on = y_lid is not None and link_on_id(y_lid, t)
             if x_on or y_on:
                 break
             if not buffered:
@@ -178,9 +161,13 @@ def run_gr_trial(
         else:
             vertical = y_on
         if vertical:
-            y -= 1 if y > 0 else -1
+            s = 1 if y > 0 else -1
+            y -= s
+            nid -= s
         else:
-            x -= 1 if x > 0 else -1
+            s = 1 if x > 0 else -1
+            x -= s
+            nid -= s * n
         t += 1
         moves += 1
         if hit_boundary is None and (x == 0 or y == 0) and (x, y) != (0, 0):
@@ -253,8 +240,9 @@ def estimate(
 
     Bufferless runs estimate the delivery probability; buffered runs estimate
     the mean delay (every buffered trial succeeds).  Per-trial RNG streams
-    are derived from (master_seed, trial index) and all aggregation is exact
-    integer summation, so the result is bit-identical for any thread count.
+    are derived from (master_seed, trial index) and aggregation is exact
+    integer summation.  ``threads`` is accepted for compatibility and has no
+    effect: trials run in one thread, and the result never depended on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -262,32 +250,18 @@ def estimate(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "gr" and tie is None:
         tie = TieBreak(0.5)
-
-    def run_chunk(bounds: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = bounds
-        total = 0
-        total_sq = 0
-        for i in range(lo, hi):
-            rng = trial_rng(master_seed, i)
-            state = NetworkState(spec, params, rng)
-            if policy == "scpr":
-                out = run_scpr_trial(state, src, t_c, buffered, rng)
-            else:
-                out = run_gr_trial(state, src, buffered, tie, rng)
-            v = out.delay if buffered else int(out.success)
-            total += v
-            total_sq += v * v
-        return total, total_sq
-
-    if threads <= 1:
-        sums = [run_chunk((0, trials))]
-    else:
-        step = -(-trials // threads)
-        chunks = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(run_chunk, chunks))
-    total = sum(s for s, _ in sums)
-    total_sq = sum(q for _, q in sums)
+    total = 0
+    total_sq = 0
+    for i in range(trials):
+        rng = trial_rng(master_seed, i)
+        state = NetworkState(spec, params, rng)
+        if policy == "scpr":
+            out = run_scpr_trial(state, src, t_c, buffered, rng)
+        else:
+            out = run_gr_trial(state, src, buffered, tie, rng)
+        v = out.delay if buffered else int(out.success)
+        total += v
+        total_sq += v * v
     return _estimate_from_sums(total, total_sq, trials, master_seed)
 
 

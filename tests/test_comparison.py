@@ -1,3 +1,5 @@
+import pytest
+
 from satroute import comparison
 from satroute import link_dynamics as ld
 
@@ -37,3 +39,52 @@ def test_explicit_tie_break_changes_throughput_crossover():
     tuned = comparison.throughput_crossover_tc(params, 2, 8)
     assert tuned is not None and skew is not None
     assert tuned <= skew  # diagonal steering can only help greedy
+
+
+def first_true_oracle(pred, lo, hi):
+    """Brute force over [lo, hi]: lo if pred(lo), None if pred(hi) fails,
+    else the first hit."""
+    if pred(lo):
+        return lo
+    if not pred(hi):
+        return None
+    return next(t for t in range(lo, hi + 1) if pred(t))
+
+
+def test_first_true_matches_brute_force_on_every_pattern():
+    # every predicate on up to 8 points, monotone or not
+    for width in range(1, 9):
+        for bits in range(1 << width):
+            lo = 3
+            hi = lo + width - 1
+            calls = []
+
+            def pred(t):
+                calls.append(t)
+                return bool(bits >> (t - lo) & 1)
+
+            got = comparison._first_true(pred, lo, hi)
+            evals = len(calls)
+            assert got == first_true_oracle(pred, lo, hi)
+            if got is not None:
+                assert evals <= got - lo + 2
+
+
+def test_first_true_evaluation_count_on_threshold():
+    lo, hi = 0, 200
+    for first in (0, 1, 35, 199, 200):
+        calls = []
+
+        def pred(t):
+            calls.append(t)
+            return t >= first
+
+        assert comparison._first_true(pred, lo, hi) == first
+        expected = 1 if first == lo else (hi - lo + 1 if first == hi else first - lo + 2)
+        assert len(calls) == expected
+        assert len(calls) == len(set(calls))  # no point is evaluated twice
+
+
+def test_first_true_rejects_empty_range():
+    with pytest.raises(ValueError):
+        comparison._first_true(lambda t: True, 5, 4)

@@ -3,16 +3,27 @@ from collections import deque
 
 import pytest
 
+from oracles import validate_hops
 from satroute import grid_topology as grid
-from satroute.grid_topology import DirectedLink, GridSpec, NodeCoord, Path
+from satroute.grid_topology import GridSpec, NodeCoord
 
 
-def all_on(node, d):
+def all_on(nid, d):
     return True
 
 
-def all_off(node, d):
+def all_off(nid, d):
     return False
+
+
+def ids(spec, *nodes):
+    return [grid.node_index(spec, grid.normalize(spec, n)) for n in nodes]
+
+
+def coord_hops(spec, hops):
+    """Hop list with node coordinates in place of node indexes."""
+    coords = grid.coord_table(spec)
+    return [(coords[tail], d) for tail, d in hops]
 
 
 def test_spec_rejects_tiny_grids():
@@ -99,17 +110,17 @@ def test_connected_path_all_on_is_geodesic():
     for _ in range(50):
         src = NodeCoord(rng.randint(-2, 3), rng.randint(-3, 3))
         dst = NodeCoord(rng.randint(-2, 3), rng.randint(-3, 3))
-        path = grid.shortest_connected_path(spec, all_on, src, dst)
-        assert path is not None
-        path.validate(spec)
-        assert len(path) == grid.hop_distance(spec, src, dst)
+        hops = grid.shortest_connected_hops(spec, all_on, *ids(spec, src, dst))
+        assert hops is not None
+        validate_hops(spec, hops, *ids(spec, src, dst))
+        assert len(hops) == grid.hop_distance(spec, src, dst)
 
 
 def test_connected_path_all_off_is_absent():
     spec = GridSpec(5, 5)
-    assert grid.shortest_connected_path(spec, all_off, NodeCoord(1, 1), NodeCoord(0, 0)) is None
-    empty = grid.shortest_connected_path(spec, all_off, NodeCoord(1, 1), NodeCoord(1, 1))
-    assert empty is not None and len(empty) == 0
+    assert grid.shortest_connected_hops(spec, all_off, *ids(spec, NodeCoord(1, 1), NodeCoord(0, 0))) is None
+    empty = grid.shortest_connected_hops(spec, all_off, *ids(spec, NodeCoord(1, 1), NodeCoord(1, 1)))
+    assert empty == []
 
 
 def enumerate_connected_simple_paths(spec, link_on, src, dst, max_len):
@@ -142,25 +153,26 @@ def test_connected_path_takes_forced_detour():
     def link_on(node, d):
         return (node, d) not in blocked
 
-    path = grid.shortest_connected_path(spec, link_on, src, dst)
-    assert path is not None
-    assert len(path) == 4  # +2 hops over the blocked geodesic
+    coords = grid.coord_table(spec)
+    hops = grid.shortest_connected_hops(spec, lambda nid, d: link_on(coords[nid], d), *ids(spec, src, dst))
+    assert hops is not None
+    assert len(hops) == 4  # +2 hops over the blocked geodesic
     valid = enumerate_connected_simple_paths(spec, link_on, src, dst, 4)
     assert min(len(h) for h in valid) == 4
-    assert [(hop.tail, grid.direction_between(spec, hop.tail, hop.head)) for hop in path.hops] in valid
+    assert coord_hops(spec, hops) in valid
 
 
 def test_connected_path_deterministic_tie_break():
     spec = GridSpec(8, 8)
     rng = random.Random(5)
     states = {
-        (node, d): rng.random() < 0.8
-        for node in spec.nodes()
+        (nid, d): rng.random() < 0.8
+        for nid in range(spec.n_nodes)
         for d in range(4)
     }
-    first = grid.shortest_connected_path(spec, lambda n, d: states[n, d], NodeCoord(3, 2), NodeCoord(0, 0))
-    second = grid.shortest_connected_path(spec, lambda n, d: states[n, d], NodeCoord(3, 2), NodeCoord(0, 0))
-    assert first == second
+    first = grid.shortest_connected_hops(spec, lambda n, d: states[n, d], *ids(spec, NodeCoord(3, 2), NodeCoord(0, 0)))
+    second = grid.shortest_connected_hops(spec, lambda n, d: states[n, d], *ids(spec, NodeCoord(3, 2), NodeCoord(0, 0)))
+    assert first is not None and first == second
 
 
 def enumerate_geodesics(spec, src, dst):
@@ -190,13 +202,14 @@ def test_connected_length_equals_distance_iff_on_geodesic_exists():
     rng = random.Random(17)
     src, dst = NodeCoord(2, 1), NodeCoord(0, 0)
     geodesics = enumerate_geodesics(spec, src, dst)
+    coords = grid.coord_table(spec)
     for _ in range(200):
         states = {(n, d): rng.random() < 0.55 for n in spec.nodes() for d in range(4)}
-        path = grid.shortest_connected_path(spec, lambda n, d: states[n, d], src, dst)
+        hops = grid.shortest_connected_hops(spec, lambda nid, d: states[coords[nid], d], *ids(spec, src, dst))
         some_geodesic_on = any(all(states[hop] for hop in g) for g in geodesics)
-        if path is not None:
-            assert len(path) >= grid.hop_distance(spec, src, dst)
-            assert (len(path) == grid.hop_distance(spec, src, dst)) == some_geodesic_on
+        if hops is not None:
+            assert len(hops) >= grid.hop_distance(spec, src, dst)
+            assert (len(hops) == grid.hop_distance(spec, src, dst)) == some_geodesic_on
         else:
             assert not some_geodesic_on
 
@@ -205,20 +218,21 @@ def test_random_shortest_path_trivial_and_length():
     spec = GridSpec(9, 9)
     rng = random.Random(1)
     empty = grid.random_shortest_path(spec, NodeCoord(2, 2), NodeCoord(2, 2), rng)
-    assert len(empty) == 0
+    assert empty == []
     for _ in range(100):
         src = NodeCoord(rng.randint(-4, 4), rng.randint(-4, 4))
-        path = grid.random_shortest_path(spec, src, NodeCoord(0, 0), rng)
-        path.validate(spec)
-        assert len(path) == grid.hop_distance(spec, src, NodeCoord(0, 0))
+        hops = grid.random_shortest_path(spec, src, NodeCoord(0, 0), rng)
+        validate_hops(spec, hops, *ids(spec, src, NodeCoord(0, 0)))
+        assert len(hops) == grid.hop_distance(spec, src, NodeCoord(0, 0))
 
 
 def test_random_shortest_path_wrap_tie_still_shortest():
     spec = GridSpec(6, 6)  # even axis: |dx| == 3 ties between wrap directions
     rng = random.Random(2)
     for _ in range(200):
-        path = grid.random_shortest_path(spec, NodeCoord(3, 1), NodeCoord(0, 0), rng)
-        assert len(path) == 4
+        hops = grid.random_shortest_path(spec, NodeCoord(3, 1), NodeCoord(0, 0), rng)
+        validate_hops(spec, hops, *ids(spec, NodeCoord(3, 1), NodeCoord(0, 0)))
+        assert len(hops) == 4
 
 
 def test_random_shortest_path_uniform_over_staircases():
@@ -227,8 +241,8 @@ def test_random_shortest_path_uniform_over_staircases():
     counts = {}
     n = 10**5
     for _ in range(n):
-        path = grid.random_shortest_path(spec, NodeCoord(2, 1), NodeCoord(0, 0), rng)
-        key = tuple(grid.direction_between(spec, h.tail, h.head) for h in path.hops)
+        hops = grid.random_shortest_path(spec, NodeCoord(2, 1), NodeCoord(0, 0), rng)
+        key = tuple(d for _, d in hops)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 3  # C(3, 1) interleavings
     sigma = (1 / 3 * 2 / 3 / n) ** 0.5
@@ -238,10 +252,17 @@ def test_random_shortest_path_uniform_over_staircases():
 
 def test_path_validation_catches_breaks():
     spec = GridSpec(5, 5)
-    broken = Path((DirectedLink(NodeCoord(2, 0), NodeCoord(1, 0)),
-                   DirectedLink(NodeCoord(2, 1), NodeCoord(1, 1))))
+    a, b, c, origin = ids(spec, NodeCoord(2, 0), NodeCoord(2, 1), NodeCoord(1, 0), NodeCoord(0, 0))
+    validate_hops(spec, [(a, grid.LEFT), (c, grid.LEFT)], a, origin)
+    broken = [(a, grid.LEFT), (b, grid.LEFT)]
     with pytest.raises(ValueError):
-        broken.validate(spec)
-    not_adjacent = Path((DirectedLink(NodeCoord(2, 0), NodeCoord(0, 0)),))
+        validate_hops(spec, broken, a, origin)
+    no_such_direction = [(a, 4)]
     with pytest.raises(ValueError):
-        not_adjacent.validate(spec)
+        validate_hops(spec, no_such_direction, a, origin)
+    short = [(a, grid.LEFT)]
+    with pytest.raises(ValueError):
+        validate_hops(spec, short, a, origin)
+    not_simple = [(a, grid.LEFT), (c, grid.RIGHT)]
+    with pytest.raises(ValueError):
+        validate_hops(spec, not_simple, a, a)

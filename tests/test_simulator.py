@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from oracles import SlotwiseNetworkState
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
+from satroute import grid_topology as grid
 from satroute import link_dynamics as ld
 from satroute import simulator as sim
 from satroute.grid_topology import GridSpec, NodeCoord
@@ -15,25 +17,33 @@ CHI2_999 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46, 7: 24.32
 NEAR_ONE = ld.from_p_mu(1 - 1e-9, 0.5)
 
 
+def link_id(spec, node, direction):
+    return grid.node_index(spec, node) * 4 + direction
+
+
 def test_network_state_rejects_backward_queries():
-    state = sim.NetworkState(GridSpec(5, 5), ld.from_p_mu(0.5, 0.5), random.Random(0))
-    state.link_on(NodeCoord(1, 1), 0, 5)
-    with pytest.raises(ValueError):
-        state.link_on(NodeCoord(1, 1), 0, 3)
+    spec = GridSpec(5, 5)
+    for state_cls in (sim.NetworkState, SlotwiseNetworkState):
+        state = state_cls(spec, ld.from_p_mu(0.5, 0.5), random.Random(0))
+        state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 5)
+        with pytest.raises(ValueError):
+            state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 3)
 
 
 def test_network_state_same_slot_is_stable():
-    state = sim.NetworkState(GridSpec(5, 5), ld.from_p_mu(0.5, 0.9), random.Random(1))
-    first = state.link_on(NodeCoord(0, 0), 2, 4)
+    spec = GridSpec(5, 5)
+    state = sim.NetworkState(spec, ld.from_p_mu(0.5, 0.9), random.Random(1))
+    first = state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4)
     for _ in range(5):
-        assert state.link_on(NodeCoord(0, 0), 2, 4) == first
+        assert state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4) == first
 
 
 def test_network_state_near_static_links_persist():
     params = ld.from_p_mu(0.5, 0.99999)
-    state = sim.NetworkState(GridSpec(5, 5), params, random.Random(2))
-    first = state.link_on(NodeCoord(2, 2), 1, 0)
-    assert state.link_on(NodeCoord(2, 2), 1, 3) == first  # flip odds ~1.5e-5
+    spec = GridSpec(5, 5)
+    state = sim.NetworkState(spec, params, random.Random(2))
+    first = state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 0)
+    assert state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 3) == first  # flip odds ~1.5e-5
 
 
 def test_scpr_trial_certain_links():
@@ -237,11 +247,11 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
     params = ld.from_p_mu(0.6, 0.5)
     n = 10**5
     rates = []
-    for mode, seed in (("jump", 21), ("slotwise", 22)):
+    for state_cls, seed in ((sim.NetworkState, 21), (SlotwiseNetworkState, 22)):
         hits = 0
         for i in range(n):
             rng = sim.trial_rng(seed, i)
-            state = sim.NetworkState(spec, params, rng, step_mode=mode)
+            state = state_cls(spec, params, rng)
             out = sim.run_scpr_trial(state, NodeCoord(1, 2), 3, False, rng)
             hits += out.success
         rates.append(hits / n)
@@ -262,6 +272,45 @@ def test_estimate_deterministic_across_thread_counts():
     g2 = sim.estimate(spec, params, "gr", tie=greedy.TieBreak(0.5), threads=5,
                       src=NodeCoord(3, 3), buffered=True, trials=1000, master_seed=7)
     assert g1 == g2
+
+
+HIGH_P = ld.from_p_mu(0.9, 0.99)
+
+# (policy, grid, params, estimate kwargs, mean, stderr): exact values of the
+# per-trial random streams, so any change to the order of draws shows here.
+# The low-p SCPR case takes the random_shortest_path fallback in 27 of its
+# 300 trials.
+GOLDEN = {
+    "scpr_bufferless": ("scpr", GridSpec(30, 30), HIGH_P,
+                        dict(src=NodeCoord(4, 3), buffered=False, t_c=5, trials=400, master_seed=101),
+                        0.9625, 0.009511073878158527),
+    "scpr_buffered": ("scpr", GridSpec(30, 30), HIGH_P,
+                      dict(src=NodeCoord(4, 3), buffered=True, t_c=5, trials=400, master_seed=102),
+                      13.9275, 1.94064961073712),
+    "scpr_buffered_low_p_fallback": ("scpr", GridSpec(20, 20), ld.from_p_mu(0.6, 0.9),
+                                     dict(src=NodeCoord(5, 4), buffered=True, t_c=3, trials=300,
+                                          master_seed=103),
+                                     79.62, 3.389745635560515),
+    "gr_bufferless_u0.5": ("gr", GridSpec(30, 30), HIGH_P,
+                           dict(src=NodeCoord(6, 4), buffered=False, tie=greedy.TieBreak(0.5),
+                                trials=400, master_seed=104),
+                           0.67, 0.02354007940398385),
+    "gr_buffered_u_auto": ("gr", GridSpec(30, 30), HIGH_P,
+                           dict(src=NodeCoord(6, 4), buffered=True, tie=greedy.recommended_u(6, 4),
+                                trials=400, master_seed=105),
+                           44.6925, 4.304375853488545),
+    "gr_buffered_deterministic": ("gr", GridSpec(30, 30), HIGH_P,
+                                  dict(src=NodeCoord(-5, 7), buffered=True, tie=sim.DETERMINISTIC,
+                                       trials=400, master_seed=106),
+                                  31.1, 3.003548444447894),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_estimate_golden_random_stream(case):
+    policy, spec, params, kwargs, mean, stderr = GOLDEN[case]
+    est = sim.estimate(spec, params, policy, **kwargs)
+    assert est == sim.Estimate(mean, stderr, kwargs["trials"], kwargs["master_seed"])
 
 
 def test_estimate_rejects_bad_arguments():
