@@ -21,6 +21,9 @@ and E[S_i] = G_i'(0) / log(mu).  Derivatives are propagated through the
 recursion with forward-mode dual numbers, so no finite-difference step size
 is involved.  Working on G (values in (0, 1]) rather than G/log(mu) avoids
 dividing by log(mu) until the very end.
+
+Each row G_i(t .. t + depth - i) is one dual number of numpy arrays, so a row
+costs a few array operations; one kernel serves table() and raw_value.
 """
 
 from __future__ import annotations
@@ -28,17 +31,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .link_dynamics import MU_MAX, LinkParams, transition_prob
 
 
 class Dual:
-    """Minimal forward-mode dual number: value + first derivative."""
+    """Minimal forward-mode dual number: value + first derivative (floats or arrays)."""
 
     __slots__ = ("v", "d")
 
-    def __init__(self, v: float, d: float = 0.0):
+    def __init__(self, v, d=0.0):
         self.v = v
         self.d = d
+
+    def __getitem__(self, index):
+        return Dual(self.v[index], self.d[index])
 
     def __add__(self, other):
         other = other if isinstance(other, Dual) else Dual(other)
@@ -46,12 +54,8 @@ class Dual:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = other if isinstance(other, Dual) else Dual(other)
-        return Dual(self.v - other.v, self.d - other.d)
-
     def __rsub__(self, other):
-        return Dual(other) - self
+        return Dual(other - self.v, -self.d)
 
     def __mul__(self, other):
         other = other if isinstance(other, Dual) else Dual(other)
@@ -137,24 +141,25 @@ class MgfEvaluator:
     params: LinkParams
     t_c: int
     depth: int
-    _rows: list[list[Dual]] = field(init=False, repr=False)
+    _rows: list[Dual] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.params.mu <= MU_MAX:
             raise ValueError("MGF recursion requires 0 < mu < 1")
         if self.depth < 0 or self.t_c < 0:
             raise ValueError("depth and t_c must be >= 0")
-        rows = [[Dual(1.0, 0.0) for _ in range(self.depth + 1)]]
-        for i in range(1, self.depth + 1):
-            prev = rows[i - 1]
-            row = []
-            for t in range(self.depth - i + 1):
-                a, b = self._ab_dual(t)
-                row.append(a * prev[t] + b * prev[t + 1])
-            rows.append(row)
-        self._rows = rows
+        self._rows = self._triangle(0.0, self.depth)
 
-    def _ab_dual(self, t: float) -> tuple[Dual, Dual]:
+    def _triangle(self, t: float, depth: int) -> list[Dual]:
+        """Rows G_0 .. G_depth, row i over offsets t + (0 .. depth - i)."""
+        a, b = self._ab_dual(t + np.arange(depth, dtype=float))
+        rows = [Dual(np.ones(depth + 1), np.zeros(depth + 1))]
+        for n in range(depth, 0, -1):
+            # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
+            rows.append(a[:n] * rows[-1][:n] + b[:n] * rows[-1][1 : n + 1])
+        return rows
+
+    def _ab_dual(self, t) -> tuple[Dual, Dual]:
         p, e2, mu = self.params.p, self.params.epsilon2, self.params.mu
         m = Dual(mu**t, mu**t * math.log(mu))
         den = 1.0 - (1.0 - e2) * m
@@ -173,25 +178,18 @@ class MgfEvaluator:
         return a.d, b.d
 
     def raw_value(self, depth: int, t: float) -> float:
-        """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t, values only."""
+        """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t."""
         if depth > self.depth:
             raise ValueError("depth exceeds table depth")
-        vals = [1.0] * (depth + 1)
-        for i in range(1, depth + 1):
-            nxt = []
-            for j in range(depth - i + 1):
-                a, b = self.ab_values(t + j)
-                nxt.append(a * vals[j] + b * vals[j + 1])
-            vals = nxt
-        return vals[0]
+        return float(self._triangle(t, depth)[depth].v[0])
 
     def mean_delay(self) -> float:
         """E[S_depth] = G_depth'(0) / log(mu)."""
         if self.depth == 0:
             return 0.0
-        return self._rows[self.depth][0].d / math.log(self.params.mu)
+        return float(self._rows[self.depth].d[0]) / math.log(self.params.mu)
 
     def table(self) -> list[list[float]]:
         """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i."""
         log_mu = math.log(self.params.mu)
-        return [[cell.v / log_mu for cell in row] for row in self._rows]
+        return [(row.v / log_mu).tolist() for row in self._rows]

@@ -56,9 +56,10 @@ class GridSpec:
         return -(self.n_per_plane // 2) + 1 if self.n_per_plane % 2 == 0 else -(self.n_per_plane // 2)
 
     def nodes(self) -> Iterator[NodeCoord]:
+        xl, yl = self.x_lo(), self.y_lo()
         for xi in range(self.m_planes):
             for yi in range(self.n_per_plane):
-                yield NodeCoord(self.x_lo() + xi, self.y_lo() + yi)
+                yield NodeCoord(xl + xi, yl + yi)
 
 
 def normalize(spec: GridSpec, node: NodeCoord) -> NodeCoord:
@@ -94,18 +95,17 @@ def hop_distance(spec: GridSpec, a: NodeCoord, b: NodeCoord) -> int:
 @lru_cache(maxsize=None)
 def coord_table(spec: GridSpec) -> tuple[NodeCoord, ...]:
     """Node coordinates indexed by node_index."""
-    table = [ORIGIN] * spec.n_nodes
-    for node in spec.nodes():
-        table[node_index(spec, node)] = node
-    return tuple(table)
+    return tuple(spec.nodes())
 
 
 @lru_cache(maxsize=None)
 def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
     """For each node index, its four neighbor indexes in (L, D, R, U) order."""
+    n, m = spec.n_per_plane, spec.m_planes
     return tuple(
-        tuple(node_index(spec, nb) for nb in neighbors(spec, node))
-        for node in coord_table(spec)
+        (((xi - 1) % m) * n + yi, xi * n + (yi - 1) % n, ((xi + 1) % m) * n + yi, xi * n + (yi + 1) % n)
+        for xi in range(m)
+        for yi in range(n)
     )
 
 

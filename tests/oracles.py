@@ -6,10 +6,15 @@
   link slot by slot, which the one-draw k-step jump must match in law.
 * ``validate_hops``: a validity check for hop lists
   ``[(tail node index, direction), ...]``.
+* ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
+  scalar dual numbers, which the array rows of ``MgfEvaluator`` must match.
 """
 
 from __future__ import annotations
 
+import math
+
+from satroute.analytic_scpr import Dual
 from satroute.grid_topology import GridSpec, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import NetworkState
@@ -68,3 +73,25 @@ def validate_hops(spec: GridSpec, hops, src_id: int, dst_id: int) -> None:
         seen.add(node)
     if node != dst_id:
         raise ValueError(f"path ends at node {node}, not {dst_id}")
+
+
+def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]]:
+    """Row i holds the dual G_i(t) for t = 0 .. depth - i, one cell at a time."""
+    p, e2, mu = params.p, params.epsilon2, params.mu
+
+    def ab(t: float) -> tuple[Dual, Dual]:
+        m = Dual(mu**t, mu**t * math.log(mu))
+        den = 1.0 - (1.0 - e2) * m
+        a = (p * (1.0 - m) * m + e2 * m * m) / den
+        b = (1.0 - p) * (mu**t_c) * (m * (1.0 - m)) / den
+        return a, b
+
+    rows = [[Dual(1.0, 0.0) for _ in range(depth + 1)]]
+    for i in range(1, depth + 1):
+        prev = rows[i - 1]
+        row = []
+        for t in range(depth - i + 1):
+            a, b = ab(t)
+            row.append(a * prev[t] + b * prev[t + 1])
+        rows.append(row)
+    return rows

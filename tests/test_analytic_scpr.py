@@ -5,6 +5,8 @@ import pytest
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
 
+from oracles import scalar_mgf_rows
+
 
 def test_throughput_bound_memoryless():
     params = ld.from_p_mu(0.8, 0.0)
@@ -80,6 +82,49 @@ def test_mean_delay_matches_finite_difference_of_raw_mgf():
     h = 1e-6
     fd = (ev.raw_value(10, h) - ev.raw_value(10, -h)) / (2 * h) / math.log(params.mu)
     assert ev.mean_delay() == pytest.approx(fd, abs=1e-5)
+
+
+ORACLE_POINTS = [
+    (p, mu, tc, depth)
+    for p in (0.3, 0.6, 0.9)
+    for mu in (0.5, 0.9, 0.99)
+    for tc in (0, 5, 35)
+    for depth in (1, 2, 10, 30)
+] + [(0.9, 0.99, 5, 100)]
+
+
+@pytest.mark.parametrize("p,mu,tc,depth", ORACLE_POINTS)
+def test_mgf_rows_match_scalar_oracle(p, mu, tc, depth):
+    params = ld.from_p_mu(p, mu)
+    ev = scpr.MgfEvaluator(params, tc, depth)
+    oracle = scalar_mgf_rows(params, tc, depth)
+    log_mu = math.log(mu)
+    table = ev.table()
+    assert [len(row) for row in table] == [len(row) for row in oracle]
+    for row, ref in zip(table, oracle):
+        assert row == pytest.approx([cell.v / log_mu for cell in ref], rel=1e-12)
+    expected = oracle[depth][0].d / log_mu
+    assert ev.mean_delay() == pytest.approx(expected, rel=1e-12)
+    assert scpr.scpr_delay_recursion(params, depth, tc) == ev.mean_delay()
+    for k in sorted({0, 1, depth // 2, depth}):
+        for t in range(depth - k + 1):
+            assert ev.raw_value(k, float(t)) == pytest.approx(table[k][t] * log_mu, rel=1e-12)
+
+
+def test_deep_recursion_per_hop_increments():
+    # S_i >= S_{i-1} pathwise, so E[S_i] - E[S_{i-1}] = 1 + (1-p)/e2 (1 - mu^tc E[mu^S_{i-1}])
+    # is non-decreasing in i and lies in [1, 1 + (1-p)/e2].
+    params = ld.from_p_mu(0.9, 0.99)
+    depth = 1000
+    ev = scpr.MgfEvaluator(params, 5, depth)
+    log_mu = math.log(params.mu)
+    means = [float(row.d[0]) / log_mu for row in ev._rows]
+    assert ev.mean_delay() == means[depth]
+    steps = [b - a for a, b in zip(means, means[1:])]
+    cap = 1.0 + (1.0 - params.p) / params.epsilon2
+    slack = 1e-9  # float64 rounding of means up to ~1e4
+    assert all(1.0 - slack <= s <= cap + slack for s in steps)
+    assert all(b >= a - slack for a, b in zip(steps, steps[1:]))
 
 
 def test_single_hop_delay_closed_form():

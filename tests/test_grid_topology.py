@@ -55,6 +55,19 @@ def test_neighbors_wrap():
     assert nb[grid.UP] == NodeCoord(2, -2)  # y wraps 2 -> -2 on a width-5 axis
 
 
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 7), (7, 4), (5, 6), (100, 100), (99, 101)])
+def test_id_tables_match_coordinate_functions(n, m):
+    spec = GridSpec(n, m)
+    coords = grid.coord_table(spec)
+    nbr = grid.neighbor_id_table(spec)
+    assert len(coords) == len(nbr) == spec.n_nodes == len(set(coords))
+    for nid, node in enumerate(coords):
+        assert type(node) is NodeCoord
+        assert grid.normalize(spec, node) == node
+        assert grid.node_index(spec, node) == nid
+        assert nbr[nid] == tuple(grid.node_index(spec, nb) for nb in grid.neighbors(spec, node))
+
+
 def test_neighbors_distinct_on_minimum_grid():
     spec = GridSpec(3, 3)
     for node in spec.nodes():
