@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .link_dynamics import LinkParams
-from .special_functions import beta_fn, binom, reg_inc_beta
+from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class TieBreak:
         if not 0.0 <= self.u <= 1.0:
             raise ValueError(f"u={self.u}: need 0 <= u <= 1")
 
-    @property
-    def u_bar(self) -> float:
-        return 1.0 - self.u
-
 
 @dataclass(frozen=True)
 class DirectionBias:
@@ -46,10 +42,6 @@ class DirectionBias:
     def __post_init__(self) -> None:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w={self.w}: need 0 <= w <= 1")
-
-    @property
-    def w_bar(self) -> float:
-        return 1.0 - self.w
 
 
 def gr_throughput(p: float, x: int, y: int, u: float) -> float:
@@ -73,19 +65,9 @@ def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     _check_prob("p", p)
     _check_prob("u", u)
     ub = 1.0 - u
-    s1 = _nb_partial_sum(1.0 - ub * p, x, y)
-    s2 = _nb_partial_sum(1.0 - u * p, y, x)
+    s1 = neg_binomial_sum(1.0 - ub * p, x, y)
+    s2 = neg_binomial_sum(1.0 - u * p, y, x)
     return p ** (x + y) * ((1.0 - u * p) ** x * s1 + (1.0 - ub * p) ** y * s2)
-
-
-def _nb_partial_sum(r: float, a: int, b: int) -> float:
-    """sum_{k=0}^{b-1} C(k+a-1, k) r^k."""
-    total = 0.0
-    weight = 1.0
-    for k in range(b):
-        total += binom(k + a - 1, k) * weight
-        weight *= r
-    return total
 
 
 def gr_throughput_boundary(p: float, n: int) -> float:

@@ -45,10 +45,6 @@ class GridSpec:
     def n_nodes(self) -> int:
         return self.n_per_plane * self.m_planes
 
-    @property
-    def n_links(self) -> int:
-        return 4 * self.n_nodes
-
     def x_lo(self) -> int:
         return -(self.m_planes // 2) + 1 if self.m_planes % 2 == 0 else -(self.m_planes // 2)
 

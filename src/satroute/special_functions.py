@@ -47,19 +47,18 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     if v == 1.0:
         return 1.0
     if v < 0.5:
-        return 1.0 - _neg_binomial_cdf_sum(1.0 - v, b, a)
-    return _neg_binomial_cdf_sum(v, a, b)
+        return 1.0 - min((1.0 - v) ** b * neg_binomial_sum(v, b, a), 1.0)
+    return min(v**a * neg_binomial_sum(1.0 - v, a, b), 1.0)
 
 
-def _neg_binomial_cdf_sum(v: float, a: int, b: int) -> float:
-    one_minus = 1.0 - v
-    va = v**a
+def neg_binomial_sum(r: float, a: int, b: int) -> float:
+    """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum."""
     total = 0.0
-    weight = 1.0  # (1-v)^k
+    weight = 1.0  # r^k
     for k in range(b):
-        total += comb(k + a - 1, k) * weight * va
-        weight *= one_minus
-    return min(total, 1.0)
+        total += comb(k + a - 1, k) * weight
+        weight *= r
+    return total
 
 
 def _check_shape(a: int, b: int) -> None:

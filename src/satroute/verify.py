@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import analytic_greedy as greedy
 from . import analytic_scpr as scpr
@@ -335,11 +335,3 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "simulation": suite_simulation,
 }
 
-
-def run_suites(names: Iterable[str]) -> list[CheckResult]:
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        results.extend(SUITES[name]())
-    return results

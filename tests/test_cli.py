@@ -1,6 +1,6 @@
 import pytest
 
-from satroute import cli
+from satroute import cli, verify
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
@@ -97,6 +97,54 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     params = ld.from_p_mu(0.9, 0.5)
     assert float(out.split()[2]) == pytest.approx(
         scpr.scpr_throughput_bound(params, 2, 2, 1), rel=1e-12)
+    # so does a flag of another type
+    code, out = run_cli(capsys, "analytic", "--policy", "scpr", "--config", str(cfg),
+                        "--buffered", "true")
+    name, claim, value = out.split()
+    assert code == 0 and (name, claim) == ("scpr_delay_lower_bound", "claim2")
+    assert float(value) == pytest.approx(
+        scpr.scpr_delay_lower_bound(ld.from_p_mu(0.8, 0.5), 2, 2, 1), rel=1e-12)
+
+
+def test_config_keys_reach_every_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("policy=gr\nvalues=2\ntc_max=10\ngrid=20x20\ntrials=50\n")
+    code, out = run_cli(capsys, "sweep", "--sweep", "x", "--config", str(cfg))
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert [r[:3] + r[5:6] for r in rows] == [["x", "2", "gr", "analytic"], ["x", "2", "gr", "mc"]]
+    assert rows[1][8] == "50"
+    # tc_max, the dest of --tc-max, is crossover's key: sweep ignored it, and
+    # crossover ignores values
+    code, out = run_cli(capsys, "crossover", "--metric", "delay", "--config", str(cfg))
+    assert code == 0 and out.strip() == "crossover_tc=none"
+
+
+def test_config_scale_reaches_simulation_suite(tmp_path, capsys, monkeypatch):
+    scales = []
+
+    def recorder(scale=1.0):
+        scales.append(scale)
+        return [verify.CheckResult("recorded", True)]
+
+    monkeypatch.setattr(verify, "suite_simulation", recorder)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scale=0.01\n")
+    code, out = run_cli(capsys, "verify", "simulation", "--config", str(cfg))
+    assert code == 0 and scales == [0.01]
+    assert out.splitlines() == ["PASS  recorded", "1/1 checks passed"]
+
+
+@pytest.mark.parametrize("line", ["trails=10", "buffered=maybe", "policy=flooding",
+                                  "grid=10y10", "trials 10"])
+def test_config_rejects_unknown_keys_and_invalid_values(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x=1\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--sweep", "x", "--values", "1", "--grid", "20x20", "--trials", "50",
+                  "--policy", "gr", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_crossover_commands(capsys):
@@ -128,6 +176,78 @@ def test_invalid_arguments_exit_2(capsys):
     # domain errors are reported as exit code 2 without a traceback
     code = cli.main(["analytic", "--policy", "scpr", "--p", "1.5"])
     assert code == 2
+
+
+# Exact stdout of short runs: the CSV schema, the float repr of every value
+# and the meaning of --u are part of the CLI's contract.
+SWEEP_X = ("sweep", "--sweep", "x", "--values", "1,3", "--grid", "20x20", "--trials", "50")
+GOLDEN_STDOUT = {
+    (*SWEEP_X, "--buffered", "false", "--u", "deterministic"): (
+        'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
+        'x,1,scpr,bufferless,throughput,analytic,0.9892757004796772,,,,claim1\n'
+        'x,1,scpr,bufferless,throughput,mc,1.0,0.0,50,10805136638887256990,\n'
+        'x,1,gr,bufferless,throughput,analytic,0.8910000000000001,,,,claim3\n'
+        'x,1,gr,bufferless,throughput,mc,0.94,0.033926691677251195,50,68349201353214159,\n'
+        'x,3,scpr,bufferless,throughput,analytic,0.9572907872663518,,,,claim1\n'
+        'x,3,scpr,bufferless,throughput,mc,0.88,0.046423076597919784,50,8300601847187466982,\n'
+        'x,3,gr,bufferless,throughput,analytic,0.7895771726287505,,,,claim3\n'
+        'x,3,gr,bufferless,throughput,mc,0.82,0.05488392203513871,50,6631279983548901972,\n'
+    ),
+    (*SWEEP_X, "--buffered", "false", "--u", "0.3"): (
+        'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
+        'x,1,scpr,bufferless,throughput,analytic,0.9892757004796772,,,,claim1\n'
+        'x,1,scpr,bufferless,throughput,mc,1.0,0.0,50,10805136638887256990,\n'
+        'x,1,gr,bufferless,throughput,analytic,0.8910000000000001,,,,claim3\n'
+        'x,1,gr,bufferless,throughput,mc,0.94,0.033926691677251195,50,68349201353214159,\n'
+        'x,3,scpr,bufferless,throughput,analytic,0.9572907872663518,,,,claim1\n'
+        'x,3,scpr,bufferless,throughput,mc,0.88,0.046423076597919784,50,8300601847187466982,\n'
+        'x,3,gr,bufferless,throughput,analytic,0.777979352870046,,,,claim3\n'
+        'x,3,gr,bufferless,throughput,mc,0.82,0.05488392203513871,50,6631279983548901972,\n'
+    ),
+    (*SWEEP_X, "--buffered", "true", "--u", "deterministic"): (
+        'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
+        'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
+        'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
+        'x,1,gr,buffered,delay,analytic,15.023968999261186,,,,claim4\n'
+        'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,eq23\n'
+        'x,1,gr,buffered,delay,analytic,1.0,,,,eqEK\n'
+        'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
+        'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
+        'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
+        'x,3,gr,buffered,delay,analytic,29.973376862736103,,,,claim4\n'
+        'x,3,gr,buffered,delay,analytic,29.135359116022073,,,,eq23\n'
+        'x,3,gr,buffered,delay,analytic,4.125,,,,eqEK\n'
+        'x,3,gr,buffered,delay,mc,29.52,9.10322840243717,50,6631279983548901972,\n'
+    ),
+    (*SWEEP_X, "--buffered", "true", "--u", "0.3"): (
+        'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
+        'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
+        'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
+        'x,1,gr,buffered,delay,analytic,15.023968999261186,,,,claim4\n'
+        'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,eq23\n'
+        'x,1,gr,buffered,delay,analytic,1.0,,,,eqEK\n'
+        'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
+        'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
+        'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
+        'x,3,gr,buffered,delay,analytic,29.973376862736103,,,,claim4\n'
+        'x,3,gr,buffered,delay,analytic,29.135359116022073,,,,eq23\n'
+        'x,3,gr,buffered,delay,analytic,4.125,,,,eqEK\n'
+        'x,3,gr,buffered,delay,mc,26.46,8.523782335684226,50,6631279983548901972,\n'
+    ),
+    ("analytic", "--policy", "gr", "--u", "deterministic"): (
+        'gr_throughput claim3 0.720049827956685\n'
+    ),
+    ("crossover", "--metric", "throughput", "--u", "deterministic"): (
+        'crossover_tc=35\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_cli_golden_stdout(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN_STDOUT[argv]
 
 
 def test_entry_point_installed():
