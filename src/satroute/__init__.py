@@ -42,7 +42,7 @@ from .optimal_policies import (
     value_iterate_delay,
     verify_connected_path_ordering,
 )
-from .simulator import Estimate, NetworkState, TrialOutcome, estimate, run_gr_trial, run_scpr_trial, run_stylized_scpr_path
+from .simulator import Estimate, TrialOutcome, estimate, run_gr_trial, run_scpr_trial, run_stylized_scpr_path
 from .special_functions import beta_fn, binom, reg_inc_beta
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import os
 import sys
 from typing import Optional
@@ -59,6 +60,19 @@ def _true_false(text: str) -> bool:
     return text == "true"
 
 
+def _tie(text: str) -> str | float:
+    """--u: 'auto', 'deterministic' or a tie-break probability in [0, 1]."""
+    if text in ("auto", DETERMINISTIC):
+        return text
+    try:
+        u = float(text)
+    except ValueError:
+        u = math.nan
+    if not 0.0 <= u <= 1.0:
+        raise argparse.ArgumentTypeError(f"want auto, deterministic or a float in [0, 1], got {text!r}")
+    return u
+
+
 def _grid(text: str) -> GridSpec:
     try:
         n, m = (int(part) for part in text.lower().split("x"))
@@ -82,7 +96,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--grid", type=_grid, default="100x100", help="torus size NxM, e.g. 100x100")
         sp.add_argument("--policy", choices=["scpr", "gr"], required=policy_required)
         sp.add_argument("--buffered", type=_true_false, default="false", metavar="{true,false}")
-        sp.add_argument("--u", default="auto",
+        sp.add_argument("--u", type=_tie, default="auto",
                         help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic'")
         sp.add_argument("--trials", type=int, default=2000)
         sp.add_argument("--seed", type=int, default=2024)
@@ -163,13 +177,13 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
     sp.set_defaults(**defaults)
 
 
-def _tie_u(u: str, x: int, y: int) -> float:
+def _tie_u(u: str | float, x: int, y: int) -> float:
     """The tie-break probability --u names: a float, or y/(x+y) for 'auto'.
 
     The deterministic tie-break has no closed form; its analytic reference is
     the diagonal-steering y/(x+y) too.
     """
-    return greedy.recommended_u(x, y).u if u in ("auto", DETERMINISTIC) else float(u)
+    return greedy.recommended_u(x, y).u if u in ("auto", DETERMINISTIC) else u
 
 
 def _labels(buffered: bool) -> tuple[str, str]:
@@ -177,13 +191,13 @@ def _labels(buffered: bool) -> tuple[str, str]:
     return ("buffered", "delay") if buffered else ("bufferless", "throughput")
 
 
-def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_text: str):
+def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_arg: str | float):
     """(quantity, claim tag, value) triples for one configuration."""
     if policy == "scpr":
         if buffered:
             return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_lower_bound(params, x, y, tc))]
         return [("scpr_throughput_bound", "claim1", scpr.scpr_throughput_bound(params, x, y, tc))]
-    u = _tie_u(u_text, x, y)  # read in both regimes, so a malformed --u exits 2 in either
+    u = _tie_u(u_arg, x, y)  # read in both regimes, so x = y = 0 exits 2 in either
     if buffered:
         w = y / (x + y)
         return [

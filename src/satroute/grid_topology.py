@@ -12,7 +12,6 @@ link leaving node ``nid`` in direction ``d`` has id ``nid * 4 + d``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
@@ -107,45 +106,45 @@ def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
 
 def shortest_connected_hops(
     spec: GridSpec,
-    link_on_id,
     src_id: int,
     dst_id: int,
+    p: float,
+    random,
+    snapshot: dict[int, bool],
 ) -> Optional[list[tuple[int, int]]]:
-    """BFS over links that are ON in the given snapshot; None if unreachable.
+    """BFS over links that are ON in a lazily drawn snapshot; None if unreachable.
 
     Returns the hop list [(tail node index, direction), ...], empty when
-    src_id == dst_id.  ``link_on_id(node_index, direction)`` is the snapshot
-    predicate.  Deterministic tie-break: neighbors are expanded in
-    (L, D, R, U) order and the first-found parent is kept.
+    src_id == dst_id.  ``snapshot`` maps link ids to their ON state; a link
+    the search examines that is not in it is drawn as ``random() < p`` and
+    stored, so each link is drawn exactly when the search first needs it.
+    Deterministic tie-break: neighbors are expanded in (L, D, R, U) order and
+    the first-found parent is kept.
     """
     if src_id == dst_id:
         return []
     nbr = neighbor_id_table(spec)
-    n = spec.n_nodes
-    visited = bytearray(n)
-    visited[src_id] = 1
-    parent = [-1] * n  # packed as tail_id * 4 + direction
-    queue = deque([src_id])
-    while queue:
-        nid = queue.popleft()
-        row = nbr[nid]
-        for d in range(4):
-            nxt = row[d]
-            if visited[nxt] or not link_on_id(nid, d):
-                continue
-            visited[nxt] = 1
-            parent[nxt] = nid * 4 + d
-            if nxt == dst_id:
-                hops = []
-                node = dst_id
-                while node != src_id:
-                    packed = parent[node]
-                    tail, direction = packed >> 2, packed & 3
-                    hops.append((tail, direction))
-                    node = tail
-                hops.reverse()
-                return hops
-            queue.append(nxt)
+    parent = {src_id: -1}  # node index -> id of the link that reached it
+    queue = [src_id]
+    for nid in queue:  # the list grows while it is read: a FIFO without pops
+        lid = nid * 4
+        for nxt in nbr[nid]:
+            if nxt not in parent:
+                on = snapshot.get(lid)
+                if on is None:
+                    on = snapshot[lid] = random() < p
+                if on:
+                    parent[nxt] = lid
+                    if nxt == dst_id:
+                        hops = []
+                        while nxt != src_id:
+                            lid = parent[nxt]
+                            nxt = lid >> 2
+                            hops.append((nxt, lid & 3))
+                        hops.reverse()
+                        return hops
+                    queue.append(nxt)
+            lid += 1
     return None
 
 

@@ -1,10 +1,14 @@
 """Monte Carlo engine: full-network trials, stylized-path oracles, estimation.
 
-A trial owns a lazily evaluated NetworkState and an RNG substream; links are
-only sampled when a policy actually observes them, via the k-step transition
-kernel from their last observation.  Both policies address links by id
-(``node index * 4 + direction``).  Delays are integer slot counts, so
-estimates aggregate as exact integer sums.
+Links are only sampled when a policy actually observes them, and both
+policies address links by id (``node index * 4 + direction``).  An SCPR
+trial draws its t = 0 snapshot inside the BFS, keeps it in a dict and
+advances each link it then traverses through the k-step transition kernel
+in one draw.  A GR trial owns a lazily evaluated NetworkState, which serves
+GR only.  A wait on OFF links is drawn slot by slot for its first
+``WAIT_SLOTWISE`` slots and then jumps in one draw, so waits near static
+links finish.  Delays are integer slot counts, so estimates aggregate as
+exact integer sums.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
 
 DETERMINISTIC = "deterministic"
+
+# Slots of a wait that are drawn one by one before the rest is drawn at once.
+WAIT_SLOTWISE = 10_000
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class TrialOutcome:
 
 
 class NetworkState:
-    """Per-directed-link ON/OFF cache with lazy Markov evolution.
+    """Per-directed-link ON/OFF cache with lazy Markov evolution (GR trials).
 
     A link observed for the first time at slot t is drawn from the steady
     state (the chain is stationary, so this matches an implicit time-0 draw).
@@ -76,7 +83,8 @@ class NetworkState:
 
 
 def run_scpr_trial(
-    state: NetworkState,
+    spec: GridSpec,
+    params: LinkParams,
     src: NodeCoord,
     t_c: int,
     buffered: bool,
@@ -90,29 +98,57 @@ def run_scpr_trial(
     exists.  The packet departs at t = t_c and follows the route blindly;
     bufferless it is dropped at the first OFF link, buffered it waits.
     Delay is counted from t_c (the snapshot staleness itself is excluded).
+
+    A route link seen in the snapshot is advanced from its t = 0 state by the
+    t-step kernel; one the BFS never examined is a steady-state draw.  The
+    draws are the ones a NetworkState would make for the same observations.
     """
-    spec = state.spec
+    random = rng.random
+    p = params.p
+    snapshot: dict[int, bool] = {}
     hops = grid.shortest_connected_hops(
         spec,
-        lambda nid, d: state.link_on_id(nid * 4 + d, 0),
         grid.node_index(spec, grid.normalize(spec, src)),
         grid.node_index(spec, grid.normalize(spec, dst)),
+        p,
+        random,
+        snapshot,
     )
     if hops is None:
         hops = grid.random_shortest_path(spec, src, dst, rng)
+    q = transition_prob(params, False, True, 1)
     t = t_c
     for nid, d in hops:
-        lid = nid * 4 + d
-        if state.link_on_id(lid, t):
-            t += 1
-            continue
-        if not buffered:
-            return TrialOutcome(False, None, len(hops), None)
-        t += 1
-        while not state.link_on_id(lid, t):
-            t += 1
+        on0 = snapshot.get(nid * 4 + d)
+        if on0 is None:
+            on = random() < p
+        elif t > 0:
+            on = random() < transition_prob(params, on0, True, t)
+        else:
+            on = on0
+        if not on:
+            if not buffered:
+                return TrialOutcome(False, None, len(hops), None)
+            t += _wait_slots(random, q)
         t += 1
     return TrialOutcome(True, t - t_c, len(hops), None)
+
+
+def _wait_slots(random, q: float) -> int:
+    """Slots until an OFF link is first seen ON, re-observing it once a slot.
+
+    Geometric(q) on {1, 2, ...}: one ``random() < q`` per slot for the first
+    WAIT_SLOTWISE slots, then the memoryless rest by inversion of one draw.
+    """
+    for k in range(1, WAIT_SLOTWISE + 1):
+        if random() < q:
+            return k
+    return WAIT_SLOTWISE + _geometric(random, math.log1p(-q))
+
+
+def _geometric(random, log_fail: float) -> int:
+    """Trials until the first success, where log_fail = log P(a trial fails)."""
+    return 1 + int(math.log(1.0 - random()) / log_fail)
 
 
 def run_gr_trial(
@@ -128,7 +164,8 @@ def run_gr_trial(
     are observed, horizontal first.  Both ON: tie-break (probability
     ``tie.u`` vertical, or the deterministic farther-dimension rule).  One
     ON: forced.  None ON: bufferless drops, buffered waits one slot and
-    re-observes.  The move count at first boundary contact is recorded.
+    re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
+    jump).  The move count at first boundary contact is recorded.
 
     The walk never crosses the wrap seam, so a vertical move changes the node
     index by one and a horizontal move by N (``spec.n_per_plane``).
@@ -145,14 +182,19 @@ def run_gr_trial(
     while x or y:
         x_lid = nid * 4 + (LEFT if x > 0 else RIGHT) if x else None
         y_lid = nid * 4 + (DOWN if y > 0 else UP) if y else None
-        while True:
-            x_on = x_lid is not None and link_on_id(x_lid, t)
-            y_on = y_lid is not None and link_on_id(y_lid, t)
-            if x_on or y_on:
-                break
+        x_on = x_lid is not None and link_on_id(x_lid, t)
+        y_on = y_lid is not None and link_on_id(y_lid, t)
+        if not (x_on or y_on):
             if not buffered:
                 return TrialOutcome(False, None, moves, hit_boundary)
-            t += 1
+            for _ in range(WAIT_SLOTWISE):
+                t += 1
+                x_on = x_lid is not None and link_on_id(x_lid, t)
+                y_on = y_lid is not None and link_on_id(y_lid, t)
+                if x_on or y_on:
+                    break
+            else:
+                t, x_on, y_on = _jump_wait(state, x_lid, y_lid, t, rng.random)
         if x_on and y_on:
             if tie == DETERMINISTIC:
                 vertical = abs(y) > abs(x) or (abs(y) == abs(x) and rng.random() < 0.5)
@@ -173,6 +215,30 @@ def run_gr_trial(
         if hit_boundary is None and (x == 0 or y == 0) and (x, y) != (0, 0):
             hit_boundary = moves
     return TrialOutcome(True, t, moves, hit_boundary)
+
+
+def _jump_wait(state: NetworkState, x_lid, y_lid, t: int, random) -> tuple[int, bool, bool]:
+    """Draw the rest of a GR wait at once; the links were last seen OFF at t.
+
+    One link waits Geometric(q) slots, two wait Geometric(1 - (1-q)^2); at
+    arrival the pair is (ON, ON) with probability q / (2 - q), else exactly
+    one link is ON, each with probability 1/2.  The arrival states are
+    cached at the arrival slot.  Returns (arrival slot, x ON, y ON).
+    """
+    q = transition_prob(state.params, False, True, 1)
+    if x_lid is None or y_lid is None:
+        t += _geometric(random, math.log1p(-q))
+        x_on, y_on = x_lid is not None, y_lid is not None
+    else:
+        t += _geometric(random, 2.0 * math.log1p(-q))
+        v = random()
+        both = q / (2.0 - q)
+        x_on = v < (1.0 + both) / 2.0  # both ON below ``both``, x alone up to the midpoint of the rest
+        y_on = v < both or not x_on
+    for lid, on in ((x_lid, x_on), (y_lid, y_on)):
+        if lid is not None:
+            state._cache[lid] = (on, t)
+    return t, x_on, y_on
 
 
 def run_stylized_scpr_path(
@@ -254,11 +320,10 @@ def estimate(
     total_sq = 0
     for i in range(trials):
         rng = trial_rng(master_seed, i)
-        state = NetworkState(spec, params, rng)
         if policy == "scpr":
-            out = run_scpr_trial(state, src, t_c, buffered, rng)
+            out = run_scpr_trial(spec, params, src, t_c, buffered, rng)
         else:
-            out = run_gr_trial(state, src, buffered, tie, rng)
+            out = run_gr_trial(NetworkState(spec, params, rng), src, buffered, tie, rng)
         v = out.delay if buffered else int(out.success)
         total += v
         total_sq += v * v

@@ -6,6 +6,12 @@
   link slot by slot, which the one-draw k-step jump must match in law.
 * ``validate_hops``: a validity check for hop lists
   ``[(tail node index, direction), ...]``.
+* ``oracle_scpr_trial``: the SCPR trial observing every link, the t = 0
+  snapshot included, through a NetworkState, with the BFS asking a predicate
+  once per link (``oracle_connected_hops``).  The production trial must make
+  the same draws in the same order.
+* ``full_snapshot`` / ``no_draws``: a snapshot dict holding every link of a
+  predicate, and a ``random`` that fails if a search draws at all.
 * ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
   scalar dual numbers, which the array rows of ``MgfEvaluator`` must match.
 """
@@ -13,11 +19,13 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
+from satroute import grid_topology as grid
 from satroute.analytic_scpr import Dual
-from satroute.grid_topology import GridSpec, neighbor_id_table
+from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
-from satroute.simulator import NetworkState
+from satroute.simulator import NetworkState, TrialOutcome
 
 
 def sample_next(params: LinkParams, on: bool, rng) -> bool:
@@ -73,6 +81,86 @@ def validate_hops(spec: GridSpec, hops, src_id: int, dst_id: int) -> None:
         seen.add(node)
     if node != dst_id:
         raise ValueError(f"path ends at node {node}, not {dst_id}")
+
+
+def oracle_connected_hops(spec: GridSpec, link_on_id, src_id: int, dst_id: int):
+    """BFS over links for which ``link_on_id(node index, direction)`` holds.
+
+    Neighbors are expanded in (L, D, R, U) order and the first-found parent
+    is kept; the predicate is asked once per link, when the search first
+    examines it.  Returns a hop list, or None if dst_id is unreachable.
+    """
+    if src_id == dst_id:
+        return []
+    nbr = neighbor_id_table(spec)
+    visited = bytearray(spec.n_nodes)
+    visited[src_id] = 1
+    parent = [-1] * spec.n_nodes  # packed as tail_id * 4 + direction
+    queue = deque([src_id])
+    while queue:
+        nid = queue.popleft()
+        for d in range(4):
+            nxt = nbr[nid][d]
+            if visited[nxt] or not link_on_id(nid, d):
+                continue
+            visited[nxt] = 1
+            parent[nxt] = nid * 4 + d
+            if nxt == dst_id:
+                hops = []
+                while nxt != src_id:
+                    tail, direction = parent[nxt] >> 2, parent[nxt] & 3
+                    hops.append((tail, direction))
+                    nxt = tail
+                hops.reverse()
+                return hops
+            queue.append(nxt)
+    return None
+
+
+def oracle_scpr_trial(
+    state: NetworkState,
+    src: NodeCoord,
+    t_c: int,
+    buffered: bool,
+    rng,
+    dst: NodeCoord = ORIGIN,
+) -> TrialOutcome:
+    """One SCPR trial with every observation a ``state.link_on_id`` call.
+
+    The snapshot is the state at t = 0; the packet departs at t_c, waits slot
+    by slot on an OFF link when buffered, and is dropped on one otherwise.
+    """
+    spec = state.spec
+    hops = oracle_connected_hops(
+        spec,
+        lambda nid, d: state.link_on_id(nid * 4 + d, 0),
+        grid.node_index(spec, grid.normalize(spec, src)),
+        grid.node_index(spec, grid.normalize(spec, dst)),
+    )
+    if hops is None:
+        hops = grid.random_shortest_path(spec, src, dst, rng)
+    t = t_c
+    for nid, d in hops:
+        lid = nid * 4 + d
+        if state.link_on_id(lid, t):
+            t += 1
+            continue
+        if not buffered:
+            return TrialOutcome(False, None, len(hops), None)
+        t += 1
+        while not state.link_on_id(lid, t):
+            t += 1
+        t += 1
+    return TrialOutcome(True, t - t_c, len(hops), None)
+
+
+def full_snapshot(spec: GridSpec, link_on) -> dict[int, bool]:
+    """Every link's state under ``link_on(node index, direction)``, by link id."""
+    return {nid * 4 + d: bool(link_on(nid, d)) for nid in range(spec.n_nodes) for d in range(4)}
+
+
+def no_draws() -> float:
+    raise AssertionError("a full snapshot needs no draws")
 
 
 def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]]:

@@ -147,6 +147,35 @@ def test_config_rejects_unknown_keys_and_invalid_values(tmp_path, capsys, line):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--policy", "scpr", "--u", "abc"),
+    ("analytic", "--policy", "scpr", "--u", "1.5"),
+    ("analytic", "--policy", "gr", "--u", "-0.1"),
+    ("crossover", "--metric", "delay", "--u", "abc"),
+    ("sweep", "--sweep", "x", "--values", "1", "--u", "nan"),
+])
+def test_u_outside_its_domain_exits_2(argv, capsys):
+    """--u is checked when parsed, also by commands and policies that never read it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text, code", [("abc", 2), ("1.5", 2), ("0", 0), ("1", 0), ("auto", 0),
+                                        ("deterministic", 0)])
+def test_config_u_goes_through_the_flag_type(tmp_path, capsys, text, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"u={text}\n")
+    argv = ["analytic", "--policy", "scpr", "--config", str(cfg)]
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    else:
+        assert cli.main(argv) == 0
+
+
 def test_crossover_commands(capsys):
     code, out = run_cli(capsys, "crossover", "--metric", "throughput",
                         "--p", "0.9", "--mu", "0.99", "--x", "5", "--y", "5")

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from oracles import validate_hops
+from oracles import full_snapshot, no_draws, validate_hops
 from satroute import grid_topology as grid
 from satroute.grid_topology import GridSpec, NodeCoord
 
@@ -18,6 +18,11 @@ def all_off(nid, d):
 
 def ids(spec, *nodes):
     return [grid.node_index(spec, grid.normalize(spec, n)) for n in nodes]
+
+
+def connected_hops(spec, link_on, src, dst):
+    """The BFS on the full snapshot of ``link_on(node index, direction)``."""
+    return grid.shortest_connected_hops(spec, *ids(spec, src, dst), 0.5, no_draws, full_snapshot(spec, link_on))
 
 
 def coord_hops(spec, hops):
@@ -123,7 +128,7 @@ def test_connected_path_all_on_is_geodesic():
     for _ in range(50):
         src = NodeCoord(rng.randint(-2, 3), rng.randint(-3, 3))
         dst = NodeCoord(rng.randint(-2, 3), rng.randint(-3, 3))
-        hops = grid.shortest_connected_hops(spec, all_on, *ids(spec, src, dst))
+        hops = connected_hops(spec, all_on, src, dst)
         assert hops is not None
         validate_hops(spec, hops, *ids(spec, src, dst))
         assert len(hops) == grid.hop_distance(spec, src, dst)
@@ -131,8 +136,8 @@ def test_connected_path_all_on_is_geodesic():
 
 def test_connected_path_all_off_is_absent():
     spec = GridSpec(5, 5)
-    assert grid.shortest_connected_hops(spec, all_off, *ids(spec, NodeCoord(1, 1), NodeCoord(0, 0))) is None
-    empty = grid.shortest_connected_hops(spec, all_off, *ids(spec, NodeCoord(1, 1), NodeCoord(1, 1)))
+    assert connected_hops(spec, all_off, NodeCoord(1, 1), NodeCoord(0, 0)) is None
+    empty = connected_hops(spec, all_off, NodeCoord(1, 1), NodeCoord(1, 1))
     assert empty == []
 
 
@@ -167,7 +172,7 @@ def test_connected_path_takes_forced_detour():
         return (node, d) not in blocked
 
     coords = grid.coord_table(spec)
-    hops = grid.shortest_connected_hops(spec, lambda nid, d: link_on(coords[nid], d), *ids(spec, src, dst))
+    hops = connected_hops(spec, lambda nid, d: link_on(coords[nid], d), src, dst)
     assert hops is not None
     assert len(hops) == 4  # +2 hops over the blocked geodesic
     valid = enumerate_connected_simple_paths(spec, link_on, src, dst, 4)
@@ -183,9 +188,31 @@ def test_connected_path_deterministic_tie_break():
         for nid in range(spec.n_nodes)
         for d in range(4)
     }
-    first = grid.shortest_connected_hops(spec, lambda n, d: states[n, d], *ids(spec, NodeCoord(3, 2), NodeCoord(0, 0)))
-    second = grid.shortest_connected_hops(spec, lambda n, d: states[n, d], *ids(spec, NodeCoord(3, 2), NodeCoord(0, 0)))
+    first = connected_hops(spec, lambda n, d: states[n, d], NodeCoord(3, 2), NodeCoord(0, 0))
+    second = connected_hops(spec, lambda n, d: states[n, d], NodeCoord(3, 2), NodeCoord(0, 0))
     assert first is not None and first == second
+
+
+def test_connected_path_draws_each_examined_link_once():
+    """The lazily drawn snapshot holds exactly the links the search drew, and
+    replaying it routes the same way without a draw."""
+    spec = GridSpec(9, 8)
+    src_id, dst_id = ids(spec, NodeCoord(3, -2), NodeCoord(0, 0))
+    for seed in range(20):
+        draws = []
+        rng = random.Random(seed)
+
+        def counted():
+            draws.append(rng.random())
+            return draws[-1]
+
+        snapshot = {}
+        hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, counted, snapshot)
+        assert len(snapshot) == len(draws)
+        assert list(snapshot.values()) == [u < 0.6 for u in draws]
+        replay = dict(snapshot)
+        assert grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, no_draws, replay) == hops
+        assert replay == snapshot
 
 
 def enumerate_geodesics(spec, src, dst):
@@ -218,7 +245,7 @@ def test_connected_length_equals_distance_iff_on_geodesic_exists():
     coords = grid.coord_table(spec)
     for _ in range(200):
         states = {(n, d): rng.random() < 0.55 for n in spec.nodes() for d in range(4)}
-        hops = grid.shortest_connected_hops(spec, lambda nid, d: states[coords[nid], d], *ids(spec, src, dst))
+        hops = connected_hops(spec, lambda nid, d: states[coords[nid], d], src, dst)
         some_geodesic_on = any(all(states[hop] for hop in g) for g in geodesics)
         if hops is not None:
             assert len(hops) >= grid.hop_distance(spec, src, dst)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import SlotwiseNetworkState
+from oracles import SlotwiseNetworkState, oracle_scpr_trial
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
@@ -19,6 +19,14 @@ NEAR_ONE = ld.from_p_mu(1 - 1e-9, 0.5)
 
 def link_id(spec, node, direction):
     return grid.node_index(spec, node) * 4 + direction
+
+
+def record_fallbacks(monkeypatch):
+    """A list that gains one entry per random_shortest_path fallback."""
+    fallback = grid.random_shortest_path
+    calls = []
+    monkeypatch.setattr(grid, "random_shortest_path", lambda *a: calls.append(a) or fallback(*a))
+    return calls
 
 
 def test_network_state_rejects_backward_queries():
@@ -50,12 +58,10 @@ def test_scpr_trial_certain_links():
     spec = GridSpec(30, 30)
     for i in range(25):
         rng = sim.trial_rng(5, i)
-        state = sim.NetworkState(spec, NEAR_ONE, rng)
-        out = sim.run_scpr_trial(state, NodeCoord(4, 3), 2, False, rng)
+        out = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, False, rng)
         assert out.success and out.delay == 7 and out.path_len == 7
         rng2 = sim.trial_rng(6, i)
-        state2 = sim.NetworkState(spec, NEAR_ONE, rng2)
-        out2 = sim.run_scpr_trial(state2, NodeCoord(4, 3), 2, True, rng2)
+        out2 = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, True, rng2)
         assert out2.success and out2.delay == 7
 
 
@@ -64,8 +70,7 @@ def test_scpr_buffered_always_succeeds():
     params = ld.from_p_mu(0.5, 0.6)
     for i in range(300):
         rng = sim.trial_rng(7, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_scpr_trial(state, NodeCoord(3, 2), 4, True, rng)
+        out = sim.run_scpr_trial(spec, params, NodeCoord(3, 2), 4, True, rng)
         assert out.success and out.delay >= out.path_len >= 5
 
 
@@ -78,8 +83,7 @@ def test_scpr_bufferless_success_rate_conditioned_on_connected_geodesic():
     hits = total = 0
     for i in range(20000):
         rng = sim.trial_rng(8, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_scpr_trial(state, NodeCoord(x, y), t_c, False, rng)
+        out = sim.run_scpr_trial(spec, params, NodeCoord(x, y), t_c, False, rng)
         if out.path_len == x + y:
             # geodesic-length paths found by the BFS are connected at t=0
             total += 1
@@ -207,6 +211,81 @@ def test_gr_buffered_direction_frequency_matches_induced_bias():
         assert abs(vertical / n - w) < 3 * sigma
 
 
+def test_gr_axis_source_finishes_at_mu_max():
+    """A boundary wait at MU_MAX lasts about 1e9 slots, so only the jump after
+    WAIT_SLOTWISE slots lets the run finish; its mean is the exact
+    (x+y)(1 + (1-p)/e2)."""
+    params = ld.from_p_mu(0.9, ld.MU_MAX)
+    est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(0, 3), buffered=True,
+                       tie=greedy.TieBreak(0.5), trials=300, master_seed=61)
+    target = greedy.gr_delay_exact_component(params, 0, 3)
+    assert est.mean > 10 * sim.WAIT_SLOTWISE
+    assert abs(est.mean - target) < 3 * est.stderr
+
+
+def test_gr_interior_source_near_static_matches_eq23():
+    params = ld.from_p_mu(0.8, 1 - 1e-6)
+    tie = greedy.TieBreak(0.5)
+    est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(2, 2), buffered=True,
+                       tie=tie, trials=300, master_seed=62)
+    target = greedy.gr_delay_exact_component(params, 2, 2, greedy.w_from_u(params, tie.u).w)
+    assert abs(est.mean - target) < 3 * est.stderr
+
+
+def test_scpr_buffered_low_p_finishes_at_mu_max(monkeypatch):
+    """Fallback routes cross links that are OFF at t = 0 and stay OFF for
+    about 1e9 slots at MU_MAX."""
+    fallbacks = record_fallbacks(monkeypatch)
+    params = ld.from_p_mu(0.3, ld.MU_MAX)
+    est = sim.estimate(GridSpec(8, 8), params, "scpr", src=NodeCoord(2, 2), buffered=True, t_c=3,
+                       trials=50, master_seed=63)
+    assert fallbacks and est.mean > sim.WAIT_SLOTWISE
+
+
+def test_wait_jump_keeps_the_law(monkeypatch):
+    """With no slot-by-slot prefix, every wait is one jump.  GR's
+    boundary-hit pmf still follows the tie-break-induced bias (the arrival
+    states of a pair) and its mean delay eq23 (the Geometric waits), and
+    SCPR's mean delay matches the slot-by-slot oracle."""
+    monkeypatch.setattr(sim, "WAIT_SLOTWISE", 0)
+    p, mu, u, x, y = 0.3, 0.5, 1.0, 2, 3
+    params = ld.from_p_mu(p, mu)
+    spec = GridSpec(20, 20)
+    w = greedy.w_from_u(params, u).w
+    pmf = greedy.min_tau_pmf(x, y, w)
+    counts = dict.fromkeys(pmf, 0)
+    n = 20000
+    total = total_sq = 0
+    for i in range(n):
+        rng = sim.trial_rng(64, i)
+        out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), NodeCoord(x, y), True, greedy.TieBreak(u), rng)
+        counts[out.hit_boundary_at] += 1
+        total += out.delay
+        total_sq += out.delay**2
+    chi2 = sum((counts[k] - n * pmf[k]) ** 2 / (n * pmf[k]) for k in pmf)
+    assert chi2 < CHI2_999[len(pmf) - 1]
+    mean = total / n
+    stderr = math.sqrt((total_sq - total * mean) / (n - 1) / n)
+    assert abs(mean - greedy.gr_delay_exact_component(params, x, y, w)) < 3 * stderr
+
+    spec = GridSpec(12, 12)
+    params = ld.from_p_mu(0.6, 0.5)
+    means = []
+    for seed, trial in ((65, sim.run_scpr_trial), (66, None)):
+        delays = []
+        for i in range(10000):
+            rng = sim.trial_rng(seed, i)
+            if trial is None:
+                out = oracle_scpr_trial(sim.NetworkState(spec, params, rng), NodeCoord(2, 2), 3, True, rng)
+            else:
+                out = trial(spec, params, NodeCoord(2, 2), 3, True, rng)
+            delays.append(out.delay)
+        m = sum(delays) / len(delays)
+        means.append((m, sum((d - m) ** 2 for d in delays) / (len(delays) - 1) / len(delays)))
+    (m1, v1), (m2, v2) = means
+    assert abs(m1 - m2) < 3 * math.sqrt(v1 + v2)
+
+
 def test_stylized_single_link_at_snapshot_is_certain():
     params = ld.from_p_mu(0.6, 0.9)
     est = sim.run_stylized_scpr_path(params, 1, 0, False, 2000, seed=17)
@@ -241,23 +320,54 @@ def test_stylized_rejects_zero_trials():
 
 
 def test_lazy_jump_equivalent_to_slotwise_stepping():
-    """Outcome frequencies agree between one-draw k-step jumps and
-    slot-by-slot evolution of every observed link."""
+    """Outcome frequencies agree between the production trial's one-draw
+    k-step jumps and slot-by-slot evolution of every observed link."""
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.5)
     n = 10**5
     rates = []
-    for state_cls, seed in ((sim.NetworkState, 21), (SlotwiseNetworkState, 22)):
+    for seed in (21, 22):
         hits = 0
         for i in range(n):
             rng = sim.trial_rng(seed, i)
-            state = state_cls(spec, params, rng)
-            out = sim.run_scpr_trial(state, NodeCoord(1, 2), 3, False, rng)
+            if seed == 21:
+                out = sim.run_scpr_trial(spec, params, NodeCoord(1, 2), 3, False, rng)
+            else:
+                out = oracle_scpr_trial(SlotwiseNetworkState(spec, params, rng), NodeCoord(1, 2), 3, False, rng)
             hits += out.success
         rates.append(hits / n)
     pooled = sum(rates) / 2
     sigma = math.sqrt(2 * pooled * (1 - pooled) / n)
     assert abs(rates[0] - rates[1]) < 3 * sigma
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (7, 6), (20, 20)])
+def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
+    """Trial by trial, the production SCPR trial gives the oracle's outcome
+    and leaves its random stream in the same state: the same draws in the
+    same order, fallbacks and waits included.  Sources are drawn over the
+    whole torus, so even sides give wrap ties."""
+    spec = GridSpec(*shape)
+    nodes = list(spec.nodes())
+    pick = random.Random(shape[0] * 100 + shape[1])
+    fallbacks = record_fallbacks(monkeypatch)
+    waits = 0
+    for p in (0.3, 0.6, 0.9):
+        params = ld.from_p_mu(p, 0.7)
+        for t_c in (0, 3):
+            for buffered in (False, True):
+                for dst in (grid.ORIGIN, NodeCoord(1, -1)):
+                    for i in range(40):
+                        src = pick.choice(nodes)
+                        rng = sim.trial_rng(31, i)
+                        ref_rng = sim.trial_rng(31, i)
+                        out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng, dst)
+                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered,
+                                                ref_rng, dst)
+                        assert out == ref, (p, t_c, buffered, dst, i)
+                        assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, dst, i)
+                        waits += buffered and out.delay > out.path_len
+    assert fallbacks and waits
 
 
 def test_estimate_deterministic_across_thread_counts():
