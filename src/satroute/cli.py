@@ -7,11 +7,13 @@ Subcommands
     crossover  smallest t_c at which greedy routing beats the centralized policy
     verify     run named verification suites; exit 1 on any failure
 
-Common flags: --p --mu --tc --x --y --grid NxM --policy --buffered --u
---trials --seed --threads --out --config.  A config file holds key=value
-lines that set the running subcommand's flags by their dest names (tc_min
-for --tc-min); explicit flags override it.  A key that no subcommand has, or
-an invalid value, exits 2; required flags must still be given as flags.
+Each subcommand takes only the flags it reads (`satroute <subcommand> -h`
+lists them, README has the table), and every one takes --config.  A config
+file holds key=value lines that set the running subcommand's flags by their
+dest names (tc_min for --tc-min); explicit flags override it.  A key that
+only another subcommand takes is ignored.  A key that no subcommand has, or
+a value that the key's flag rejects, exits 2 under every subcommand;
+required flags must still be given as flags.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ def _true_false(text: str) -> bool:
     return text == "true"
 
 
+def _count(text: str) -> int:
+    """--tc, --tc-min, --tc-max: a slot count, an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return n
+
+
 def _tie(text: str) -> str | float:
     """--u: 'auto', 'deterministic' or a tie-break probability in [0, 1]."""
     if text in ("auto", DETERMINISTIC):
@@ -81,58 +91,61 @@ def _grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"want NxM with N, M >= 3, got {text!r}") from exc
 
 
+# Every option but --config, by dest; each subcommand names the ones it reads.
+OPTIONS = {
+    "p": ("--p", dict(type=float, default=0.9, help="steady-state ON probability")),
+    "mu": ("--mu", dict(type=float, default=0.99, help="memory parameter in [0, 1)")),
+    "tc": ("--tc", dict(type=_count, default=5, help="snapshot staleness in slots")),
+    "x": ("--x", dict(type=int, default=5, help="source x distance")),
+    "y": ("--y", dict(type=int, default=5, help="source y distance")),
+    "grid": ("--grid", dict(type=_grid, default="100x100", help="torus size NxM, e.g. 100x100")),
+    "policy": ("--policy", dict(choices=["scpr", "gr"])),
+    "buffered": ("--buffered", dict(type=_true_false, default="false", metavar="{true,false}")),
+    "u": ("--u", dict(type=_tie, default="auto",
+                      help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic'")),
+    "trials": ("--trials", dict(type=int, default=2000)),
+    "seed": ("--seed", dict(type=int, default=2024)),
+    "threads": ("--threads", dict(type=int, default=1,
+                                  help="accepted and ignored: trials run in one thread, and the "
+                                       "output is the same for any value")),
+    "out": ("--out", dict(help="CSV output path")),
+    "sweep": ("--sweep", dict(choices=["mu", "tc", "x"])),
+    "values": ("--values", dict(help="comma-separated grid override")),
+    "metric": ("--metric", dict(choices=["throughput", "delay"])),
+    "tc_min": ("--tc-min", dict(type=_count, default=0)),
+    "tc_max": ("--tc-max", dict(type=_count, default=200)),
+    "scale": ("--scale", dict(type=float, default=1.0,
+                              help="trial-count multiplier for the simulation suite")),
+}
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="satroute", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, policy_required=False):
-        sp.add_argument("--p", type=float, default=0.9, help="steady-state ON probability")
-        sp.add_argument("--mu", type=float, default=0.99, help="memory parameter in [0, 1)")
-        sp.add_argument("--tc", type=int, default=5, help="snapshot staleness in slots")
-        sp.add_argument("--x", type=int, default=5, help="source x distance")
-        sp.add_argument("--y", type=int, default=5, help="source y distance")
-        sp.add_argument("--grid", type=_grid, default="100x100", help="torus size NxM, e.g. 100x100")
-        sp.add_argument("--policy", choices=["scpr", "gr"], required=policy_required)
-        sp.add_argument("--buffered", type=_true_false, default="false", metavar="{true,false}")
-        sp.add_argument("--u", type=_tie, default="auto",
-                        help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic'")
-        sp.add_argument("--trials", type=int, default=2000)
-        sp.add_argument("--seed", type=int, default=2024)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: trials run in one thread, and the "
-                             "output is the same for any value")
-        sp.add_argument("--out", help="CSV output path")
+    def add(name, handler, summary, dests, required=()):
+        sp = sub.add_parser(name, help=summary)
+        for dest in dests:
+            flag, kwargs = OPTIONS[dest]
+            sp.add_argument(flag, dest=dest, required=dest in required, **kwargs)
         sp.add_argument("--config", help="key=value config file")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("analytic", help="evaluate closed-form quantities")
-    common(sp, policy_required=True)
-    sp.set_defaults(handler=cmd_analytic)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo estimate for one configuration")
-    common(sp, policy_required=True)
-    sp.set_defaults(handler=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="CSV sweep over mu, tc or x (analytic + MC rows)")
-    common(sp)
-    sp.add_argument("--sweep", choices=["mu", "tc", "x"], required=True)
-    sp.add_argument("--values", help="comma-separated grid override")
-    sp.set_defaults(handler=cmd_sweep)
-
-    sp = sub.add_parser("crossover", help="smallest t_c where greedy routing wins")
-    common(sp)
-    sp.add_argument("--metric", choices=["throughput", "delay"], required=True)
-    sp.add_argument("--tc-min", dest="tc_min", type=int, default=0)
-    sp.add_argument("--tc-max", dest="tc_max", type=int, default=200)
-    sp.set_defaults(handler=cmd_crossover)
-
-    sp = sub.add_parser("verify", help="run verification suites")
+    point = ["p", "mu", "tc", "x", "y"]
+    monte_carlo = [*point, "grid", "policy", "buffered", "u", "trials", "seed", "threads", "out"]
+    add("analytic", cmd_analytic, "evaluate closed-form quantities",
+        [*point, "policy", "buffered", "u"], required=["policy"])
+    add("simulate", cmd_simulate, "Monte Carlo estimate for one configuration",
+        monte_carlo, required=["policy"])
+    add("sweep", cmd_sweep, "CSV sweep over mu, tc or x (analytic + MC rows)",
+        [*monte_carlo, "sweep", "values"], required=["sweep"])
+    add("crossover", cmd_crossover, "smallest t_c where greedy routing wins",
+        ["p", "mu", "x", "y", "u", "metric", "tc_min", "tc_max"], required=["metric"])
+    sp = add("verify", cmd_verify, "run verification suites", ["scale"])
     sp.add_argument("suite", nargs="?", default="all", choices=[*sorted(verify.SUITES), "all"])
-    sp.add_argument("--scale", type=float, default=1.0,
-                    help="trial-count multiplier for the simulation suite")
-    sp.add_argument("--config", help="key=value config file")
-    sp.set_defaults(handler=cmd_verify)
 
     return parser, sub.choices
 
@@ -142,8 +155,9 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
 
     A key may be the dest of any subcommand's flag, so one file serves every
     subcommand; the keys of other subcommands are ignored.  A key that no
-    subcommand has, or a value that the flag's type or choices reject, exits
-    2, even where a flag on the command line overrides it.
+    subcommand has, or a value that the key's flag would reject by its type or
+    choices, exits 2 under every subcommand, even where a flag on the command
+    line overrides it.
     """
     sp = commands[command]
     try:
@@ -152,28 +166,23 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
     except (OSError, ValueError) as exc:
         sp.error(f"--config {path}: {exc}")
 
-    def flags(parser):
-        return {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
-
-    own = flags(sp)
-    known = {dest for parser in commands.values() for dest in flags(parser)}
+    own = {action.dest for action in sp._actions}
     defaults = {}
     for line in lines:
         if not line or line.startswith("#"):
             continue
         key, sep, text = (part.strip() for part in line.partition("="))
-        if not sep or key not in known:
+        if not sep or key not in OPTIONS:
             sp.error(f"--config {path}: {line!r} is not key=value with a known key")
-        action = own.get(key)
-        if action is None:
-            continue
+        _, kwargs = OPTIONS[key]
         try:
-            value = action.type(text) if action.type else text
+            value = kwargs.get("type", str)(text)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             sp.error(f"--config {path}: {key}={text!r}: {exc}")
-        if action.choices is not None and value not in action.choices:
-            sp.error(f"--config {path}: {key}={text!r}, want one of {list(action.choices)}")
-        defaults[key] = value
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            sp.error(f"--config {path}: {key}={text!r}, want one of {kwargs['choices']}")
+        if key in own:
+            defaults[key] = value
     sp.set_defaults(**defaults)
 
 
@@ -209,7 +218,9 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
-    tie = DETERMINISTIC if args.u == DETERMINISTIC else greedy.TieBreak(_tie_u(args.u, x, y))
+    tie = None  # SCPR has no tie-break, so --u cannot change its exit code
+    if policy == "gr":
+        tie = DETERMINISTIC if args.u == DETERMINISTIC else greedy.TieBreak(_tie_u(args.u, x, y))
     return simulator.estimate(args.grid, params, policy, src=NodeCoord(x, y), buffered=args.buffered,
                               t_c=tc, tie=tie, trials=args.trials, master_seed=seed)
 

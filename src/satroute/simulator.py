@@ -312,6 +312,8 @@ def estimate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if t_c < 0:
+        raise ValueError(f"t_c={t_c}: snapshot age must be >= 0")
     if policy not in ("scpr", "gr"):
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "gr" and tie is None:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from satroute import cli, verify
@@ -10,6 +12,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def assert_usage_error(capsys, argv):
+    """argparse rejects ``argv``: exit 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_analytic_scpr_throughput(capsys):
@@ -160,6 +170,83 @@ def test_u_outside_its_domain_exits_2(argv, capsys):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# Each subcommand takes only the flags it reads; these were accepted and ignored.
+REMOVED_FLAGS = [
+    *(("analytic", "--policy", "scpr", flag, value) for flag, value in
+      (("--grid", "20x20"), ("--trials", "7"), ("--seed", "1"), ("--threads", "1"),
+       ("--out", "unused.csv"))),
+    *(("crossover", "--metric", "throughput", flag, value) for flag, value in
+      (("--tc", "99"), ("--grid", "20x20"), ("--policy", "scpr"), ("--buffered", "true"),
+       ("--trials", "7"), ("--seed", "1"), ("--threads", "1"), ("--out", "unused.csv"))),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=lambda argv: f"{argv[0]}{argv[3]}")
+def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", [("analytic", "--policy", "scpr"),
+                                     ("simulate", "--policy", "scpr", "--trials", "5"),
+                                     ("sweep", "--sweep", "x", "--values", "1", "--trials", "5"),
+                                     ("crossover", "--metric", "delay"),
+                                     ("verify", "crossover")], ids=lambda command: command[0])
+@pytest.mark.parametrize("line", ["grid=10y10", "scale=abc", "tc_max=-1", "metric=speed"])
+def test_config_value_its_flag_rejects_exits_2_under_every_subcommand(tmp_path, capsys,
+                                                                      command, line):
+    """Also where the running subcommand does not take the key's flag."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    assert_usage_error(capsys, [*command, "--config", str(cfg)])
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=10x10\ntrials=7\nseed=1\nout=unused.csv\nmetric=delay\nscale=0.5\n")
+    argv = ["analytic", "--policy", "gr", "--buffered", "true"]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "scpr", "--tc", "-3", "--trials", "20"),
+    ("simulate", "--policy", "scpr", "--buffered", "true", "--tc", "-4", "--trials", "20"),
+    ("analytic", "--policy", "scpr", "--tc", "1.5"),
+    ("sweep", "--sweep", "x", "--values", "1", "--tc", "-1"),
+    ("crossover", "--metric", "delay", "--tc-min", "-1"),
+    ("crossover", "--metric", "delay", "--tc-max", "-10"),
+])
+def test_snapshot_age_that_is_not_a_count_exits_2(argv, capsys):
+    assert_usage_error(capsys, argv)
+
+
+def test_scpr_exit_code_does_not_depend_on_u(capsys):
+    """SCPR has no tie-break: --u, which it never reads, cannot fail the run."""
+    argv = ["simulate", "--policy", "scpr", "--x", "-2", "--y", "3", "--grid", "20x20",
+            "--trials", "20"]
+    auto = run_cli(capsys, *argv)
+    assert auto[0] == 0
+    assert run_cli(capsys, *argv, "--u", "0.5") == auto
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| ")]
+    header = next(row for row in rows if row[0] == "flag")
+    table = {name: set() for name in header[2:]}
+    for row in rows:
+        if row[0].startswith("`--"):
+            for name, mark in zip(header[2:], row[2:]):
+                if mark:
+                    table[name].add(row[0].strip("`").split()[0])
+    _, commands = cli._build_parser()
+    parsed = {name: {flag for action in sp._actions for flag in action.option_strings} - {"-h", "--help"}
+              for name, sp in commands.items()}
+    assert table == parsed
 
 
 @pytest.mark.parametrize("text, code", [("abc", 2), ("1.5", 2), ("0", 0), ("1", 0), ("auto", 0),

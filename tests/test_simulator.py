@@ -434,6 +434,14 @@ def test_estimate_rejects_bad_arguments():
                      trials=10, master_seed=1)
 
 
+@pytest.mark.parametrize("policy", ["scpr", "gr"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_estimate_rejects_negative_snapshot_age(policy, buffered):
+    with pytest.raises(ValueError, match="t_c"):
+        sim.estimate(GridSpec(5, 5), ld.from_p_mu(0.9, 0.9), policy, src=NodeCoord(1, 1),
+                     buffered=buffered, t_c=-1, trials=10, master_seed=1)
+
+
 def test_buffered_delay_bound_is_tight_at_high_availability():
     """At p = 0.99 the path-process delay floor sits within 1% of the
     full-network buffered mean (geodesic routes dominate)."""
