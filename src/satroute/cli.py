@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -44,9 +45,10 @@ SWEEP_VALUES = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.config:
+        # A parser of its own: the file's defaults must not reach later calls.
+        parser, commands = _build_parser()
         _load_config(commands, args.command, args.config)
         args = parser.parse_args(argv)
     try:
@@ -150,6 +152,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for every call without --config.
+
+    Parsing leaves a parser unchanged, so one built per process serves any
+    number of calls.
+    """
+    return _build_parser()[0]
+
+
 def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, path: str) -> None:
     """Make the file's key=value lines the defaults of ``command``'s flags.
 
@@ -186,6 +198,20 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
     sp.set_defaults(**defaults)
 
 
+def _check_distance(x: int, y: int, grid: Optional[GridSpec] = None) -> None:
+    """Reject a source the closed forms do not describe; they take x + y hops.
+
+    Both policies need x, y >= 0 and x + y >= 1.  On a ``grid`` the source
+    must also lie at most half way round each axis (x <= M//2, y <= N//2):
+    farther out a trial takes the shorter way round, which is not x + y hops.
+    """
+    if x < 0 or y < 0 or x + y < 1:
+        raise ValueError(f"x={x}, y={y}: need x, y >= 0 and x + y >= 1")
+    if grid is not None and (x > grid.m_planes // 2 or y > grid.n_per_plane // 2):
+        raise ValueError(f"x={x}, y={y}: on a {grid.n_per_plane}x{grid.m_planes} grid "
+                         f"need x <= {grid.m_planes // 2} and y <= {grid.n_per_plane // 2}")
+
+
 def _tie_u(u: str | float, x: int, y: int) -> float:
     """The tie-break probability --u names: a float, or y/(x+y) for 'auto'.
 
@@ -206,7 +232,6 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
         if buffered:
             return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_lower_bound(params, x, y, tc))]
         return [("scpr_throughput_bound", "claim1", scpr.scpr_throughput_bound(params, x, y, tc))]
-    u = _tie_u(u_arg, x, y)  # read in both regimes, so x = y = 0 exits 2 in either
     if buffered:
         w = y / (x + y)
         return [
@@ -214,7 +239,7 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
             ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w)),
             ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)),
         ]
-    return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, u))]
+    return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, _tie_u(u_arg, x, y)))]
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
@@ -243,6 +268,7 @@ def _write_csv(rows: list[list[str]], path: Optional[str] = None, append: bool =
 
 
 def cmd_analytic(args) -> int:
+    _check_distance(args.x, args.y)
     params = links.from_p_mu(args.p, args.mu)
     for name, claim, value in _analytic_rows(args.policy, args.buffered, params,
                                              args.x, args.y, args.tc, args.u):
@@ -251,6 +277,7 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_distance(args.x, args.y, args.grid)
     params = links.from_p_mu(args.p, args.mu)
     est = _estimate(args, params, args.policy, args.x, args.y, args.tc, args.seed)
     regime, metric = _labels(args.buffered)
@@ -270,6 +297,8 @@ def cmd_sweep(args) -> int:
         values = [conv(tok) for tok in args.values.split(",") if tok.strip()]
     else:
         values = SWEEP_VALUES[swept]
+    for x, y in [(v, v) for v in values] if swept == "x" else [(args.x, args.y)]:
+        _check_distance(x, y, args.grid)
     policies = [args.policy] if args.policy else ["scpr", "gr"]
 
     rows = []
@@ -299,6 +328,7 @@ def cmd_sweep(args) -> int:
 def cmd_crossover(args) -> int:
     params = links.from_p_mu(args.p, args.mu)
     x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
+    _check_distance(x, y)
     if args.metric == "throughput":
         tc = comparison.throughput_crossover_tc(params, x, y, lo, hi, _tie_u(args.u, x, y))
     else:

@@ -95,13 +95,20 @@ def coord_table(spec: GridSpec) -> tuple[NodeCoord, ...]:
 
 @lru_cache(maxsize=None)
 def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
-    """For each node index, its four neighbor indexes in (L, D, R, U) order."""
+    """For each node index, its four neighbor indexes in (L, D, R, U) order.
+
+    The tuples share one int object per node id, which halves the table's
+    memory against four fresh ints per node.
+    """
     n, m = spec.n_per_plane, spec.m_planes
-    return tuple(
-        (((xi - 1) % m) * n + yi, xi * n + (yi - 1) % n, ((xi + 1) % m) * n + yi, xi * n + (yi + 1) % n)
-        for xi in range(m)
-        for yi in range(n)
-    )
+    ids = list(range(m * n))
+    planes = [ids[xi * n:(xi + 1) * n] for xi in range(m)]  # node ids of plane xi, by yi
+    table = []
+    for xi, here in enumerate(planes):
+        left, right = planes[(xi - 1) % m], planes[(xi + 1) % m]
+        down, up = here[-1:] + here[:-1], here[1:] + here[:1]  # the plane rotated by one
+        table.extend(zip(left, down, right, up))
+    return tuple(table)
 
 
 def shortest_connected_hops(

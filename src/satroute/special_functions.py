@@ -13,6 +13,7 @@ no convergence tuning; the only error is float rounding.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 
@@ -55,10 +56,21 @@ def neg_binomial_sum(r: float, a: int, b: int) -> float:
     """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum."""
     total = 0.0
     weight = 1.0  # r^k
-    for k in range(b):
-        total += comb(k + a - 1, k) * weight
+    for coefficient in _neg_binomial_coefficients(a, b):
+        total += coefficient * weight
         weight *= r
     return total
+
+
+@lru_cache(maxsize=256)
+def _neg_binomial_coefficients(a: int, b: int) -> tuple[int, ...]:
+    """The exact integers C(k+a-1, k) for k < b, the terms of neg_binomial_sum.
+
+    A Beta check calls the sum for a few (a, b) pairs at many points, so the
+    coefficients are built once per pair; the bound keeps a scan over many
+    shapes from holding them all.
+    """
+    return tuple(comb(k + a - 1, k) for k in range(b))
 
 
 def _check_shape(a: int, b: int) -> None:

@@ -224,12 +224,97 @@ def test_snapshot_age_that_is_not_a_count_exits_2(argv, capsys):
 
 
 def test_scpr_exit_code_does_not_depend_on_u(capsys):
-    """SCPR has no tie-break: --u, which it never reads, cannot fail the run."""
-    argv = ["simulate", "--policy", "scpr", "--x", "-2", "--y", "3", "--grid", "20x20",
-            "--trials", "20"]
-    auto = run_cli(capsys, *argv)
-    assert auto[0] == 0
-    assert run_cli(capsys, *argv, "--u", "0.5") == auto
+    """SCPR has no tie-break: --u, which it never reads, cannot change the run."""
+    for x, code in (("2", 0), ("-2", 2)):
+        argv = ["simulate", "--policy", "scpr", "--x", x, "--y", "3", "--grid", "20x20",
+                "--trials", "20"]
+        auto = run_cli(capsys, *argv)
+        assert auto[0] == code
+        assert run_cli(capsys, *argv, "--u", "0.5") == auto
+
+
+# The closed forms take x + y hops; these sources are not x + y hops away.
+BAD_DISTANCES = [
+    ("analytic", "--policy", "scpr", "--x", "-2", "--y", "3"),
+    ("analytic", "--policy", "scpr", "--buffered", "true", "--x", "4", "--y", "-1"),
+    ("analytic", "--policy", "scpr", "--x", "0", "--y", "0"),
+    ("analytic", "--policy", "gr", "--x", "0", "--y", "0", "--u", "0.5"),
+    ("analytic", "--policy", "gr", "--buffered", "true", "--x", "-1", "--y", "1"),
+    ("simulate", "--policy", "gr", "--x", "0", "--y", "0", "--u", "0.5"),
+    ("simulate", "--policy", "gr", "--x", "0", "--y", "0", "--u", "auto"),
+    ("simulate", "--policy", "scpr", "--x", "0", "--y", "0"),
+    ("simulate", "--policy", "scpr", "--x", "-2", "--y", "3", "--u", "0.5"),
+    ("simulate", "--policy", "gr", "--x", "15", "--y", "3", "--grid", "20x20", "--u", "0.5",
+     "--buffered", "true"),
+    ("simulate", "--policy", "scpr", "--x", "3", "--y", "11", "--grid", "20x20"),
+    ("simulate", "--policy", "gr", "--x", "15", "--y", "3", "--grid", "30x20"),
+    ("sweep", "--sweep", "x", "--values", "0", "--grid", "20x20"),
+    ("sweep", "--sweep", "x", "--values", "1,-1", "--grid", "20x20"),
+    ("sweep", "--sweep", "x", "--values", "3,11", "--grid", "20x20"),
+    ("sweep", "--sweep", "mu", "--values", "0.5", "--x", "-1", "--y", "2", "--grid", "20x20"),
+    ("sweep", "--sweep", "tc", "--values", "1", "--x", "11", "--y", "2", "--grid", "20x20"),
+    ("crossover", "--metric", "delay", "--x", "-1", "--y", "3"),
+    ("crossover", "--metric", "throughput", "--x", "0", "--y", "0", "--u", "0.5"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_DISTANCES, ids=" ".join)
+def test_source_off_the_closed_forms_domain_exits_2(argv, capsys):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--policy", "scpr", "--x", "0", "--y", "1"),
+    ("analytic", "--policy", "scpr", "--buffered", "true", "--x", "1", "--y", "0"),
+    ("simulate", "--policy", "gr", "--x", "10", "--y", "10", "--grid", "20x20"),
+    ("simulate", "--policy", "gr", "--x", "15", "--y", "3", "--grid", "20x30"),
+    ("simulate", "--policy", "scpr", "--x", "3", "--y", "10", "--grid", "21x20"),
+    ("crossover", "--metric", "delay", "--x", "0", "--y", "2"),
+], ids=" ".join)
+def test_source_at_the_edge_of_the_domain_runs(argv, capsys):
+    """x <= M//2 and y <= N//2 of an NxM grid: --grid 20x30 has 30 planes along x."""
+    code = cli.main([*argv, "--trials", "5"] if argv[0] == "simulate" else list(argv))
+    assert code == 0 and capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    argv = ["analytic", "--policy", "gr", "--u", "deterministic"]
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[tuple(argv)])
+    assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "deterministic")[0] == 0
+    assert len(builds) == 1
+    # a --config run builds a parser of its own for the file's defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=0.5\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(builds) == 2
+
+
+def test_config_defaults_do_not_reach_a_later_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=0.5\n")
+    argv = ["analytic", "--policy", "scpr"]
+    default_p = scpr.scpr_throughput_bound(ld.from_p_mu(0.9, 0.99), 5, 5, 5)
+    file_p = scpr.scpr_throughput_bound(ld.from_p_mu(0.5, 0.99), 5, 5, 5)
+    assert run_cli(capsys, *argv) == (0, f"scpr_throughput_bound claim1 {default_p!r}\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, f"scpr_throughput_bound claim1 {file_p!r}\n")
+    assert run_cli(capsys, *argv) == (0, f"scpr_throughput_bound claim1 {default_p!r}\n")
+
+
+def test_usage_error_between_calls_leaves_the_next_call_unchanged(capsys):
+    argv = ("crossover", "--metric", "throughput", "--u", "deterministic")
+    assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv])
+    assert_usage_error(capsys, ["crossover", "--x", "9", "--metric", "speed"])
+    assert_usage_error(capsys, ["analytic", "--p", "0.1", "--policy", "flooding"])
+    assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv])
 
 
 def test_readme_flag_table_matches_the_parser():

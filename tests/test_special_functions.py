@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from satroute.special_functions import beta_fn, binom, reg_inc_beta
+from satroute import special_functions, verify
+from satroute.special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
 from satroute.verify import quadrature_reg_inc_beta
 
 
@@ -78,3 +79,34 @@ def test_binom_exact_and_edges():
     assert binom(5, 7) == 0.0
     assert binom(5, -1) == 0.0
     assert binom(60, 30) == float(math.comb(60, 30))
+
+
+def comb_per_term_partial_sums(r, a, b_max):
+    """neg_binomial_sum's loop before its coefficients were cached, one
+    math.comb per term; the running total after b terms is its value for b."""
+    total = 0.0
+    weight = 1.0  # r^k
+    yield total
+    for k in range(b_max):
+        total += math.comb(k + a - 1, k) * weight
+        weight *= r
+        yield total
+
+
+def test_neg_binomial_sum_equals_comb_per_term_loop_exactly():
+    wrong = [(r, a, b)
+             for a in range(1, 61)
+             for r in (i / 100 for i in range(101))
+             for b, expected in enumerate(comb_per_term_partial_sums(r, a, 60))
+             if neg_binomial_sum(r, a, b) != expected]
+    assert wrong == []
+
+
+def test_coefficient_cache_stays_within_its_bound():
+    cache = special_functions._neg_binomial_coefficients
+    cache.cache_clear()
+    results = verify.SUITES["analytic"]()
+    assert all(r.passed for r in results)
+    info = cache.cache_info()
+    assert info.maxsize == 256 and info.currsize <= info.maxsize
+    assert info.hits > 100 * info.misses  # a check scans v for each (a, b)
