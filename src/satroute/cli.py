@@ -234,12 +234,15 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
         return [("scpr_throughput_bound", "claim1", scpr.scpr_throughput_bound(params, x, y, tc))]
     if buffered:
         w = y / (x + y)
+        exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
+        if x == 0 or y == 0:
+            return [exact]  # claim4 and eqEK describe interior sources only
         return [
             ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y).value),
-            ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w)),
+            exact,
             ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)),
         ]
-    return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, _tie_u(u_arg, x, y)))]
+    return [("gr_throughput", "claim3", greedy.gr_throughput_at(params.p, x, y, _tie_u(u_arg, x, y)))]
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .analytic_greedy import gr_delay_exact_component, gr_throughput, recommended_u
+from .analytic_greedy import gr_delay_exact_component, gr_throughput_at
 from .analytic_scpr import scpr_delay_recursion, scpr_throughput_bound
 from .link_dynamics import LinkParams
 
 
 def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: float | None = None) -> bool:
-    if u is None:
-        u = recommended_u(x, y).u
-    return gr_throughput(params.p, x, y, u) >= scpr_throughput_bound(params, x, y, t_c)
+    return gr_throughput_at(params.p, x, y, u) >= scpr_throughput_bound(params, x, y, t_c)
 
 
 def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int) -> bool:

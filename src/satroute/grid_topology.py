@@ -119,40 +119,75 @@ def shortest_connected_hops(
     random,
     snapshot: dict[int, bool],
 ) -> Optional[list[tuple[int, int]]]:
-    """BFS over links that are ON in a lazily drawn snapshot; None if unreachable.
+    """BFS over links that are ON in a lazily drawn t = 0 snapshot; None if unreachable.
 
     Returns the hop list [(tail node index, direction), ...], empty when
-    src_id == dst_id.  ``snapshot`` maps link ids to their ON state; a link
-    the search examines that is not in it is drawn as ``random() < p`` and
-    stored, so each link is drawn exactly when the search first needs it.
+    src_id == dst_id.  Each link the search examines is drawn once, as
+    ``random() < p``, when the search first needs it; one search never
+    examines a link twice, so it neither reads nor needs earlier draws.
     Deterministic tie-break: neighbors are expanded in (L, D, R, U) order and
     the first-found parent is kept.
+
+    ``snapshot`` (link id -> ON state) receives the draws a caller may still
+    need.  Every hop of a found route was drawn ON, so on a found route it
+    receives only the OFF draws.  On a None return it receives every draw:
+    the OFF draws, and the search tree's links as ON.
     """
     if src_id == dst_id:
         return []
     nbr = neighbor_id_table(spec)
     parent = {src_id: -1}  # node index -> id of the link that reached it
     queue = [src_id]
+    append = queue.append
     for nid in queue:  # the list grows while it is read: a FIFO without pops
         lid = nid * 4
-        for nxt in nbr[nid]:
-            if nxt not in parent:
-                on = snapshot.get(lid)
-                if on is None:
-                    on = snapshot[lid] = random() < p
-                if on:
-                    parent[nxt] = lid
-                    if nxt == dst_id:
-                        hops = []
-                        while nxt != src_id:
-                            lid = parent[nxt]
-                            nxt = lid >> 2
-                            hops.append((nxt, lid & 3))
-                        hops.reverse()
-                        return hops
-                    queue.append(nxt)
-            lid += 1
+        left, down, right, up = nbr[nid]
+        if left not in parent:
+            if random() < p:
+                parent[left] = lid
+                if left == dst_id:
+                    return _tree_hops(parent, left, src_id)
+                append(left)
+            else:
+                snapshot[lid] = False
+        if down not in parent:
+            if random() < p:
+                parent[down] = lid + 1
+                if down == dst_id:
+                    return _tree_hops(parent, down, src_id)
+                append(down)
+            else:
+                snapshot[lid + 1] = False
+        if right not in parent:
+            if random() < p:
+                parent[right] = lid + 2
+                if right == dst_id:
+                    return _tree_hops(parent, right, src_id)
+                append(right)
+            else:
+                snapshot[lid + 2] = False
+        if up not in parent:
+            if random() < p:
+                parent[up] = lid + 3
+                if up == dst_id:
+                    return _tree_hops(parent, up, src_id)
+                append(up)
+            else:
+                snapshot[lid + 3] = False
+    del parent[src_id]
+    snapshot.update(dict.fromkeys(parent.values(), True))  # the tree's links were drawn ON
     return None
+
+
+def _tree_hops(parent: dict[int, int], nid: int, src_id: int) -> list[tuple[int, int]]:
+    """The hop list from src_id to nid along the search tree's parent links."""
+    hops = []
+    while nid != src_id:
+        lid = parent[nid]
+        nid = lid >> 2
+        hops.append((nid, lid & 3))
+    hops.reverse()
+    return hops
 
 
 def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) -> list[tuple[int, int]]:

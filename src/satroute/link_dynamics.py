@@ -8,9 +8,10 @@ parameter is ``mu = 1 - epsilon1 - epsilon2``.  Only positive-memory chains
 be ON after k slots as an OFF link is to have turned ON.
 
 Link states are plain bools (True == ON).  The Monte Carlo samples them
-lazily: an SCPR trial draws its t = 0 snapshot inside the BFS and advances
-route links with ``transition_prob``; ``simulator.NetworkState`` serves GR
-trials only.
+lazily: an SCPR trial draws its t = 0 snapshot inside the BFS, keeps only the
+states its route may read (see ``grid_topology.shortest_connected_hops``) and
+advances route links with ``transition_prob``; ``simulator.NetworkState``
+serves GR trials only.
 """
 
 from __future__ import annotations

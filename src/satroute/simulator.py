@@ -2,13 +2,15 @@
 
 Links are only sampled when a policy actually observes them, and both
 policies address links by id (``node index * 4 + direction``).  An SCPR
-trial draws its t = 0 snapshot inside the BFS, keeps it in a dict and
-advances each link it then traverses through the k-step transition kernel
-in one draw.  A GR trial owns a lazily evaluated NetworkState, which serves
-GR only.  A wait on OFF links is drawn slot by slot for its first
-``WAIT_SLOTWISE`` slots and then jumps in one draw, so waits near static
-links finish.  Delays are integer slot counts, so estimates aggregate as
-exact integer sums.
+trial draws its t = 0 snapshot inside the BFS, which keeps only what the
+route may still read: the OFF draws, plus the search tree's ON links when no
+path exists.  Every hop of a found route was drawn ON.  The trial advances
+each link it traverses through the k-step transition kernel in one draw.
+A GR trial owns a lazily evaluated NetworkState, which serves GR only.
+A wait on OFF links is drawn slot by slot for its first ``WAIT_SLOTWISE``
+slots and then jumps in one draw, so waits near static links finish.
+Delays are integer slot counts, so estimates aggregate as exact integer
+sums.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ def run_scpr_trial(
     bufferless it is dropped at the first OFF link, buffered it waits.
     Delay is counted from t_c (the snapshot staleness itself is excluded).
 
-    A route link seen in the snapshot is advanced from its t = 0 state by the
-    t-step kernel; one the BFS never examined is a steady-state draw.  The
-    draws are the ones a NetworkState would make for the same observations.
+    Every hop of a found route was drawn ON at t = 0.  A fallback route link
+    is looked up in the snapshot, which then holds every link the search
+    drew.  A link with a t = 0 state is advanced by the t-step kernel; one
+    the search never examined is a steady-state draw.  The draws are the ones
+    a NetworkState would make for the same observations.
     """
     random = rng.random
     p = params.p
@@ -114,12 +118,13 @@ def run_scpr_trial(
         random,
         snapshot,
     )
-    if hops is None:
+    found = hops is not None
+    if not found:
         hops = grid.random_shortest_path(spec, src, dst, rng)
     q = transition_prob(params, False, True, 1)
     t = t_c
     for nid, d in hops:
-        on0 = snapshot.get(nid * 4 + d)
+        on0 = True if found else snapshot.get(nid * 4 + d)
         if on0 is None:
             on = random() < p
         elif t > 0:

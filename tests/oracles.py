@@ -10,8 +10,6 @@
   snapshot included, through a NetworkState, with the BFS asking a predicate
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
-* ``full_snapshot`` / ``no_draws``: a snapshot dict holding every link of a
-  predicate, and a ``random`` that fails if a search draws at all.
 * ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
   scalar dual numbers, which the array rows of ``MgfEvaluator`` must match.
 """
@@ -152,15 +150,6 @@ def oracle_scpr_trial(
             t += 1
         t += 1
     return TrialOutcome(True, t - t_c, len(hops), None)
-
-
-def full_snapshot(spec: GridSpec, link_on) -> dict[int, bool]:
-    """Every link's state under ``link_on(node index, direction)``, by link id."""
-    return {nid * 4 + d: bool(link_on(nid, d)) for nid in range(spec.n_nodes) for d in range(4)}
-
-
-def no_draws() -> float:
-    raise AssertionError("a full snapshot needs no draws")
 
 
 def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]]:

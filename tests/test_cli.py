@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from satroute import cli, verify
+from satroute import cli, comparison, verify
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
@@ -359,6 +359,44 @@ def test_crossover_commands(capsys):
                         "--p", "0.9", "--mu", "0.99", "--x", "5", "--y", "5",
                         "--tc-min", "0", "--tc-max", "10")
     assert code == 0 and out.strip() == "crossover_tc=none"
+
+
+def test_analytic_gr_axis_source(capsys):
+    """An axis source is all boundary: p^n bufferless, eq23 alone buffered."""
+    params = ld.from_p_mu(0.9, 0.99)
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--x", "0", "--y", "2")
+    assert code == 0 and out == f"gr_throughput claim3 {0.9 ** 2!r}\n"
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--x", "3", "--y", "0")
+    assert code == 0
+    assert out == f"gr_delay_exact_component eq23 {greedy.gr_delay_at(params, 3, 0)!r}\n"
+
+
+def test_crossover_throughput_axis_source(capsys):
+    params = ld.from_p_mu(0.9, 0.5)
+    for x, y in ((0, 2), (2, 0)):
+        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200)
+        code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0.5",
+                            "--x", str(x), "--y", str(y))
+        assert code == 0
+        assert out == f"crossover_tc={expected if expected is not None else 'none'}\n"
+    # with no memory the snapshot helps only at t_c = 0, where SCPR's first hop
+    # is traversed at the snapshot instant: from t_c = 1 both policies need the
+    # same n steady-state links ON
+    code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0",
+                        "--x", "0", "--y", "2")
+    assert code == 0 and out == "crossover_tc=1\n"
+
+
+def test_sweep_gr_axis_source_matches_eq23(capsys):
+    code, out = run_cli(capsys, "sweep", "--sweep", "mu", "--values", "0.5", "--policy", "gr",
+                        "--buffered", "true", "--x", "0", "--y", "2", "--grid", "20x20",
+                        "--trials", "2000", "--seed", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[5], r[10]) for r in rows] == [("analytic", "eq23"), ("mc", "")]
+    exact, mean, stderr = float(rows[0][6]), float(rows[1][6]), float(rows[1][7])
+    assert exact == greedy.gr_delay_at(ld.from_p_mu(0.9, 0.5), 0, 2)
+    assert abs(mean - exact) < 5 * stderr
 
 
 def test_verify_suite_exit_codes(capsys):

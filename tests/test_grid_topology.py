@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from oracles import full_snapshot, no_draws, validate_hops
+from oracles import oracle_connected_hops, validate_hops
 from satroute import grid_topology as grid
 from satroute.grid_topology import GridSpec, NodeCoord
 
@@ -21,8 +21,32 @@ def ids(spec, *nodes):
 
 
 def connected_hops(spec, link_on, src, dst):
-    """The BFS on the full snapshot of ``link_on(node index, direction)``."""
-    return grid.shortest_connected_hops(spec, *ids(spec, src, dst), 0.5, no_draws, full_snapshot(spec, link_on))
+    """The BFS on the snapshot of ``link_on(node index, direction)``.
+
+    The oracle BFS asks ``link_on`` once per link it examines.  Its answers,
+    in that order, are replayed to the production BFS as its draws (0.0 for
+    ON, 1.0 for OFF, at p = 0.5), which must use them all and route the same
+    way.
+    """
+    src_id, dst_id = ids(spec, src, dst)
+    states = []
+
+    def recording(nid, d):
+        states.append(bool(link_on(nid, d)))
+        return states[-1]
+
+    ref = oracle_connected_hops(spec, recording, src_id, dst_id)
+    draws = iter([0.0 if on else 1.0 for on in states])
+
+    def replay():
+        u = next(draws, None)
+        assert u is not None, "the search drew a link the oracle did not examine"
+        return u
+
+    hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.5, replay, {})
+    assert next(draws, None) is None, "the search drew fewer links than the oracle examined"
+    assert hops == ref
+    return hops
 
 
 def coord_hops(spec, hops):
@@ -194,10 +218,11 @@ def test_connected_path_deterministic_tie_break():
 
 
 def test_connected_path_draws_each_examined_link_once():
-    """The lazily drawn snapshot holds exactly the links the search drew, and
-    replaying it routes the same way without a draw."""
+    """The search draws each link it examines exactly once, in the oracle's
+    order, and keeps only draws it drew: none twice, none it did not need."""
     spec = GridSpec(9, 8)
     src_id, dst_id = ids(spec, NodeCoord(3, -2), NodeCoord(0, 0))
+    outcomes = set()
     for seed in range(20):
         draws = []
         rng = random.Random(seed)
@@ -208,11 +233,56 @@ def test_connected_path_draws_each_examined_link_once():
 
         snapshot = {}
         hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, counted, snapshot)
-        assert len(snapshot) == len(draws)
-        assert list(snapshot.values()) == [u < 0.6 for u in draws]
-        replay = dict(snapshot)
-        assert grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, no_draws, replay) == hops
-        assert replay == snapshot
+        outcomes.add(hops is None)
+        replay = iter(draws)
+        examined = []
+
+        def predicate(nid, d):
+            examined.append(nid * 4 + d)
+            return next(replay) < 0.6
+
+        assert oracle_connected_hops(spec, predicate, src_id, dst_id) == hops
+        assert next(replay, None) is None  # one draw per examined link
+        assert len(set(examined)) == len(examined)
+        drawn = dict(zip(examined, (u < 0.6 for u in draws)))
+        assert snapshot.items() <= drawn.items()
+    assert outcomes == {False, True}  # the seeds cover found routes and failures
+
+
+def test_bfs_snapshot_matches_oracle_draws():
+    """The snapshot holds what the fallback route may read: on a failure the
+    oracle's whole lazily drawn snapshot, on a found route only its OFF draws,
+    and never a hop of the route."""
+    for n, m in ((5, 4), (7, 6), (20, 20)):
+        spec = GridSpec(n, m)
+        # given past the seam: (M//2 + 1, 1) wraps to the far side of the x axis
+        dst = grid.normalize(spec, NodeCoord(m // 2 + 1, 1))
+        (dst_id,) = ids(spec, dst)
+        for p in (0.3, 0.6, 0.9):
+            found = failed = 0
+            for src_id in range(spec.n_nodes):
+                seed = (n * 1000 + src_id) * 10 + int(p * 10)
+                ref_rng = random.Random(seed)
+                recorded = {}
+
+                def lazily_drawn(nid, d):
+                    recorded[nid * 4 + d] = ref_rng.random() < p
+                    return recorded[nid * 4 + d]
+
+                ref = oracle_connected_hops(spec, lazily_drawn, src_id, dst_id)
+                rng = random.Random(seed)
+                snapshot = {}
+                hops = grid.shortest_connected_hops(spec, src_id, dst_id, p, rng.random, snapshot)
+                assert hops == ref
+                assert rng.getstate() == ref_rng.getstate()
+                if hops is None:
+                    failed += 1
+                    assert snapshot == recorded
+                    continue
+                found += 1
+                assert snapshot == {lid: on for lid, on in recorded.items() if not on}
+                assert not any(nid * 4 + d in snapshot for nid, d in hops)
+            assert found and (failed or p == 0.9)  # below p = 0.9 some searches fail too
 
 
 def enumerate_geodesics(spec, src, dst):
