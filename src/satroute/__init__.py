@@ -15,7 +15,6 @@ from .analytic_greedy import (
     gr_throughput,
     gr_throughput_boundary,
     recommended_u,
-    u_for_target_w,
     w_from_u,
 )
 from .analytic_scpr import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .link_dynamics import LinkParams
 from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
@@ -103,20 +103,6 @@ def w_from_u(params: LinkParams, u: float) -> DirectionBias:
 def attainable_w_interval(params: LinkParams) -> tuple[float, float]:
     """The w values reachable by some u in [0, 1] (endpoints at u = 0, 1)."""
     return w_from_u(params, 0.0).w, w_from_u(params, 1.0).w
-
-
-def u_for_target_w(params: LinkParams, w_target: float) -> Optional[TieBreak]:
-    """Invert w_from_u; None when w_target is outside the attainable interval.
-
-    Targets within one rounding step (1e-12) of an endpoint count as
-    attainable: the endpoint itself is the exact u in {0, 1} solution.
-    """
-    _check_prob("w_target", w_target)
-    lo, hi = attainable_w_interval(params)
-    if w_target < lo - 1e-12 or w_target > hi + 1e-12:
-        return None
-    u = (w_target - lo) / (hi - lo)
-    return TieBreak(min(1.0, max(0.0, u)))
 
 
 def shape_condition_holds(params: LinkParams, x: int, y: int) -> bool:

@@ -298,6 +298,8 @@ def cmd_sweep(args) -> int:
     if args.values is not None:
         conv = float if swept == "mu" else int
         values = [conv(tok) for tok in args.values.split(",") if tok.strip()]
+        if not values:
+            raise ValueError(f"--values {args.values!r} names no value")
     else:
         values = SWEEP_VALUES[swept]
     for x, y in [(v, v) for v in values] if swept == "x" else [(args.x, args.y)]:

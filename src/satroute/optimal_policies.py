@@ -53,19 +53,6 @@ class ValueTable:
     def neighbor_values(self, node: NodeCoord) -> tuple[float, float, float, float]:
         return tuple(self.d_bar_at(nb) for nb in grid.neighbors(self.spec, node))
 
-    def d_star(self, node: NodeCoord, quad: tuple[bool, bool, bool, bool]) -> float:
-        """Conditional minimum mean delay given the outgoing-link states."""
-        node = grid.normalize(self.spec, node)
-        if node == grid.ORIGIN:
-            return 0.0
-        stay = self.d_bar_at(node)
-        nbrs = self.neighbor_values(node)
-        best = stay
-        for d in range(4):
-            if quad[d] and nbrs[d] < best:
-                best = nbrs[d]
-        return 1.0 + best
-
 
 def value_iterate_delay(
     spec: GridSpec,

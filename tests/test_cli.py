@@ -266,6 +266,16 @@ def test_source_off_the_closed_forms_domain_exits_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("values", [",", "", " , ,"])
+def test_sweep_with_no_values_exits_2(values, tmp_path, capsys):
+    out_csv = tmp_path / "none.csv"
+    code = cli.main(["sweep", "--sweep", "mu", "--values", values, "--out", str(out_csv)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("analytic", "--policy", "scpr", "--x", "0", "--y", "1"),
     ("analytic", "--policy", "scpr", "--buffered", "true", "--x", "1", "--y", "0"),

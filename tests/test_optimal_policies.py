@@ -6,7 +6,21 @@ from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import optimal_policies as op
 from satroute import simulator as sim
-from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, hop_distance
+from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, hop_distance, normalize
+
+
+def d_star(table: op.ValueTable, node: NodeCoord, quad: tuple[bool, bool, bool, bool]) -> float:
+    """Conditional minimum mean delay given the outgoing-link states."""
+    node = normalize(table.spec, node)
+    if node == ORIGIN:
+        return 0.0
+    stay = table.d_bar_at(node)
+    nbrs = table.neighbor_values(node)
+    best = stay
+    for d in range(4):
+        if quad[d] and nbrs[d] < best:
+            best = nbrs[d]
+    return 1.0 + best
 
 
 def test_certain_links_give_hop_distance():
@@ -42,7 +56,7 @@ def test_fixed_point_satisfies_bellman_equation():
         if node == ORIGIN:
             assert table.d_bar_at(node) == 0.0
             continue
-        expectation = sum(w * table.d_star(node, q) for q, w in quad_weight.items())
+        expectation = sum(w * d_star(table, node, q) for q, w in quad_weight.items())
         assert expectation == pytest.approx(table.d_bar_at(node), abs=1e-11)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import SlotwiseNetworkState, oracle_scpr_trial
+from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_scpr_trial
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
@@ -31,7 +31,7 @@ def record_fallbacks(monkeypatch):
 
 def test_network_state_rejects_backward_queries():
     spec = GridSpec(5, 5)
-    for state_cls in (sim.NetworkState, SlotwiseNetworkState):
+    for state_cls in (sim.NetworkState, SlotwiseNetworkState, KernelNetworkState):
         state = state_cls(spec, ld.from_p_mu(0.5, 0.5), random.Random(0))
         state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 5)
         with pytest.raises(ValueError):
@@ -368,6 +368,85 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
                         assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, dst, i)
                         waits += buffered and out.delay > out.path_len
     assert fallbacks and waits
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 50])
+def test_link_on_id_matches_kernel_oracle(k):
+    """From ON and from OFF, a re-observation k slots later makes the draw
+    the kernel oracle makes, and none at k = 0.  A GR trial re-observes only
+    OFF links and only one slot later, so this is the check on the ON entry
+    of the one-step kernel and on k >= 2."""
+    spec = GridSpec(5, 5)
+    params = ld.from_p_mu(0.6, 0.7)
+    lid = link_id(spec, NodeCoord(1, 1), grid.LEFT)
+    seen = set()
+    for seed in range(200):
+        state, ref = (cls(spec, params, random.Random(seed)) for cls in (sim.NetworkState, KernelNetworkState))
+        first = state.link_on_id(lid, 3)
+        assert ref.link_on_id(lid, 3) == first
+        before = state.rng.getstate()
+        on = state.link_on_id(lid, 3 + k)
+        assert ref.link_on_id(lid, 3 + k) == on, (seed, first)
+        assert state.rng.getstate() == ref.rng.getstate()
+        if k == 0:
+            assert on == first and state.rng.getstate() == before
+        seen.add((first, on))
+    assert len(seen) == (2 if k == 0 else 4)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (7, 6), (100, 100)])
+def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
+    """Trial by trial, the production GR trial gives the outcome of one whose
+    links call ``transition_prob`` at every re-observation, and leaves its
+    random stream in the same state.  Sources lie in every quadrant and on
+    the axes (within 6 hops on the large grid); the near-static chain makes
+    waits outlast WAIT_SLOTWISE and jump."""
+    spec = GridSpec(*shape)
+    nodes = [n for n in spec.nodes() if n != grid.ORIGIN and max(abs(n.x), abs(n.y)) <= 6]
+    pick = random.Random(shape[0] * 100 + shape[1])
+    jumps = []
+    jump_wait = sim._jump_wait
+    monkeypatch.setattr(sim, "_jump_wait", lambda *a: jumps.append(a[0]) or jump_wait(*a))
+    chains = [(p, mu, 12) for p in (0.3, 0.6, 0.9) for mu in (0.0, 0.7, 0.99)] + [(0.3, 1 - 1e-7, 2)]
+    waits = 0
+    for p, mu, trials in chains:
+        params = ld.from_p_mu(p, mu)
+        for buffered in (False, True):
+            for i in range(trials):
+                src = pick.choice(nodes)
+                shape_u = greedy.TieBreak(abs(src.y) / (abs(src.x) + abs(src.y)))
+                for tie in (greedy.TieBreak(0.5), shape_u, sim.DETERMINISTIC):
+                    rng = sim.trial_rng(32, i)
+                    ref_rng = sim.trial_rng(32, i)
+                    out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
+                    ref = sim.run_gr_trial(KernelNetworkState(spec, params, ref_rng), src, buffered, tie,
+                                           ref_rng)
+                    assert out == ref, (p, mu, buffered, src, tie)
+                    assert rng.getstate() == ref_rng.getstate(), (p, mu, buffered, src, tie)
+                    waits += buffered and out.delay > out.path_len
+    assert waits and {type(state) for state in jumps} == {sim.NetworkState, KernelNetworkState}
+
+
+@pytest.mark.parametrize("policy", ["scpr", "gr"])
+def test_estimate_equals_a_loop_over_trial_rng(policy):
+    """estimate() runs trial i of the public trial functions on trial_rng(master_seed, i)."""
+    spec = GridSpec(12, 12)
+    params = ld.from_p_mu(0.7, 0.9)
+    src, t_c, tie, trials, seed = NodeCoord(3, -2), 2, greedy.TieBreak(0.3), 300, 77
+    for buffered in (False, True):
+        total = total_sq = 0
+        for i in range(trials):
+            rng = sim.trial_rng(seed, i)
+            if policy == "scpr":
+                out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng)
+            else:
+                out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
+            v = out.delay if buffered else int(out.success)
+            total += v
+            total_sq += v * v
+        est = sim.estimate(spec, params, policy, src=src, buffered=buffered, t_c=t_c,
+                           tie=tie if policy == "gr" else None, trials=trials, master_seed=seed)
+        assert est == sim._estimate_from_sums(total, total_sq, trials, seed)
 
 
 def test_estimate_deterministic_across_thread_counts():
