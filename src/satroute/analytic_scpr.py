@@ -23,15 +23,17 @@ is involved.  Working on G (values in (0, 1]) rather than G/log(mu) avoids
 dividing by log(mu) until the very end.
 
 Each row G_i(t .. t + depth - i) is one dual number of numpy arrays, so a row
-costs a few array operations; one kernel serves table() and raw_value.
+costs a few array operations; one kernel yields the rows to mean_delay(),
+raw_value and table(), and only table() keeps more than the row it extends.
+numpy is imported inside that kernel, not at module top: loading it is about
+half of a CLI process's start-up, and the GR and throughput paths never need it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterator
 
 from .link_dynamics import MU_MAX, LinkParams, transition_prob
 
@@ -132,32 +134,34 @@ def _delay_mu0(params: LinkParams, depth: int, t_c: int) -> float:
 
 @dataclass
 class MgfEvaluator:
-    """Triangular (value, derivative) table of the delay-MGF recursion.
+    """Triangular (value, derivative) recursion of the delay MGF.
 
     Row i holds G_i at integer offsets t = 0 .. depth - i; computing the
-    derivative of G_depth at t = 0 consumes exactly that triangle.
+    derivative of G_depth at t = 0 consumes exactly that triangle, one row
+    at a time.
     """
 
     params: LinkParams
     t_c: int
     depth: int
-    _rows: list[Dual] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.params.mu <= MU_MAX:
             raise ValueError("MGF recursion requires 0 < mu < 1")
         if self.depth < 0 or self.t_c < 0:
             raise ValueError("depth and t_c must be >= 0")
-        self._rows = self._triangle(0.0, self.depth)
 
-    def _triangle(self, t: float, depth: int) -> list[Dual]:
-        """Rows G_0 .. G_depth, row i over offsets t + (0 .. depth - i)."""
+    def _triangle(self, t: float, depth: int) -> Iterator[Dual]:
+        """Yield rows G_0 .. G_depth, row i over offsets t + (0 .. depth - i)."""
+        import numpy as np
+
         a, b = self._ab_dual(t + np.arange(depth, dtype=float))
-        rows = [Dual(np.ones(depth + 1), np.zeros(depth + 1))]
+        row = Dual(np.ones(depth + 1), np.zeros(depth + 1))
+        yield row
         for n in range(depth, 0, -1):
             # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
-            rows.append(a[:n] * rows[-1][:n] + b[:n] * rows[-1][1 : n + 1])
-        return rows
+            row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
+            yield row
 
     def _ab_dual(self, t) -> tuple[Dual, Dual]:
         p, e2, mu = self.params.p, self.params.epsilon2, self.params.mu
@@ -181,15 +185,21 @@ class MgfEvaluator:
         """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t."""
         if depth > self.depth:
             raise ValueError("depth exceeds table depth")
-        return float(self._triangle(t, depth)[depth].v[0])
+        return float(_last(self._triangle(t, depth)).v[0])
 
     def mean_delay(self) -> float:
         """E[S_depth] = G_depth'(0) / log(mu)."""
         if self.depth == 0:
             return 0.0
-        return float(self._rows[self.depth].d[0]) / math.log(self.params.mu)
+        return float(_last(self._triangle(0.0, self.depth)).d[0]) / math.log(self.params.mu)
 
     def table(self) -> list[list[float]]:
         """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i."""
         log_mu = math.log(self.params.mu)
-        return [(row.v / log_mu).tolist() for row in self._rows]
+        return [(row.v / log_mu).tolist() for row in self._triangle(0.0, self.depth)]
+
+
+def _last(rows: Iterator[Dual]) -> Dual:
+    for row in rows:
+        pass
+    return row

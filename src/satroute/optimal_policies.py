@@ -10,20 +10,23 @@ fixed point for mu = 0 (link quads i.i.d. Bernoulli(p) per slot):
 where "stay" is always allowed and a directional action is allowed iff that
 outgoing link is ON.  The sweep closes the 16-quad expectation analytically,
 iterating on Dbar alone; Dstar is reconstructed on demand.
+numpy is imported inside value_iterate_delay, where the sweep runs: loading it
+is about half of a CLI process's start-up, and no other command needs it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import grid_topology as grid
 from .analytic_greedy import gr_delay_at, gr_delay_exact_component, gr_throughput, gr_throughput_at
 from .grid_topology import DOWN, LEFT, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUADS = tuple(itertools.product((False, True), repeat=4))  # (l, d, r, u)
 
@@ -66,6 +69,8 @@ def value_iterate_delay(
     sweep converges monotonically from below.  Raises ConvergenceError with
     the last residual if the sup-norm change never drops below tol.
     """
+    import numpy as np
+
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p={p}: need 0 < p <= 1")
     m, n = spec.m_planes, spec.n_per_plane

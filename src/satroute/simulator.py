@@ -12,7 +12,9 @@ links one slot apart, so nearly every re-observation uses it.  A wait on OFF
 links is drawn slot by slot for its first ``WAIT_SLOTWISE`` slots and then
 jumps in one draw, so waits near static links finish.
 Delays are integer slot counts, so estimates aggregate as exact integer
-sums.
+sums.  numpy is imported only inside run_stylized_scpr_path, the one
+vectorised oracle: loading it is about half of a CLI process's start-up, and
+the trials themselves never call it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import grid_topology as grid
 from .analytic_greedy import TieBreak
@@ -275,6 +275,8 @@ def run_stylized_scpr_path(
     Geometric(epsilon2) wait if OFF).  Bufferless estimates the delivery
     probability; buffered estimates the mean delay.  Vectorized over trials.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)

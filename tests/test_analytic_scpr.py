@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -118,13 +119,26 @@ def test_deep_recursion_per_hop_increments():
     depth = 1000
     ev = scpr.MgfEvaluator(params, 5, depth)
     log_mu = math.log(params.mu)
-    means = [float(row.d[0]) / log_mu for row in ev._rows]
+    means = [float(row.d[0]) / log_mu for row in ev._triangle(0.0, depth)]
     assert ev.mean_delay() == means[depth]
     steps = [b - a for a, b in zip(means, means[1:])]
     cap = 1.0 + (1.0 - params.p) / params.epsilon2
     slack = 1e-9  # float64 rounding of means up to ~1e4
     assert all(1.0 - slack <= s <= cap + slack for s in steps)
     assert all(b >= a - slack for a, b in zip(steps, steps[1:]))
+
+
+def test_deep_recursion_keeps_one_row_at_a_time():
+    # the whole triangle at depth 3000 is about 4.5M (value, derivative) cell pairs, 73 MB
+    params = ld.from_p_mu(0.9, 0.99)
+    scpr.scpr_delay_recursion(params, 1, 5)  # load numpy outside the measurement
+    tracemalloc.start()
+    try:
+        scpr.scpr_delay_recursion(params, 3000, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_single_hop_delay_closed_form():
