@@ -27,10 +27,12 @@ import os
 import sys
 from typing import Optional
 
-from . import analytic_greedy as greedy
-from . import analytic_scpr as scpr
-from . import comparison, simulator, verify
+# Only what parsing and every handler share is imported here.  The closed
+# forms, the crossover search and the verification suites are imported by the
+# functions that call them, so a command loads (and, without a bytecode cache,
+# compiles) only the modules whose code it runs.
 from . import link_dynamics as links
+from . import simulator
 from .grid_topology import GridSpec, NodeCoord
 from .simulator import DETERMINISTIC, _mix64
 
@@ -42,6 +44,9 @@ SWEEP_VALUES = {
     "tc": list(range(0, 55, 5)),
     "x": list(range(1, 21)),
 }
+
+# verify.SUITES by name, sorted: written out so that parsing need not load verify.
+VERIFY_SUITES = ("analytic", "crossover", "intermediate", "optimal", "ordering", "simulation")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -85,6 +90,17 @@ def _tie(text: str) -> str | float:
     return u
 
 
+def _scale(text: str) -> float:
+    """--scale: a trial-count multiplier, a finite float > 0."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise argparse.ArgumentTypeError(f"want a finite float > 0, got {text!r}")
+    return scale
+
+
 def _grid(text: str) -> GridSpec:
     try:
         n, m = (int(part) for part in text.lower().split("x"))
@@ -116,7 +132,7 @@ OPTIONS = {
     "metric": ("--metric", dict(choices=["throughput", "delay"])),
     "tc_min": ("--tc-min", dict(type=_count, default=0)),
     "tc_max": ("--tc-max", dict(type=_count, default=200)),
-    "scale": ("--scale", dict(type=float, default=1.0,
+    "scale": ("--scale", dict(type=_scale, default=1.0,
                               help="trial-count multiplier for the simulation suite")),
 }
 
@@ -147,7 +163,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add("crossover", cmd_crossover, "smallest t_c where greedy routing wins",
         ["p", "mu", "x", "y", "u", "metric", "tc_min", "tc_max"], required=["metric"])
     sp = add("verify", cmd_verify, "run verification suites", ["scale"])
-    sp.add_argument("suite", nargs="?", default="all", choices=[*sorted(verify.SUITES), "all"])
+    sp.add_argument("suite", nargs="?", default="all", choices=[*VERIFY_SUITES, "all"])
 
     return parser, sub.choices
 
@@ -218,7 +234,11 @@ def _tie_u(u: str | float, x: int, y: int) -> float:
     The deterministic tie-break has no closed form; its analytic reference is
     the diagonal-steering y/(x+y) too.
     """
-    return greedy.recommended_u(x, y).u if u in ("auto", DETERMINISTIC) else u
+    if u not in ("auto", DETERMINISTIC):
+        return u
+    from .analytic_greedy import recommended_u  # GR's closed forms; SCPR commands never load them
+
+    return recommended_u(x, y).u
 
 
 def _labels(buffered: bool) -> tuple[str, str]:
@@ -229,9 +249,13 @@ def _labels(buffered: bool) -> tuple[str, str]:
 def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_arg: str | float):
     """(quantity, claim tag, value) triples for one configuration."""
     if policy == "scpr":
+        from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
+
         if buffered:
             return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_lower_bound(params, x, y, tc))]
         return [("scpr_throughput_bound", "claim1", scpr.scpr_throughput_bound(params, x, y, tc))]
+    from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
+
     if buffered:
         w = y / (x + y)
         exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
@@ -248,7 +272,9 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
     tie = None  # SCPR has no tie-break, so --u cannot change its exit code
     if policy == "gr":
-        tie = DETERMINISTIC if args.u == DETERMINISTIC else greedy.TieBreak(_tie_u(args.u, x, y))
+        from .analytic_greedy import TieBreak  # GR's tie-break; SCPR trials never load it
+
+        tie = DETERMINISTIC if args.u == DETERMINISTIC else TieBreak(_tie_u(args.u, x, y))
     return simulator.estimate(args.grid, params, policy, src=NodeCoord(x, y), buffered=args.buffered,
                               t_c=tc, tie=tie, trials=args.trials, master_seed=seed)
 
@@ -331,6 +357,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    from . import comparison  # both policies' closed forms; only crossover searches them
+
     params = links.from_p_mu(args.p, args.mu)
     x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
     _check_distance(x, y)
@@ -343,6 +371,8 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the suites load every other module; only verify runs them
+
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:

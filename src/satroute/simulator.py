@@ -22,12 +22,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import grid_topology as grid
-from .analytic_greedy import TieBreak
 from .grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
+
+if TYPE_CHECKING:
+    from .analytic_greedy import TieBreak
 
 DETERMINISTIC = "deterministic"
 
@@ -343,6 +345,8 @@ def estimate(
     if policy not in ("scpr", "gr"):
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "gr" and tie is None:
+        from .analytic_greedy import TieBreak  # GR's closed forms; SCPR runs never load them
+
         tie = TieBreak(0.5)
     key = _mix64(master_seed)
     total = 0

@@ -193,13 +193,25 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
                                      ("sweep", "--sweep", "x", "--values", "1", "--trials", "5"),
                                      ("crossover", "--metric", "delay"),
                                      ("verify", "crossover")], ids=lambda command: command[0])
-@pytest.mark.parametrize("line", ["grid=10y10", "scale=abc", "tc_max=-1", "metric=speed"])
+@pytest.mark.parametrize("line", ["grid=10y10", "scale=abc", "scale=inf", "tc_max=-1",
+                                  "metric=speed"])
 def test_config_value_its_flag_rejects_exits_2_under_every_subcommand(tmp_path, capsys,
                                                                       command, line):
     """Also where the running subcommand does not take the key's flag."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n")
     assert_usage_error(capsys, [*command, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "abc"])
+def test_scale_outside_its_domain_exits_2(scale, capsys):
+    """Infinite, NaN and non-positive scales are rejected before any suite runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "simulation", "--scale", scale])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"want a finite float > 0, got {scale!r}" in out.err
 
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):

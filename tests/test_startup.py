@@ -1,11 +1,15 @@
-"""numpy is loaded only by the commands whose kernels call it.
+"""A command loads only the modules whose code it runs.
 
 Importing numpy is about half of a CLI process's start-up, and the GR closed
 forms, SCPR throughput, the throughput crossover and the Monte Carlo trials
-never need it.  Each case runs in a fresh interpreter, so a top-level
-``import numpy`` anywhere in the package fails here.
+never need it.  Without a bytecode cache each satroute module a process
+imports is compiled from source too, so ``import satroute`` loads no
+submodule and each command loads only its own.  Each case runs in a fresh
+interpreter, so a top-level import that comes back (``import numpy``
+anywhere in the package, ``from . import verify`` in ``cli.py``) fails here.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -15,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import satroute
-from satroute import cli
+from satroute import cli, verify
 
 SRC = Path(satroute.__file__).resolve().parents[1]
 
@@ -28,7 +32,8 @@ if argv:
     from satroute.cli import main
     with contextlib.redirect_stdout(out):
         rc = main(argv)
-print(json.dumps({"numpy": "numpy" in sys.modules, "rc": rc, "out": out.getvalue()}))
+print(json.dumps({"numpy": "numpy" in sys.modules, "rc": rc, "out": out.getvalue(),
+                  "modules": sorted(m for m in sys.modules if m.startswith("satroute"))}))
 """
 
 
@@ -57,3 +62,74 @@ def test_scpr_delay_recursion_loads_numpy_and_answers_as_in_process(capsys):
     assert reply["numpy"]
     assert cli.main(argv) == reply["rc"] == 0
     assert capsys.readouterr().out == reply["out"]
+
+
+# What parsing and every handler share: the benchmark's warm-up loads these alone.
+CORE = {"cli", "grid_topology", "link_dynamics", "simulator"}
+GREEDY = {"analytic_greedy", "special_functions"}
+ALL = {*CORE, *GREEDY, "analytic_scpr", "comparison", "optimal_policies", "verify"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], set()),
+    (["simulate", "--policy", "scpr", "--trials", "1", "--seed", "0"], CORE),
+    (["simulate", "--policy", "gr", "--trials", "1", "--seed", "0"], CORE | GREEDY),
+    (["analytic", "--policy", "scpr"], CORE | {"analytic_scpr"}),
+    (["analytic", "--policy", "gr", "--buffered", "true"], CORE | GREEDY),
+    (["sweep", "--sweep", "x", "--values", "1", "--policy", "scpr", "--trials", "1"],
+     CORE | {"analytic_scpr"}),
+    (["crossover", "--metric", "throughput"], CORE | GREEDY | {"analytic_scpr", "comparison"}),
+    (["verify", "crossover"], ALL),
+], ids=["import", "simulate-scpr", "simulate-gr", "analytic-scpr", "analytic-gr-buffered",
+        "sweep-scpr", "crossover-throughput", "verify-crossover"])
+def test_command_loads_only_its_modules(argv, loaded):
+    reply = run_fresh(argv)
+    assert reply["rc"] == (0 if argv else None)
+    assert reply["modules"] == sorted({"satroute", *(f"satroute.{name}" for name in loaded)})
+
+
+# The names `satroute` exports, by defining module.
+EXPORTS = {
+    "analytic_greedy": ["DirectionBias", "TieBreak", "expected_min_tau", "gr_delay_exact_component",
+                        "gr_delay_upper_bound", "gr_throughput", "gr_throughput_boundary",
+                        "recommended_u", "w_from_u"],
+    "analytic_scpr": ["MgfEvaluator", "scpr_delay_lower_bound", "scpr_path_success_prob",
+                      "scpr_throughput_bound"],
+    "comparison": ["delay_crossover_tc", "throughput_crossover_tc"],
+    "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "neighbors", "normalize",
+                      "random_shortest_path", "shortest_connected_hops"],
+    "link_dynamics": ["LinkParams", "from_epsilons", "from_p_mu", "transition_prob"],
+    "optimal_policies": ["ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
+                         "value_iterate_delay", "verify_connected_path_ordering"],
+    "simulator": ["Estimate", "TrialOutcome", "estimate", "run_gr_trial", "run_scpr_trial",
+                  "run_stylized_scpr_path"],
+    "special_functions": ["beta_fn", "binom", "reg_inc_beta"],
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", EXPORTED, ids=[name for _, name in EXPORTED])
+def test_exported_name_is_the_defining_modules_object(module, name):
+    namespace = {}
+    exec(f"from satroute import {name}", namespace)
+    defining = importlib.import_module(f"satroute.{module}")
+    assert namespace[name] is getattr(defining, name) is getattr(satroute, name)
+    assert name in dir(satroute)
+
+
+def test_public_api_is_complete_and_unknown_names_raise():
+    assert len(EXPORTED) == 40
+    star = {}
+    exec("from satroute import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
+    assert satroute.__version__ == "0.1.0"
+    assert "__version__" in dir(satroute)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        satroute.no_such_name
+    with pytest.raises(ImportError):
+        exec("from satroute import no_such_name", {})
+
+
+def test_cli_suite_choices_match_verify_suites():
+    """The CLI writes the suite names out so that parsing need not load verify."""
+    assert cli.VERIFY_SUITES == tuple(sorted(verify.SUITES))
