@@ -322,8 +322,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     swept = args.sweep
     if args.values is not None:
-        conv = float if swept == "mu" else int
-        values = [conv(tok) for tok in args.values.split(",") if tok.strip()]
+        flag, kwargs = OPTIONS[swept]
+        values = []
+        for tok in filter(str.strip, args.values.split(",")):
+            try:
+                values.append(kwargs["type"](tok))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"--values token {tok.strip()!r} is not a valid {flag}: {exc}") from None
         if not values:
             raise ValueError(f"--values {args.values!r} names no value")
     else:

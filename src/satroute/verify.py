@@ -103,6 +103,29 @@ def quadrature_reg_inc_beta(v: float, a: int, b: int, tol: float = 1e-12) -> flo
 # suites
 
 
+def beta_identity_errors() -> tuple[float, float]:
+    """(worst complement error, worst Pascal error) of reg_inc_beta.
+
+    Over a, b in 1..30 and v = i/100: |I_v(a,b) + I_{1-v}(b,a) - 1| and, for
+    a, b >= 2, |I_v(a,b) - v I_v(a-1,b) - (1-v) I_v(a,b-1)|.  Each row I_v(a,b)
+    over the 101 points is evaluated once; it serves both identities and is
+    the next b's I_v(a,b-1).
+    """
+    points = [i / 100 for i in range(0, 101)]
+    worst_sym = worst_pascal = 0.0
+    for a in range(1, 31):
+        prev: list[float] = []  # the row I_v(a, b-1)
+        for b in range(1, 31):
+            row = [reg_inc_beta(v, a, b) for v in points]
+            for i, v in enumerate(points):
+                worst_sym = max(worst_sym, abs(row[i] + reg_inc_beta(1 - v, b, a) - 1.0))
+                if a >= 2 and b >= 2:
+                    rec = v * reg_inc_beta(v, a - 1, b) + (1 - v) * prev[i]
+                    worst_pascal = max(worst_pascal, abs(row[i] - rec))
+            prev = row
+    return worst_sym, worst_pascal
+
+
 def suite_analytic() -> list[CheckResult]:
     """Deterministic oracle identities (fast, no Monte Carlo)."""
     out = []
@@ -132,15 +155,7 @@ def suite_analytic() -> list[CheckResult]:
     ok = worst <= 1e-9 and greedy.expected_min_tau(1, 1, 0.5) == 1.0
     out.append(CheckResult("E[min hitting time] closed form == direct sum (<=1e-9)", ok, f"max|diff|={worst:.2e}"))
 
-    worst_sym = worst_pascal = 0.0
-    for a in range(1, 31):
-        for b in range(1, 31):
-            for i in range(0, 101):
-                v = i / 100
-                worst_sym = max(worst_sym, abs(reg_inc_beta(v, a, b) + reg_inc_beta(1 - v, b, a) - 1.0))
-                if a >= 2 and b >= 2:
-                    rec = v * reg_inc_beta(v, a - 1, b) + (1 - v) * reg_inc_beta(v, a, b - 1)
-                    worst_pascal = max(worst_pascal, abs(reg_inc_beta(v, a, b) - rec))
+    worst_sym, worst_pascal = beta_identity_errors()
     out.append(CheckResult("beta complement identity (<=1e-12)", worst_sym <= 1e-12, f"max|diff|={worst_sym:.2e}"))
     out.append(CheckResult("beta Pascal recurrence (<=1e-12)", worst_pascal <= 1e-12, f"max|diff|={worst_pascal:.2e}"))
     out.append(CheckResult("B(2,3) == 1/12 exactly", beta_fn(2, 3) == 1.0 / 12.0))

@@ -15,6 +15,9 @@
   the same draws in the same order.
 * ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
   scalar dual numbers, which the array rows of ``MgfEvaluator`` must match.
+* ``pointwise_beta_identities``: the Beta complement and Pascal errors with
+  every term evaluated at its own point, which ``verify``'s row-at-a-time
+  check must match exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from satroute.analytic_scpr import Dual
 from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import NetworkState, TrialOutcome
+from satroute.special_functions import reg_inc_beta
 
 
 def sample_next(params: LinkParams, on: bool, rng) -> bool:
@@ -195,3 +199,17 @@ def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]
             row.append(a * prev[t] + b * prev[t + 1])
         rows.append(row)
     return rows
+
+
+def pointwise_beta_identities() -> tuple[float, float]:
+    """(worst complement error, worst Pascal error) over a, b in 1..30, v = i/100."""
+    worst_sym = worst_pascal = 0.0
+    for a in range(1, 31):
+        for b in range(1, 31):
+            for i in range(0, 101):
+                v = i / 100
+                worst_sym = max(worst_sym, abs(reg_inc_beta(v, a, b) + reg_inc_beta(1 - v, b, a) - 1.0))
+                if a >= 2 and b >= 2:
+                    rec = v * reg_inc_beta(v, a - 1, b) + (1 - v) * reg_inc_beta(v, a, b - 1)
+                    worst_pascal = max(worst_pascal, abs(reg_inc_beta(v, a, b) - rec))
+    return worst_sym, worst_pascal

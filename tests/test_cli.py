@@ -288,6 +288,19 @@ def test_sweep_with_no_values_exits_2(values, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv, token", [
+    (("sweep", "--sweep", "tc", "--values", "0,-5"), "-5"),
+    (("sweep", "--sweep", "tc", "--values", "-5", "--policy", "gr"), "-5"),
+    (("sweep", "--sweep", "x", "--values", "1,2.5", "--grid", "20x20"), "2.5"),
+], ids=lambda item: " ".join(item) if isinstance(item, tuple) else item)
+def test_sweep_values_take_the_swept_flags_type(argv, token, capsys):
+    """A bad token is named as such, not reported by the closed form it reaches."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: --values token '{token}' is not a valid --{argv[2]}")
+
+
 @pytest.mark.parametrize("argv", [
     ("analytic", "--policy", "scpr", "--x", "0", "--y", "1"),
     ("analytic", "--policy", "scpr", "--buffered", "true", "--x", "1", "--y", "0"),

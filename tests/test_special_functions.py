@@ -6,6 +6,8 @@ from satroute import special_functions, verify
 from satroute.special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
 from satroute.verify import quadrature_reg_inc_beta
 
+from oracles import pointwise_beta_identities
+
 
 def test_identity_shapes():
     for i in range(0, 101):
@@ -110,3 +112,22 @@ def test_coefficient_cache_stays_within_its_bound():
     info = cache.cache_info()
     assert info.maxsize == 256 and info.currsize <= info.maxsize
     assert info.hits > 100 * info.misses  # a check scans v for each (a, b)
+
+
+def test_row_beta_check_equals_pointwise_reference():
+    assert verify.beta_identity_errors() == pointwise_beta_identities()
+
+
+def test_analytic_suite_evaluates_each_beta_row_once(monkeypatch):
+    """At most three evaluations per (a, b, v): the row, the complement term and
+    I_v(a-1, b).  Evaluating every term at its own point makes 436,628 calls."""
+    calls = 0
+
+    def counted(v, a, b):
+        nonlocal calls
+        calls += 1
+        return reg_inc_beta(v, a, b)
+
+    monkeypatch.setattr(verify, "reg_inc_beta", counted)
+    assert all(r.passed for r in verify.suite_analytic())
+    assert calls <= 3 * 30 * 30 * 101
