@@ -1,8 +1,8 @@
 """Closed-form performance of greedy routing (GR).
 
-Bufferless throughput from an interior source (x, y >= 1), the boundary-hit
-time machinery for the buffered walk, the exact buffered mean-delay
-component, and its closed-form upper bound.
+Bufferless throughput from any source (x, y >= 0), the boundary-hit time
+machinery for the buffered walk, the exact buffered mean-delay component,
+and its closed-form upper bound.
 
 Conventions used throughout: u is the probability of moving vertically when
 both toward-destination links are usable; w is the unconditional per-move
@@ -33,21 +33,12 @@ class TieBreak:
             raise ValueError(f"u={self.u}: need 0 <= u <= 1")
 
 
-@dataclass(frozen=True)
-class DirectionBias:
-    """Unconditional per-move vertical probability of the buffered walk."""
+def gr_throughput(p: float, x: int, y: int, u: float | None = None) -> float:
+    """Bufferless GR delivery probability from source (x, y), x, y >= 0.
 
-    w: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"w={self.w}: need 0 <= w <= 1")
-
-
-def gr_throughput(p: float, x: int, y: int, u: float) -> float:
-    """Bufferless GR delivery probability from interior source (x, y).
-
-    Evaluates
+    An axis source (x == 0 or y == 0) has one usable link per hop: p^(x+y).
+    From an interior source, with u defaulting to the diagonal-seeking
+    y/(x+y), it evaluates
 
         p^y ((1-up)/ubar)^x I_{ubar p}(x, y) + p^x ((1-ubar p)/u)^y I_{up}(y, x)
 
@@ -60,49 +51,39 @@ def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     has a 0 * inf factor.  Independent of the memory parameter: every move
     lands on a never-observed node whose links are in steady state.
     """
-    if x < 1 or y < 1:
-        raise ValueError("interior source requires x >= 1 and y >= 1")
+    bracket = _throughput_bracket(p, x, y, u)  # checks the inputs before p ** (x + y)
+    return p ** (x + y) * bracket
+
+
+def _throughput_bracket(p: float, x: int, y: int, u: float | None) -> float:
+    """gr_throughput / p^(x+y): the bracket above, exactly 1.0 from an axis source."""
+    if x < 0 or y < 0:
+        raise ValueError(f"x={x}, y={y}: need x, y >= 0")
     _check_prob("p", p)
+    if x == 0 or y == 0:
+        return 1.0
+    if u is None:
+        u = y / (x + y)
     _check_prob("u", u)
     ub = 1.0 - u
     s1 = neg_binomial_sum(1.0 - ub * p, x, y)
     s2 = neg_binomial_sum(1.0 - u * p, y, x)
-    return p ** (x + y) * ((1.0 - u * p) ** x * s1 + (1.0 - ub * p) ** y * s2)
+    return (1.0 - u * p) ** x * s1 + (1.0 - ub * p) ** y * s2
 
 
-def gr_throughput_boundary(p: float, n: int) -> float:
-    """Delivery probability from a boundary source (0, n) or (n, 0): p^n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_prob("p", p)
-    return p**n
-
-
-def recommended_u(x: int, y: int) -> TieBreak:
-    """u = y/(x+y): steers the walk toward the diagonal and symmetrizes T."""
-    if x < 0 or y < 0 or x + y == 0:
-        raise ValueError("need x, y >= 0 with x + y >= 1")
-    return TieBreak(y / (x + y))
-
-
-def w_from_u(params: LinkParams, u: float) -> DirectionBias:
+def w_from_u(params: LinkParams, u: float) -> float:
     """Vertical-move probability of the buffered walk induced by tie-break u.
 
     Both ON: vertical w.p. u.  One ON: forced.  Both OFF: wait; the first
     link to recover wins the race, with the u-coin again on a simultaneous
     recovery, giving (u e2 + 1 - e2) / (2 - e2) conditional on that case.
-    Affine and strictly increasing in u.
+    Affine and strictly increasing in u, so u = 0 and u = 1 give the ends of
+    the attainable w interval.
     """
     _check_prob("u", u)
     p, e2 = params.p, params.epsilon2
     q = 1.0 - p
-    w = u * p * p + p * q + q * q * ((u * e2 + 1.0 - e2) / (2.0 - e2))
-    return DirectionBias(w)
-
-
-def attainable_w_interval(params: LinkParams) -> tuple[float, float]:
-    """The w values reachable by some u in [0, 1] (endpoints at u = 0, 1)."""
-    return w_from_u(params, 0.0).w, w_from_u(params, 1.0).w
+    return u * p * p + p * q + q * q * ((u * e2 + 1.0 - e2) / (2.0 - e2))
 
 
 def shape_condition_holds(params: LinkParams, x: int, y: int) -> bool:
@@ -203,7 +184,7 @@ def gr_delay_upper_bound(params: LinkParams, x: int, y: int) -> GrDelayBound:
         raise ValueError("interior source requires x >= 1 and y >= 1")
     p, e2 = params.p, params.epsilon2
     w = y / (x + y)
-    lo, hi = attainable_w_interval(params)
+    lo, hi = w_from_u(params, 0.0), w_from_u(params, 1.0)
     clamped = False
     if w < lo:
         w, clamped = lo, w < lo - 1e-12
@@ -214,22 +195,6 @@ def gr_delay_upper_bound(params: LinkParams, x: int, y: int) -> GrDelayBound:
         (1.0 - p) * (1.0 - e2 + p) / denom
     ) * math.sqrt((x + y) / (2.0 * math.pi * w * (1.0 - w)))
     return GrDelayBound(value, w, clamped)
-
-
-def gr_throughput_at(p: float, x: int, y: int, u: float | None = None) -> float:
-    """Delivery probability from any source: boundary p^n, else the interior
-    formula with u defaulting to the diagonal-seeking y/(x+y)."""
-    x, y = abs(x), abs(y)
-    if x == 0 or y == 0:
-        return gr_throughput_boundary(p, x + y)
-    if u is None:
-        u = recommended_u(x, y).u
-    return gr_throughput(p, x, y, u)
-
-
-def gr_delay_at(params: LinkParams, x: int, y: int) -> float:
-    """Mean buffered delay from any source, diagonal bias on interior legs."""
-    return gr_delay_exact_component(params, abs(x), abs(y))
 
 
 def _check_prob(name: str, v: float) -> None:

@@ -23,16 +23,15 @@ is involved.  Working on G (values in (0, 1]) rather than G/log(mu) avoids
 dividing by log(mu) until the very end.
 
 Each row G_i(t .. t + depth - i) is one dual number of numpy arrays, so a row
-costs a few array operations; one kernel yields the rows to mean_delay(),
-raw_value and table(), and only table() keeps more than the row it extends.
-numpy is imported inside that kernel, not at module top: loading it is about
-half of a CLI process's start-up, and the GR and throughput paths never need it.
+costs a few array operations; mgf_rows() yields the rows one at a time and
+scpr_delay_recursion() keeps only the last.  numpy is imported inside that
+kernel, not at module top: loading it is about half of a CLI process's
+start-up, and the GR and throughput paths never need it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .link_dynamics import MU_MAX, LinkParams, transition_prob
@@ -117,7 +116,9 @@ def scpr_delay_recursion(params: LinkParams, depth: int, t_c: int) -> float:
         return _delay_mu0(params, depth, t_c)
     if params.mu > MU_MAX:
         raise ValueError(f"mu={params.mu} too close to 1 for a stable 1/log(mu)")
-    return MgfEvaluator(params, t_c, depth).mean_delay()
+    for row in mgf_rows(params, t_c, depth):
+        pass
+    return float(row.d[0]) / math.log(params.mu)  # E[S_depth] = G_depth'(0) / log(mu)
 
 
 def _delay_mu0(params: LinkParams, depth: int, t_c: int) -> float:
@@ -132,74 +133,28 @@ def _delay_mu0(params: LinkParams, depth: int, t_c: int) -> float:
     return value
 
 
-@dataclass
-class MgfEvaluator:
-    """Triangular (value, derivative) recursion of the delay MGF.
+def mgf_coefficients(params: LinkParams, t_c: int, t) -> tuple[Dual, Dual]:
+    """A(t), B(t) as dual numbers (value .v, derivative in t .d); t a float or array."""
+    p, e2, mu = params.p, params.epsilon2, params.mu
+    m = Dual(mu**t, mu**t * math.log(mu))
+    den = 1.0 - (1.0 - e2) * m
+    a = (p * (1.0 - m) * m + e2 * m * m) / den
+    b = (1.0 - p) * (mu**t_c) * (m * (1.0 - m)) / den
+    return a, b
 
-    Row i holds G_i at integer offsets t = 0 .. depth - i; computing the
-    derivative of G_depth at t = 0 consumes exactly that triangle, one row
-    at a time.
+
+def mgf_rows(params: LinkParams, t_c: int, depth: int, t: float = 0.0) -> Iterator[Dual]:
+    """Yield the rows G_0 .. G_depth, row i over the offsets t + (0 .. depth - i).
+
+    Needs 0 < mu < 1.  The derivative of G_depth at t = 0 consumes exactly
+    this triangle, and only the row being extended is kept.
     """
+    import numpy as np
 
-    params: LinkParams
-    t_c: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.params.mu <= MU_MAX:
-            raise ValueError("MGF recursion requires 0 < mu < 1")
-        if self.depth < 0 or self.t_c < 0:
-            raise ValueError("depth and t_c must be >= 0")
-
-    def _triangle(self, t: float, depth: int) -> Iterator[Dual]:
-        """Yield rows G_0 .. G_depth, row i over offsets t + (0 .. depth - i)."""
-        import numpy as np
-
-        a, b = self._ab_dual(t + np.arange(depth, dtype=float))
-        row = Dual(np.ones(depth + 1), np.zeros(depth + 1))
+    a, b = mgf_coefficients(params, t_c, t + np.arange(depth, dtype=float))
+    row = Dual(np.ones(depth + 1), np.zeros(depth + 1))
+    yield row
+    for n in range(depth, 0, -1):
+        # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
+        row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
         yield row
-        for n in range(depth, 0, -1):
-            # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
-            row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
-            yield row
-
-    def _ab_dual(self, t) -> tuple[Dual, Dual]:
-        p, e2, mu = self.params.p, self.params.epsilon2, self.params.mu
-        m = Dual(mu**t, mu**t * math.log(mu))
-        den = 1.0 - (1.0 - e2) * m
-        a = (p * (1.0 - m) * m + e2 * m * m) / den
-        b = (1.0 - p) * (mu**self.t_c) * (m * (1.0 - m)) / den
-        return a, b
-
-    def ab_values(self, t: float) -> tuple[float, float]:
-        """A(t), B(t) as plain floats at arbitrary real t (for cross-checks)."""
-        a, b = self._ab_dual(t)
-        return a.v, b.v
-
-    def ab_derivatives(self, t: float) -> tuple[float, float]:
-        """A'(t), B'(t) from the dual evaluation."""
-        a, b = self._ab_dual(t)
-        return a.d, b.d
-
-    def raw_value(self, depth: int, t: float) -> float:
-        """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t."""
-        if depth > self.depth:
-            raise ValueError("depth exceeds table depth")
-        return float(_last(self._triangle(t, depth)).v[0])
-
-    def mean_delay(self) -> float:
-        """E[S_depth] = G_depth'(0) / log(mu)."""
-        if self.depth == 0:
-            return 0.0
-        return float(_last(self._triangle(0.0, self.depth)).d[0]) / math.log(self.params.mu)
-
-    def table(self) -> list[list[float]]:
-        """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i."""
-        log_mu = math.log(self.params.mu)
-        return [(row.v / log_mu).tolist() for row in self._triangle(0.0, self.depth)]
-
-
-def _last(rows: Iterator[Dual]) -> Dual:
-    for row in rows:
-        pass
-    return row

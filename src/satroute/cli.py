@@ -236,9 +236,7 @@ def _tie_u(u: str | float, x: int, y: int) -> float:
     """
     if u not in ("auto", DETERMINISTIC):
         return u
-    from .analytic_greedy import recommended_u  # GR's closed forms; SCPR commands never load them
-
-    return recommended_u(x, y).u
+    return y / (x + y)
 
 
 def _labels(buffered: bool) -> tuple[str, str]:
@@ -266,7 +264,7 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
             exact,
             ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)),
         ]
-    return [("gr_throughput", "claim3", greedy.gr_throughput_at(params.p, x, y, _tie_u(u_arg, x, y)))]
+    return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, _tie_u(u_arg, x, y)))]
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
@@ -335,19 +333,18 @@ def cmd_sweep(args) -> int:
         values = SWEEP_VALUES[swept]
     for x, y in [(v, v) for v in values] if swept == "x" else [(args.x, args.y)]:
         _check_distance(x, y, args.grid)
+    # every swept mu (and --p) is checked before the first trial runs
+    all_params = [links.from_p_mu(args.p, value if swept == "mu" else args.mu) for value in values]
     policies = [args.policy] if args.policy else ["scpr", "gr"]
 
     rows = []
     mc_counter = 0
-    for value in values:
-        mu, tc, x, y = args.mu, args.tc, args.x, args.y
-        if swept == "mu":
-            mu = value
-        elif swept == "tc":
+    for value, params in zip(values, all_params):
+        tc, x, y = args.tc, args.x, args.y
+        if swept == "tc":
             tc = value
-        else:
+        elif swept == "x":
             x = y = value  # distance sweeps keep x == y
-        params = links.from_p_mu(args.p, mu)
         for policy in policies:
             for _, claim, analytic_value in _analytic_rows(policy, args.buffered, params, x, y, tc, args.u):
                 rows.append([swept, repr(value), policy, *_labels(args.buffered),

@@ -14,15 +14,27 @@ when it beats a figure that favors the centralized policy:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .analytic_greedy import gr_delay_exact_component, gr_throughput_at
-from .analytic_scpr import scpr_delay_recursion, scpr_throughput_bound
+from .analytic_greedy import _throughput_bracket, gr_delay_exact_component
+from .analytic_scpr import scpr_delay_recursion
 from .link_dynamics import LinkParams
 
 
 def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: float | None = None) -> bool:
-    return gr_throughput_at(params.p, x, y, u) >= scpr_throughput_bound(params, x, y, t_c)
+    """Whether GR's delivery probability g reaches SCPR's bound prod_{i<x+y} p11(t_c+i).
+
+    With p11(k) = p (1 + (1-p)/p mu^k) and g = p^(x+y) times a bracket that is
+    exactly 1 from an axis source, the comparison is decided on the sign of
+    log(bracket) - sum_i log1p((1-p)/p mu^(t_c+i)), not on two rounded
+    products: from an axis source the bound exceeds g at every finite t_c.
+    """
+    if x + y < 1 or t_c < 0:
+        raise ValueError(f"x={x}, y={y}, t_c={t_c}: need x + y >= 1 and t_c >= 0")
+    p, mu = params.p, params.mu
+    bound_excess = sum(math.log1p((1.0 - p) / p * mu ** (t_c + i)) for i in range(x + y))
+    return math.log(_throughput_bracket(p, x, y, u)) >= bound_excess
 
 
 def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int) -> bool:

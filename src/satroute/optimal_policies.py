@@ -16,12 +16,13 @@ is about half of a CLI process's start-up, and no other command needs it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import grid_topology as grid
-from .analytic_greedy import gr_delay_at, gr_delay_exact_component, gr_throughput, gr_throughput_at
+from .analytic_greedy import gr_delay_exact_component, gr_throughput
 from .grid_topology import DOWN, LEFT, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
 
@@ -215,17 +216,11 @@ def find_best_intermediate(
     if metric == "delay" and params is None:
         raise ValueError("delay metric needs link params")
 
-    def value(a: int, b: int) -> float:
-        if metric == "throughput":
-            return gr_throughput_at(p, a, b)
-        return gr_delay_at(params, a, b)
-
-    if x == 0 or y == 0:
-        direct = value(x, y)  # boundary sources have no tie-breaks
-    elif metric == "throughput":
-        direct = gr_throughput(p, x, y, 0.5)
+    if metric == "throughput":
+        leg = functools.partial(gr_throughput, p)
     else:
-        direct = gr_delay_exact_component(params, x, y, 0.5)
+        leg = functools.partial(gr_delay_exact_component, params)
+    direct = leg(x, y, 0.5)  # the fair coin; an axis source has no tie-break to make
     best_node = None
     best_value = direct
     for u in range(x + 1):
@@ -233,10 +228,10 @@ def find_best_intermediate(
             if (u, v) in ((0, 0), (x, y)):
                 continue
             if metric == "throughput":
-                combined = value(x - u, y - v) * value(u, v)
+                combined = leg(x - u, y - v) * leg(u, v)
                 better = combined > best_value
             else:
-                combined = value(x - u, y - v) + value(u, v)
+                combined = leg(x - u, y - v) + leg(u, v)
                 better = combined < best_value
             if better:
                 best_value = combined
@@ -244,7 +239,7 @@ def find_best_intermediate(
     if best_node is not None:
         u, v = best_node
         if metric == "throughput":
-            assert value(x - u, y - v) * value(u, v) > direct
+            assert leg(x - u, y - v) * leg(u, v) > direct
         else:
-            assert value(x - u, y - v) + value(u, v) < direct
+            assert leg(x - u, y - v) + leg(u, v) < direct
     return best_node

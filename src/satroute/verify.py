@@ -168,13 +168,12 @@ def suite_analytic() -> list[CheckResult]:
     worst = 0.0
     for p, mu, tc in ((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)):
         params = links.from_p_mu(p, mu)
-        ev = scpr.MgfEvaluator(params, tc, 12)
         for t in (0.0, 1.0, 2.0, 5.0):
-            ad, bd = ev.ab_derivatives(t)
+            a, b = scpr.mgf_coefficients(params, tc, t)
             h = 1e-6
-            a_hi, b_hi = ev.ab_values(t + h)
-            a_lo, b_lo = ev.ab_values(t - h)
-            worst = max(worst, abs(ad - (a_hi - a_lo) / (2 * h)), abs(bd - (b_hi - b_lo) / (2 * h)))
+            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
+            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
+            worst = max(worst, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)), abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
     out.append(CheckResult("dual derivatives == central differences (<=1e-6)", worst <= 1e-6, f"max|diff|={worst:.2e}"))
 
     worst = -math.inf

@@ -14,7 +14,7 @@
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
 * ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
-  scalar dual numbers, which the array rows of ``MgfEvaluator`` must match.
+  scalar dual numbers, which the array rows of ``analytic_scpr.mgf_rows`` must match.
 * ``pointwise_beta_identities``: the Beta complement and Pascal errors with
   every term evaluated at its own point, which ``verify``'s row-at-a-time
   check must match exactly.

@@ -109,13 +109,13 @@ def test_criterion_05_buffered_delay_recursion():
     worst_fd = 0.0
     h = 1e-6
     for p, mu, t_c in ((0.9, 0.5, 0), (0.9, 0.9, 5), (0.9, 0.99, 5)):
-        ev = scpr.MgfEvaluator(ld.from_p_mu(p, mu), t_c, 10)
+        params = ld.from_p_mu(p, mu)
         for t in (0.0, 1.0, 2.0):
-            a_d, b_d = ev.ab_derivatives(t)
-            a_hi, b_hi = ev.ab_values(t + h)
-            a_lo, b_lo = ev.ab_values(t - h)
-            worst_fd = max(worst_fd, abs(a_d - (a_hi - a_lo) / (2 * h)),
-                           abs(b_d - (b_hi - b_lo) / (2 * h)))
+            a, b = scpr.mgf_coefficients(params, t_c, t)
+            a_hi, b_hi = scpr.mgf_coefficients(params, t_c, t + h)
+            a_lo, b_lo = scpr.mgf_coefficients(params, t_c, t - h)
+            worst_fd = max(worst_fd, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)),
+                           abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
     report(5, worst_z <= 3.0 and closed_matches and worst_fd <= 1e-6,
            f"worst MC |z| = {worst_z:.2f}; memoryless closed form match = {closed_matches}; "
            f"max |dual - central difference| = {worst_fd:.2e}")
@@ -247,7 +247,7 @@ def test_criterion_12_intermediate_relay():
     if node is not None:
         u, v = node
         direct = greedy.gr_throughput(0.7, 1, 10, 0.5)
-        via = greedy.gr_throughput_at(0.7, 1 - u, 10 - v) * greedy.gr_throughput_at(0.7, u, v)
+        via = greedy.gr_throughput(0.7, 1 - u, 10 - v) * greedy.gr_throughput(0.7, u, v)
         improver_ok = via > direct
     report(12, diagonal_absent and improver_ok,
            f"diagonal sources give no relay = {diagonal_absent}; "

@@ -20,10 +20,11 @@ def test_throughput_certain_links():
 
 
 def test_throughput_matches_dp_on_subgrid():
+    # x == 0 and y == 0 are the axis rows, which the DP fills by forced hops
     for p in (0.3, 0.9):
         for u in (0.2, 0.8):
-            for x in range(1, 6):
-                for y in range(1, 6):
+            for x in range(0, 6):
+                for y in range(0, 6):
                     assert greedy.gr_throughput(p, x, y, u) == pytest.approx(
                         dp_throughput(p, x, y, u), abs=1e-12
                     )
@@ -40,9 +41,10 @@ def test_throughput_boundary_ties_regular():
 
 def test_throughput_symmetric_with_recommended_tie_break():
     for x, y in ((3, 7), (1, 9), (5, 5), (2, 11)):
-        txy = greedy.gr_throughput(0.9, x, y, greedy.recommended_u(x, y).u)
-        tyx = greedy.gr_throughput(0.9, y, x, greedy.recommended_u(y, x).u)
+        txy = greedy.gr_throughput(0.9, x, y, y / (x + y))
+        tyx = greedy.gr_throughput(0.9, y, x, x / (x + y))
         assert txy == pytest.approx(tyx, abs=1e-12)
+        assert greedy.gr_throughput(0.9, x, y) == txy  # y/(x+y) is the default
 
 
 def test_throughput_symmetric_square_sources():
@@ -55,38 +57,45 @@ def test_throughput_symmetric_square_sources():
 
 
 def test_boundary_throughput():
-    assert greedy.gr_throughput_boundary(0.9, 0) == 1.0
-    assert greedy.gr_throughput_boundary(0.9, 3) == pytest.approx(0.729, abs=1e-12)
-    # matches the DP boundary rows exactly: forced single-link hops
-    for n in range(1, 9):
-        assert greedy.gr_throughput_boundary(0.5, n) == pytest.approx(0.5**n, abs=1e-15)
+    assert greedy.gr_throughput(0.9, 0, 0) == 1.0
+    assert greedy.gr_throughput(0.9, 0, 3) == pytest.approx(0.729, abs=1e-12)
+    # matches the DP boundary rows exactly: forced single-link hops, on either axis
+    for n in range(0, 9):
+        assert greedy.gr_throughput(0.5, 0, n) == 0.5**n
+        assert greedy.gr_throughput(0.5, n, 0, 0.3) == 0.5**n  # no tie-break to make
+        assert greedy.gr_throughput(0.5, n, 0) == dp_throughput(0.5, n, 0, 0.5)
 
 
 def test_recommended_u_values():
-    assert greedy.recommended_u(5, 5).u == 0.5
-    assert greedy.recommended_u(1, 9).u == pytest.approx(0.9, abs=1e-15)
-    assert greedy.recommended_u(3, 7).u == pytest.approx(0.7, abs=1e-15)
+    # the default tie-break is u = y/(x+y)
+    for x, y, u in ((5, 5, 0.5), (1, 9, 0.9), (3, 7, 0.7)):
+        assert y / (x + y) == pytest.approx(u, abs=1e-15)
+        assert greedy.gr_throughput(0.8, x, y) == greedy.gr_throughput(0.8, x, y, y / (x + y))
 
 
 def test_w_from_u_midpoint_is_exact_half():
     for p, mu in ((0.3, 0.0), (0.9, 0.5), (0.6, 0.95)):
-        assert greedy.w_from_u(ld.from_p_mu(p, mu), 0.5).w == pytest.approx(0.5, abs=1e-12)
+        assert greedy.w_from_u(ld.from_p_mu(p, mu), 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_w_from_u_memoryless_closed_form():
     p = 0.7
     params = ld.from_p_mu(p, 0.0)  # epsilon2 == p
     expected = p * p + p * (1 - p) + (1 - p) ** 2 * (p / (2 - p) + (1 - p) / (2 - p))
-    assert greedy.w_from_u(params, 1.0).w == pytest.approx(expected, abs=1e-12)
+    assert greedy.w_from_u(params, 1.0) == pytest.approx(expected, abs=1e-12)
+
+
+def attainable_w_interval(params):
+    """The w values reachable by some u in [0, 1]: w_from_u is increasing in u."""
+    return greedy.w_from_u(params, 0.0), greedy.w_from_u(params, 1.0)
 
 
 def test_w_from_u_affine_and_endpoints():
     params = ld.from_p_mu(0.8, 0.6)
-    lo, hi = greedy.attainable_w_interval(params)
-    assert lo == greedy.w_from_u(params, 0.0).w
-    assert hi == greedy.w_from_u(params, 1.0).w
+    lo, hi = attainable_w_interval(params)
+    assert lo < greedy.w_from_u(params, 0.5) < hi
     assert lo == pytest.approx(1.0 - hi, abs=1e-12)  # u -> 1-u swaps the axes
-    mid = greedy.w_from_u(params, 0.25).w
+    mid = greedy.w_from_u(params, 0.25)
     assert mid == pytest.approx(lo + 0.25 * (hi - lo), abs=1e-12)
 
 
@@ -96,7 +105,7 @@ def u_for_target_w(params, w_target):
     Targets within one rounding step (1e-12) of an endpoint count as
     attainable: the endpoint itself is the exact u in {0, 1} solution.
     """
-    lo, hi = greedy.attainable_w_interval(params)
+    lo, hi = attainable_w_interval(params)
     if w_target < lo - 1e-12 or w_target > hi + 1e-12:
         return None
     u = (w_target - lo) / (hi - lo)
@@ -106,7 +115,7 @@ def u_for_target_w(params, w_target):
 def test_u_for_target_w_round_trip_and_absent():
     params = ld.from_p_mu(0.5, 0.0)
     for u in (0.0, 0.3, 0.5, 0.9, 1.0):
-        w = greedy.w_from_u(params, u).w
+        w = greedy.w_from_u(params, u)
         back = u_for_target_w(params, w)
         assert back is not None and back.u == pytest.approx(u, abs=1e-9)
     assert u_for_target_w(params, 0.99) is None
@@ -115,7 +124,7 @@ def test_u_for_target_w_round_trip_and_absent():
 
 def test_shape_condition_matches_interval_endpoint():
     params = ld.from_p_mu(0.7, 0.4)
-    lo, hi = greedy.attainable_w_interval(params)
+    lo, hi = attainable_w_interval(params)
     # the threshold in the shape condition is exactly the u = 0 endpoint
     p, e2 = params.p, params.epsilon2
     threshold = (1 - p) * (p + (1 - p) * (1 - e2) / (2 - e2))
@@ -199,16 +208,24 @@ def test_delay_bound_clamps_when_diagonal_bias_unreachable():
     assert not greedy.shape_condition_holds(params, 1, 30)
     bound = greedy.gr_delay_upper_bound(params, 1, 30)
     assert bound.clamped
-    lo, hi = greedy.attainable_w_interval(params)
+    lo, hi = attainable_w_interval(params)
     assert bound.w == pytest.approx(hi, abs=1e-12)
 
 
 def test_dispatchers():
+    # one entry point per closed form takes axis and interior sources alike
     params = ld.from_p_mu(0.8, 0.0)
-    assert greedy.gr_throughput_at(0.8, 0, 4) == pytest.approx(0.8**4, abs=1e-12)
-    assert greedy.gr_throughput_at(0.8, 2, 3) == pytest.approx(
+    assert greedy.gr_throughput(0.8, 0, 4) == pytest.approx(0.8**4, abs=1e-12)
+    assert greedy.gr_throughput(0.8, 2, 3) == pytest.approx(
         greedy.gr_throughput(0.8, 2, 3, 0.6), abs=1e-12
     )
-    assert greedy.gr_delay_at(params, 0, 2) == pytest.approx(
-        greedy.gr_delay_exact_component(params, 0, 2), rel=1e-12
+    assert greedy.gr_delay_exact_component(params, 0, 2) == pytest.approx(
+        2 * (1 + (1 - 0.8) / params.epsilon2), rel=1e-12
     )
+    exact = greedy.gr_delay_exact_component
+    assert exact(params, 2, 3) == exact(params, 2, 3, 0.6)
+    for x, y in ((-1, 2), (2, -1), (-3, 0), (0, -3)):
+        with pytest.raises(ValueError):
+            greedy.gr_throughput(0.8, x, y)
+        with pytest.raises(ValueError):
+            greedy.gr_delay_exact_component(params, x, y)

@@ -9,6 +9,19 @@ from satroute import link_dynamics as ld
 from oracles import scalar_mgf_rows
 
 
+def table(params, t_c, depth):
+    """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i, from the production rows."""
+    log_mu = math.log(params.mu)
+    return [(row.v / log_mu).tolist() for row in scpr.mgf_rows(params, t_c, depth)]
+
+
+def raw_value(params, t_c, depth, t):
+    """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t, from the production rows."""
+    for row in scpr.mgf_rows(params, t_c, depth, t):
+        pass
+    return float(row.v[0])
+
+
 def test_throughput_bound_memoryless():
     params = ld.from_p_mu(0.8, 0.0)
     # staleness >= 1: every hop is a fresh Bernoulli(p)
@@ -44,45 +57,42 @@ def test_bound_equals_path_success_at_same_length():
 
 def test_coefficients_at_zero():
     for p, mu, tc in ((0.9, 0.9, 5), (0.6, 0.3, 0), (0.99, 0.99, 12)):
-        ev = scpr.MgfEvaluator(ld.from_p_mu(p, mu), tc, 4)
-        a0, b0 = ev.ab_values(0.0)
-        assert a0 == pytest.approx(1.0, abs=1e-12)
-        assert b0 == pytest.approx(0.0, abs=1e-12)
+        a0, b0 = scpr.mgf_coefficients(ld.from_p_mu(p, mu), tc, 0.0)
+        assert a0.v == pytest.approx(1.0, abs=1e-12)
+        assert b0.v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mgf_table_row_zero_and_recursion_identity():
     params = ld.from_p_mu(0.9, 0.9)
-    ev = scpr.MgfEvaluator(params, 5, 8)
-    table = ev.table()
+    rows = table(params, 5, 8)
     inv_log_mu = 1.0 / math.log(params.mu)
     for i in range(9):
-        assert table[i][0] == pytest.approx(inv_log_mu, rel=1e-12)
+        assert rows[i][0] == pytest.approx(inv_log_mu, rel=1e-12)
     for i in range(1, 9):
         for t in range(8 - i + 1):
-            a, b = ev.ab_values(float(t))
-            lhs = table[i][t]
-            rhs = a * table[i - 1][t] + b * table[i - 1][t + 1]
+            a, b = scpr.mgf_coefficients(params, 5, float(t))
+            lhs = rows[i][t]
+            rhs = a.v * rows[i - 1][t] + b.v * rows[i - 1][t + 1]
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_ab_duals_match_central_differences():
     h = 1e-6
     for p, mu, tc in ((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)):
-        ev = scpr.MgfEvaluator(ld.from_p_mu(p, mu), tc, 4)
+        params = ld.from_p_mu(p, mu)
         for t in (0.0, 1.0, 2.0):
-            a_d, b_d = ev.ab_derivatives(t)
-            a_hi, b_hi = ev.ab_values(t + h)
-            a_lo, b_lo = ev.ab_values(t - h)
-            assert a_d == pytest.approx((a_hi - a_lo) / (2 * h), abs=1e-6)
-            assert b_d == pytest.approx((b_hi - b_lo) / (2 * h), abs=1e-6)
+            a, b = scpr.mgf_coefficients(params, tc, t)
+            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
+            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
+            assert a.d == pytest.approx((a_hi.v - a_lo.v) / (2 * h), abs=1e-6)
+            assert b.d == pytest.approx((b_hi.v - b_lo.v) / (2 * h), abs=1e-6)
 
 
 def test_mean_delay_matches_finite_difference_of_raw_mgf():
     params = ld.from_p_mu(0.9, 0.9)
-    ev = scpr.MgfEvaluator(params, 5, 10)
     h = 1e-6
-    fd = (ev.raw_value(10, h) - ev.raw_value(10, -h)) / (2 * h) / math.log(params.mu)
-    assert ev.mean_delay() == pytest.approx(fd, abs=1e-5)
+    fd = (raw_value(params, 5, 10, h) - raw_value(params, 5, 10, -h)) / (2 * h) / math.log(params.mu)
+    assert scpr.scpr_delay_recursion(params, 10, 5) == pytest.approx(fd, abs=1e-5)
 
 
 ORACLE_POINTS = [
@@ -97,19 +107,17 @@ ORACLE_POINTS = [
 @pytest.mark.parametrize("p,mu,tc,depth", ORACLE_POINTS)
 def test_mgf_rows_match_scalar_oracle(p, mu, tc, depth):
     params = ld.from_p_mu(p, mu)
-    ev = scpr.MgfEvaluator(params, tc, depth)
     oracle = scalar_mgf_rows(params, tc, depth)
     log_mu = math.log(mu)
-    table = ev.table()
-    assert [len(row) for row in table] == [len(row) for row in oracle]
-    for row, ref in zip(table, oracle):
+    rows = table(params, tc, depth)
+    assert [len(row) for row in rows] == [len(row) for row in oracle]
+    for row, ref in zip(rows, oracle):
         assert row == pytest.approx([cell.v / log_mu for cell in ref], rel=1e-12)
     expected = oracle[depth][0].d / log_mu
-    assert ev.mean_delay() == pytest.approx(expected, rel=1e-12)
-    assert scpr.scpr_delay_recursion(params, depth, tc) == ev.mean_delay()
+    assert scpr.scpr_delay_recursion(params, depth, tc) == pytest.approx(expected, rel=1e-12)
     for k in sorted({0, 1, depth // 2, depth}):
         for t in range(depth - k + 1):
-            assert ev.raw_value(k, float(t)) == pytest.approx(table[k][t] * log_mu, rel=1e-12)
+            assert raw_value(params, tc, k, float(t)) == pytest.approx(rows[k][t] * log_mu, rel=1e-12)
 
 
 def test_deep_recursion_per_hop_increments():
@@ -117,10 +125,9 @@ def test_deep_recursion_per_hop_increments():
     # is non-decreasing in i and lies in [1, 1 + (1-p)/e2].
     params = ld.from_p_mu(0.9, 0.99)
     depth = 1000
-    ev = scpr.MgfEvaluator(params, 5, depth)
     log_mu = math.log(params.mu)
-    means = [float(row.d[0]) / log_mu for row in ev._triangle(0.0, depth)]
-    assert ev.mean_delay() == means[depth]
+    means = [float(row.d[0]) / log_mu for row in scpr.mgf_rows(params, 5, depth)]
+    assert scpr.scpr_delay_recursion(params, depth, 5) == means[depth]
     steps = [b - a for a, b in zip(means, means[1:])]
     cap = 1.0 + (1.0 - params.p) / params.epsilon2
     slack = 1e-9  # float64 rounding of means up to ~1e4

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from satroute import cli, comparison, verify
+from satroute import cli, comparison, simulator, verify
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
@@ -302,6 +302,23 @@ def test_sweep_values_take_the_swept_flags_type(argv, token, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--values", "0.5,1.5"),
+    ("--values", "0.5,0.9,-0.1"),
+    ("--p", "1.5"),
+], ids=" ".join)
+def test_sweep_mu_checks_every_value_before_any_trial(argv, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every swept value was checked")
+
+    monkeypatch.setattr(simulator, "estimate", no_trials)
+    code = cli.main(["sweep", "--sweep", "mu", *argv, "--grid", "20x20", "--x", "3", "--y", "3",
+                     "--trials", "3000", "--buffered", "true"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
     ("analytic", "--policy", "scpr", "--x", "0", "--y", "1"),
     ("analytic", "--policy", "scpr", "--buffered", "true", "--x", "1", "--y", "0"),
     ("simulate", "--policy", "gr", "--x", "10", "--y", "10", "--grid", "20x20"),
@@ -403,7 +420,7 @@ def test_analytic_gr_axis_source(capsys):
     assert code == 0 and out == f"gr_throughput claim3 {0.9 ** 2!r}\n"
     code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--x", "3", "--y", "0")
     assert code == 0
-    assert out == f"gr_delay_exact_component eq23 {greedy.gr_delay_at(params, 3, 0)!r}\n"
+    assert out == f"gr_delay_exact_component eq23 {greedy.gr_delay_exact_component(params, 3, 0)!r}\n"
 
 
 def test_crossover_throughput_axis_source(capsys):
@@ -414,6 +431,12 @@ def test_crossover_throughput_axis_source(capsys):
                             "--x", str(x), "--y", str(y))
         assert code == 0
         assert out == f"crossover_tc={expected if expected is not None else 'none'}\n"
+    # GR's p^n never reaches SCPR's bound, which exceeds it by a term in mu^t_c
+    # at every finite t_c, even where the two products round to the same float
+    for mu, tc_max in (("0.5", "200"), ("0.9", "400")):
+        code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", mu,
+                            "--x", "0", "--y", "2", "--tc-max", tc_max)
+        assert code == 0 and out == "crossover_tc=none\n"
     # with no memory the snapshot helps only at t_c = 0, where SCPR's first hop
     # is traversed at the snapshot instant: from t_c = 1 both policies need the
     # same n steady-state links ON
@@ -430,7 +453,7 @@ def test_sweep_gr_axis_source_matches_eq23(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(r[5], r[10]) for r in rows] == [("analytic", "eq23"), ("mc", "")]
     exact, mean, stderr = float(rows[0][6]), float(rows[1][6]), float(rows[1][7])
-    assert exact == greedy.gr_delay_at(ld.from_p_mu(0.9, 0.5), 0, 2)
+    assert exact == greedy.gr_delay_exact_component(ld.from_p_mu(0.9, 0.5), 0, 2)
     assert abs(mean - exact) < 5 * stderr
 
 

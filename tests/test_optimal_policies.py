@@ -149,7 +149,7 @@ def test_intermediate_improves_skewed_source():
     assert node is not None
     u, v = node
     direct = greedy.gr_throughput(0.7, 1, 10, 0.5)  # default fair-coin baseline
-    via = greedy.gr_throughput_at(0.7, 1 - u, 10 - v) * greedy.gr_throughput_at(0.7, u, v)
+    via = greedy.gr_throughput(0.7, 1 - u, 10 - v) * greedy.gr_throughput(0.7, u, v)
     assert via > direct
 
 
@@ -163,7 +163,8 @@ def test_intermediate_delay_metric():
     assert node is not None
     u, v = node
     direct = greedy.gr_delay_exact_component(params, 1, 10, 0.5)
-    via = greedy.gr_delay_at(params, 1 - u, 10 - v) + greedy.gr_delay_at(params, u, v)
+    via = (greedy.gr_delay_exact_component(params, 1 - u, 10 - v)
+           + greedy.gr_delay_exact_component(params, u, v))
     assert via < direct
     for k in range(2, 9):
         assert op.find_best_intermediate(0.9, k, k, "delay", ld.from_p_mu(0.9, 0.0)) is None

@@ -178,7 +178,7 @@ def test_gr_boundary_hit_distribution_buffered():
     p, mu, u, x, y = 0.7, 0.5, 0.3, 2, 4
     params = ld.from_p_mu(p, mu)
     spec = GridSpec(30, 30)
-    pmf = greedy.min_tau_pmf(x, y, greedy.w_from_u(params, u).w)
+    pmf = greedy.min_tau_pmf(x, y, greedy.w_from_u(params, u))
     counts = dict.fromkeys(pmf, 0)
     n = 30000
     for i in range(n):
@@ -195,7 +195,7 @@ def test_gr_buffered_direction_frequency_matches_induced_bias():
     vertical with exactly the tie-break-induced probability."""
     for p, mu, u in ((0.6, 0.0, 1.0), (0.7, 0.5, 0.3)):
         params = ld.from_p_mu(p, mu)
-        w = greedy.w_from_u(params, u).w
+        w = greedy.w_from_u(params, u)
         rng = random.Random(1234)
         n = 10**5
         vertical = 0
@@ -228,7 +228,7 @@ def test_gr_interior_source_near_static_matches_eq23():
     tie = greedy.TieBreak(0.5)
     est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(2, 2), buffered=True,
                        tie=tie, trials=300, master_seed=62)
-    target = greedy.gr_delay_exact_component(params, 2, 2, greedy.w_from_u(params, tie.u).w)
+    target = greedy.gr_delay_exact_component(params, 2, 2, greedy.w_from_u(params, tie.u))
     assert abs(est.mean - target) < 3 * est.stderr
 
 
@@ -251,7 +251,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
     p, mu, u, x, y = 0.3, 0.5, 1.0, 2, 3
     params = ld.from_p_mu(p, mu)
     spec = GridSpec(20, 20)
-    w = greedy.w_from_u(params, u).w
+    w = greedy.w_from_u(params, u)
     pmf = greedy.min_tau_pmf(x, y, w)
     counts = dict.fromkeys(pmf, 0)
     n = 20000
@@ -485,7 +485,7 @@ GOLDEN = {
                                 trials=400, master_seed=104),
                            0.67, 0.02354007940398385),
     "gr_buffered_u_auto": ("gr", GridSpec(30, 30), HIGH_P,
-                           dict(src=NodeCoord(6, 4), buffered=True, tie=greedy.recommended_u(6, 4),
+                           dict(src=NodeCoord(6, 4), buffered=True, tie=greedy.TieBreak(4 / 10),
                                 trials=400, master_seed=105),
                            44.6925, 4.304375853488545),
     "gr_buffered_deterministic": ("gr", GridSpec(30, 30), HIGH_P,

@@ -90,11 +90,9 @@ def test_command_loads_only_its_modules(argv, loaded):
 
 # The names `satroute` exports, by defining module.
 EXPORTS = {
-    "analytic_greedy": ["DirectionBias", "TieBreak", "expected_min_tau", "gr_delay_exact_component",
-                        "gr_delay_upper_bound", "gr_throughput", "gr_throughput_boundary",
-                        "recommended_u", "w_from_u"],
-    "analytic_scpr": ["MgfEvaluator", "scpr_delay_lower_bound", "scpr_path_success_prob",
-                      "scpr_throughput_bound"],
+    "analytic_greedy": ["TieBreak", "expected_min_tau", "gr_delay_exact_component",
+                        "gr_delay_upper_bound", "gr_throughput", "w_from_u"],
+    "analytic_scpr": ["scpr_delay_lower_bound", "scpr_path_success_prob", "scpr_throughput_bound"],
     "comparison": ["delay_crossover_tc", "throughput_crossover_tc"],
     "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "neighbors", "normalize",
                       "random_shortest_path", "shortest_connected_hops"],
@@ -118,7 +116,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_api_is_complete_and_unknown_names_raise():
-    assert len(EXPORTED) == 40
+    assert len(EXPORTED) == 36
     star = {}
     exec("from satroute import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
