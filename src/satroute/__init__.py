@@ -17,7 +17,7 @@ _EXPORTS = {
                         "gr_delay_upper_bound", "gr_throughput", "w_from_u"),
     "analytic_scpr": ("scpr_delay_lower_bound", "scpr_path_success_prob", "scpr_throughput_bound"),
     "comparison": ("delay_crossover_tc", "throughput_crossover_tc"),
-    "grid_topology": ("GridSpec", "NodeCoord", "hop_distance", "neighbors", "normalize",
+    "grid_topology": ("GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"),
     "link_dynamics": ("LinkParams", "from_epsilons", "from_p_mu", "transition_prob"),
     "optimal_policies": ("ValueTable", "check_mean_delay_ordering", "find_best_intermediate",

@@ -18,7 +18,6 @@ from typing import Iterator, NamedTuple, Optional
 
 # Direction indices, in the fixed expansion order used everywhere.
 LEFT, DOWN, RIGHT, UP = 0, 1, 2, 3
-DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))
 
 
 class NodeCoord(NamedTuple):
@@ -66,16 +65,6 @@ def normalize(spec: GridSpec, node: NodeCoord) -> NodeCoord:
     )
 
 
-def step(spec: GridSpec, node: NodeCoord, direction: int) -> NodeCoord:
-    dx, dy = DIR_STEPS[direction]
-    return normalize(spec, NodeCoord(node[0] + dx, node[1] + dy))
-
-
-def neighbors(spec: GridSpec, node: NodeCoord) -> tuple[NodeCoord, NodeCoord, NodeCoord, NodeCoord]:
-    """The four torus neighbors in (left, down, right, up) order."""
-    return tuple(step(spec, node, d) for d in range(4))  # type: ignore[return-value]
-
-
 def node_index(spec: GridSpec, node: NodeCoord) -> int:
     return (node[0] - spec.x_lo()) * spec.n_per_plane + (node[1] - spec.y_lo())
 
@@ -101,7 +90,7 @@ def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
     memory against four fresh ints per node.
     """
     n, m = spec.n_per_plane, spec.m_planes
-    ids = list(range(m * n))
+    ids = list(range(spec.n_nodes))
     planes = [ids[xi * n:(xi + 1) * n] for xi in range(m)]  # node ids of plane xi, by yi
     table = []
     for xi, here in enumerate(planes):

@@ -54,9 +54,6 @@ class ValueTable:
         node = grid.normalize(self.spec, node)
         return float(self.d_bar[node.x - self.spec.x_lo(), node.y - self.spec.y_lo()])
 
-    def neighbor_values(self, node: NodeCoord) -> tuple[float, float, float, float]:
-        return tuple(self.d_bar_at(nb) for nb in grid.neighbors(self.spec, node))
-
 
 def value_iterate_delay(
     spec: GridSpec,
@@ -136,13 +133,18 @@ def greedy_action_violations(table: ValueTable, tol: float = 1e-9) -> list[tuple
     action's one-step value exceeds the minimum by more than tol.
     """
     spec = table.spec
+    m, n = spec.m_planes, spec.n_per_plane
+    d_bar = table.d_bar.tolist()  # d_bar[xi][yi], indexed as the sweep's array
     violations = []
     for node in spec.nodes():
         x, y = node
         if not (y >= x >= 0) or node == grid.ORIGIN:
             continue
-        stay = table.d_bar_at(node)
-        nbrs = table.neighbor_values(node)
+        xi, yi = x - spec.x_lo(), y - spec.y_lo()
+        stay = d_bar[xi][yi]
+        # (L, D, R, U) neighbour values, wrapping as the sweep's np.roll does
+        nbrs = (d_bar[(xi - 1) % m][yi], d_bar[xi][(yi - 1) % n],
+                d_bar[(xi + 1) % m][yi], d_bar[xi][(yi + 1) % n])
         for quad in QUADS:
             candidates = [stay] + [nbrs[d] for d in range(4) if quad[d]]
             best = min(candidates)

@@ -10,8 +10,13 @@ from the closed form it validates:
 * ``quadrature_reg_inc_beta``: adaptive Simpson integration of the beta
   density.
 
-Suites return CheckResult lists; the CLI ``verify`` subcommand renders them
-and sets the exit code.
+Each claim is checked by one function here that returns its statistic (a
+worst error, a worst z or excess in standard errors, or a list of
+violations) for the points, seeds and trial counts it is given.  The suites
+call them with the ``verify`` arguments and return CheckResult lists, which
+the CLI ``verify`` subcommand renders, setting the exit code.  The numbered
+criteria of ``tests/test_acceptance.py`` call the same functions with their
+own arguments.
 """
 
 from __future__ import annotations
@@ -100,7 +105,32 @@ def quadrature_reg_inc_beta(v: float, a: int, b: int, tol: float = 1e-12) -> flo
 
 
 # ---------------------------------------------------------------------------
-# suites
+# checks, one per claim: each returns its statistic, and its caller decides
+
+TORUS = GridSpec(100, 100)
+
+
+def throughput_dp_error() -> float:
+    """Worst |gr_throughput - dp_throughput| over p in (0.3, 0.6, 0.9),
+    x, y in 1..8 and u in (0.2, 0.5, 0.8, y/(x+y)): 768 points."""
+    worst = 0.0
+    for p in (0.3, 0.6, 0.9):
+        for x in range(1, 9):
+            for y in range(1, 9):
+                for u in (0.2, 0.5, 0.8, y / (x + y)):
+                    worst = max(worst, abs(greedy.gr_throughput(p, x, y, u) - dp_throughput(p, x, y, u)))
+    return worst
+
+
+def hitting_time_error() -> tuple[float, bool]:
+    """(worst |expected_min_tau - direct sum| over 1 <= x <= y <= 12 and
+    w = 0.1..0.9, whether E[min](1, 1, 0.5) == 1 exactly)."""
+    worst = 0.0
+    for x in range(1, 13):
+        for y in range(x, 13):
+            for w in [i / 10 for i in range(1, 10)]:
+                worst = max(worst, abs(greedy.expected_min_tau(x, y, w) - expected_min_tau_direct(x, y, w)))
+    return worst, greedy.expected_min_tau(1, 1, 0.5) == 1.0
 
 
 def beta_identity_errors() -> tuple[float, float]:
@@ -126,16 +156,136 @@ def beta_identity_errors() -> tuple[float, float]:
     return worst_sym, worst_pascal
 
 
+def dual_derivative_error(cases, ts) -> float:
+    """Worst |dual derivative - central difference (h = 1e-6)| of the SCPR
+    MGF coefficients A(t), B(t) at each (p, mu, t_c) of ``cases`` and t of ``ts``."""
+    worst = 0.0
+    h = 1e-6
+    for p, mu, tc in cases:
+        params = links.from_p_mu(p, mu)
+        for t in ts:
+            a, b = scpr.mgf_coefficients(params, tc, t)
+            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
+            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
+            worst = max(worst, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)), abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
+    return worst
+
+
+def stylized_path_z(buffered: bool, mus, seeds: dict[int, int], lengths, trials: int) -> float:
+    """Worst |z| of the stylized one-path Monte Carlo at p = 0.9 against the
+    survival product (bufferless) or the delay recursion (buffered).
+
+    Over mu in ``mus``, t_c in ``seeds`` (each run seeded with ``seeds[t_c]``)
+    and the path lengths in ``lengths``.
+    """
+    closed_form = scpr.scpr_delay_recursion if buffered else scpr.scpr_path_success_prob
+    worst = 0.0
+    for mu in mus:
+        params = links.from_p_mu(0.9, mu)
+        for tc, seed in seeds.items():
+            for length in lengths:
+                est = simulator.run_stylized_scpr_path(params, length, tc, buffered, trials, seed=seed)
+                target = closed_form(params, length, tc)
+                worst = max(worst, abs(est.mean - target) / max(est.stderr, 1e-12))
+    return worst
+
+
+def scpr_bound_excess(points, trials: int, seed: int) -> float:
+    """Worst (network MC - scpr_throughput_bound) / stderr of bufferless SCPR
+    on the 100x100 torus at p = 0.9, over the (mu, t_c, x = y) of ``points``."""
+    worst = -math.inf
+    for mu, tc, xy in points:
+        params = links.from_p_mu(0.9, mu)
+        est = simulator.estimate(
+            TORUS, params, "scpr", src=NodeCoord(xy, xy), buffered=False, t_c=tc,
+            trials=trials, master_seed=seed,
+        )
+        bound = scpr.scpr_throughput_bound(params, xy, xy, tc)
+        worst = max(worst, (est.mean - bound) / max(est.stderr, 1e-12))
+    return worst
+
+
+def gr_memory_independence(trials: int, seed: int) -> tuple[float, float, tuple[float, float], float]:
+    """GR bufferless throughput from (5, 5) at p = 0.9 (fair coin), mu = 0 and 0.99.
+
+    Returns (|gap of the two means| / joint sigma, worst |z| against
+    gr_throughput, the two means, gr_throughput).  The seeds differ,
+    ``seed + int(mu * 100)``: each link is observed once, so a shared stream
+    would make the two memory settings trivially identical.
+    """
+    target = greedy.gr_throughput(0.9, 5, 5, 0.5)
+    ests = [
+        simulator.estimate(
+            TORUS, links.from_p_mu(0.9, mu), "gr", src=NodeCoord(5, 5), buffered=False,
+            tie=greedy.TieBreak(0.5), trials=trials, master_seed=seed + int(mu * 100),
+        )
+        for mu in (0.0, 0.99)
+    ]
+    gap = abs(ests[0].mean - ests[1].mean) / math.hypot(ests[0].stderr, ests[1].stderr)
+    worst_z = max(abs(est.mean - target) / est.stderr for est in ests)
+    return gap, worst_z, (ests[0].mean, ests[1].mean), target
+
+
+def gr_delay_bound_excess(points, trials: int, seed: int) -> float:
+    """Worst (network MC - gr_delay_upper_bound) / stderr of buffered GR
+    (fair coin) on the 100x100 torus at p = 0.9, over the (mu, x = y) of ``points``."""
+    worst = -math.inf
+    for mu, xy in points:
+        params = links.from_p_mu(0.9, mu)
+        est = simulator.estimate(
+            TORUS, params, "gr", src=NodeCoord(xy, xy), buffered=True,
+            tie=greedy.TieBreak(0.5), trials=trials, master_seed=seed,
+        )
+        bound = greedy.gr_delay_upper_bound(params, xy, xy).value
+        worst = max(worst, (est.mean - bound) / max(est.stderr, 1e-12))
+    return worst
+
+
+def crossovers() -> tuple[int | None, int | None]:
+    """(throughput, delay) crossover t_c for the source (5, 5) at p = 0.9, mu = 0.99."""
+    params = links.from_p_mu(0.9, 0.99)
+    return comparison.throughput_crossover_tc(params, 5, 5), comparison.delay_crossover_tc(params, 5, 5)
+
+
+def path_ordering_violations() -> dict[tuple[float, float, int], list[tuple]]:
+    """verify_connected_path_ordering's violations up to length 20, by
+    (p, mu, t_c) for p in (0.5, 0.9), mu in (0.1, 0.9) and t_c in (0, 5)."""
+    return {
+        (p, mu, tc): optimal.verify_connected_path_ordering(links.from_p_mu(p, mu), tc, 20)
+        for p in (0.5, 0.9)
+        for mu in (0.1, 0.9)
+        for tc in (0, 5)
+    }
+
+
+def value_iteration_checks() -> dict[tuple[int, float], tuple[optimal.ValueTable, list, list]]:
+    """By (n, p), for the n x n torus, n in (9, 11), and p in (0.3, 0.6, 0.9):
+    the converged table, its mean-delay ordering violations and its greedy
+    argmin violations."""
+    out = {}
+    for n in (9, 11):
+        for p in (0.3, 0.6, 0.9):
+            table = optimal.value_iterate_delay(GridSpec(n, n), p, tol=1e-12)
+            out[n, p] = table, optimal.check_mean_delay_ordering(table), optimal.greedy_action_violations(table)
+    return out
+
+
+def relay_checks() -> tuple[bool, NodeCoord | None]:
+    """(no relay improves a diagonal source x = y in 2..8 at p = 0.9,
+    the best throughput relay for the source (1, 10) at p = 0.7)."""
+    none_ok = all(optimal.find_best_intermediate(0.9, k, k, "throughput") is None for k in range(2, 9))
+    return none_ok, optimal.find_best_intermediate(0.7, 1, 10, "throughput")
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
 def suite_analytic() -> list[CheckResult]:
     """Deterministic oracle identities (fast, no Monte Carlo)."""
     out = []
 
-    worst = 0.0
-    for p in (0.3, 0.6, 0.9):
-        for x in range(1, 9):
-            for y in range(1, 9):
-                for u in (0.2, 0.5, 0.8, y / (x + y)):
-                    worst = max(worst, abs(greedy.gr_throughput(p, x, y, u) - dp_throughput(p, x, y, u)))
+    worst = throughput_dp_error()
     out.append(CheckResult("greedy throughput == DP oracle (<=1e-9)", worst <= 1e-9, f"max|diff|={worst:.2e}"))
 
     hand = greedy.gr_throughput(0.9, 1, 1, 0.5)
@@ -147,13 +297,9 @@ def suite_analytic() -> list[CheckResult]:
         )
     )
 
-    worst = 0.0
-    for x in range(1, 13):
-        for y in range(x, 13):
-            for w in [i / 10 for i in range(1, 10)]:
-                worst = max(worst, abs(greedy.expected_min_tau(x, y, w) - expected_min_tau_direct(x, y, w)))
-    ok = worst <= 1e-9 and greedy.expected_min_tau(1, 1, 0.5) == 1.0
-    out.append(CheckResult("E[min hitting time] closed form == direct sum (<=1e-9)", ok, f"max|diff|={worst:.2e}"))
+    worst, exact_one = hitting_time_error()
+    out.append(CheckResult("E[min hitting time] closed form == direct sum (<=1e-9)", worst <= 1e-9 and exact_one,
+                           f"max|diff|={worst:.2e}"))
 
     worst_sym, worst_pascal = beta_identity_errors()
     out.append(CheckResult("beta complement identity (<=1e-12)", worst_sym <= 1e-12, f"max|diff|={worst_sym:.2e}"))
@@ -165,15 +311,7 @@ def suite_analytic() -> list[CheckResult]:
         worst = max(worst, abs(reg_inc_beta(v, a, b) - quadrature_reg_inc_beta(v, a, b)))
     out.append(CheckResult("beta tail-sum == quadrature spot checks (<=1e-9)", worst <= 1e-9, f"max|diff|={worst:.2e}"))
 
-    worst = 0.0
-    for p, mu, tc in ((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)):
-        params = links.from_p_mu(p, mu)
-        for t in (0.0, 1.0, 2.0, 5.0):
-            a, b = scpr.mgf_coefficients(params, tc, t)
-            h = 1e-6
-            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
-            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
-            worst = max(worst, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)), abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
+    worst = dual_derivative_error(((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)), (0.0, 1.0, 2.0, 5.0))
     out.append(CheckResult("dual derivatives == central differences (<=1e-6)", worst <= 1e-6, f"max|diff|={worst:.2e}"))
 
     worst = -math.inf
@@ -204,9 +342,7 @@ def suite_analytic() -> list[CheckResult]:
 
 
 def suite_crossover() -> list[CheckResult]:
-    params = links.from_p_mu(0.9, 0.99)
-    tc_thr = comparison.throughput_crossover_tc(params, 5, 5)
-    tc_del = comparison.delay_crossover_tc(params, 5, 5)
+    tc_thr, tc_del = crossovers()
     return [
         CheckResult("throughput crossover in [33, 38]", tc_thr is not None and 33 <= tc_thr <= 38, f"t_c={tc_thr}"),
         CheckResult("delay crossover in [29, 35]", tc_del is not None and 29 <= tc_del <= 35, f"t_c={tc_del}"),
@@ -214,130 +350,61 @@ def suite_crossover() -> list[CheckResult]:
 
 
 def suite_ordering() -> list[CheckResult]:
-    out = []
-    for p in (0.5, 0.9):
-        for mu in (0.1, 0.9):
-            params = links.from_p_mu(p, mu)
-            for tc in (0, 5):
-                v = optimal.verify_connected_path_ordering(params, tc, 20)
-                out.append(
-                    CheckResult(
-                        f"connected-path survival strictly decreasing (p={p}, mu={mu}, t_c={tc})",
-                        not v,
-                        f"{len(v)} violations",
-                    )
-                )
-    return out
+    return [
+        CheckResult(
+            f"connected-path survival strictly decreasing (p={p}, mu={mu}, t_c={tc})",
+            not v,
+            f"{len(v)} violations",
+        )
+        for (p, mu, tc), v in path_ordering_violations().items()
+    ]
 
 
 def suite_optimal() -> list[CheckResult]:
     """Value iteration fixed points, ordering lemma, greedy argmin attainment."""
     out = []
-    for n in (9, 11):
-        spec = GridSpec(n, n)
-        for p in (0.3, 0.6, 0.9):
-            table = optimal.value_iterate_delay(spec, p, tol=1e-12)
-            out.append(
-                CheckResult(
-                    f"value iteration converged ({n}x{n}, p={p})",
-                    table.residual < 1e-12,
-                    f"{table.iterations} sweeps, residual={table.residual:.1e}",
-                )
+    for (n, p), (table, ord_v, act_v) in value_iteration_checks().items():
+        out.append(
+            CheckResult(
+                f"value iteration converged ({n}x{n}, p={p})",
+                table.residual < 1e-12,
+                f"{table.iterations} sweeps, residual={table.residual:.1e}",
             )
-            ord_v = optimal.check_mean_delay_ordering(table)
-            out.append(CheckResult(f"mean-delay node ordering ({n}x{n}, p={p})", not ord_v, f"{len(ord_v)} violations"))
-            act_v = optimal.greedy_action_violations(table)
-            out.append(CheckResult(f"greedy attains Bellman argmin ({n}x{n}, p={p})", not act_v, f"{len(act_v)} violations"))
-            bd = abs(table.d_bar_at(NodeCoord(1, 0)) - 1.0 / p)
-            out.append(CheckResult(f"boundary chain D(1,0) == 1/p ({n}x{n}, p={p})", bd <= 1e-9, f"|diff|={bd:.1e}"))
+        )
+        out.append(CheckResult(f"mean-delay node ordering ({n}x{n}, p={p})", not ord_v, f"{len(ord_v)} violations"))
+        out.append(CheckResult(f"greedy attains Bellman argmin ({n}x{n}, p={p})", not act_v, f"{len(act_v)} violations"))
+        bd = abs(table.d_bar_at(NodeCoord(1, 0)) - 1.0 / p)
+        out.append(CheckResult(f"boundary chain D(1,0) == 1/p ({n}x{n}, p={p})", bd <= 1e-9, f"|diff|={bd:.1e}"))
     return out
 
 
 def suite_intermediate() -> list[CheckResult]:
-    out = []
-    none_ok = all(optimal.find_best_intermediate(0.9, k, k, "throughput") is None for k in range(2, 9))
-    out.append(CheckResult("no relay improves diagonal sources (p=0.9, x=y in 2..8)", none_ok))
-    node = optimal.find_best_intermediate(0.7, 1, 10, "throughput")
-    out.append(CheckResult("relay strictly improves (1,10) at p=0.7", node is not None, f"relay={node}"))
-    return out
+    none_ok, node = relay_checks()
+    return [
+        CheckResult("no relay improves diagonal sources (p=0.9, x=y in 2..8)", none_ok),
+        CheckResult("relay strictly improves (1,10) at p=0.7", node is not None, f"relay={node}"),
+    ]
 
 
 def suite_simulation(scale: float = 1.0) -> list[CheckResult]:
     """Monte Carlo agreement checks (slower; ``scale`` shrinks trial counts)."""
-    out = []
     n_big = max(1000, int(10**6 * scale))
     n_net = max(200, int(2000 * scale))
     n_gr = max(1000, int(10**5 * scale))
 
-    # stylized bufferless success rate vs per-hop survival product
-    ok = True
-    worst_z = 0.0
-    for mu in (0.0, 0.9, 0.99):
-        params = links.from_p_mu(0.9, mu)
-        for tc in (0, 5):
-            for length in (2, 10):
-                est = simulator.run_stylized_scpr_path(params, length, tc, False, n_big, seed=90_001)
-                target = scpr.scpr_path_success_prob(params, length, tc)
-                z = abs(est.mean - target) / max(est.stderr, 1e-12)
-                worst_z = max(worst_z, z)
-                ok &= z <= 3.0
-    out.append(CheckResult("stylized bufferless MC matches survival product (3 sigma)", ok, f"worst z={worst_z:.2f}"))
-
-    ok = True
-    worst_z = 0.0
-    for mu in (0.0, 0.5, 0.9, 0.99):
-        params = links.from_p_mu(0.9, mu)
-        for tc in (0, 5):
-            est = simulator.run_stylized_scpr_path(params, 10, tc, True, n_big, seed=90_002)
-            target = scpr.scpr_delay_recursion(params, 10, tc)
-            z = abs(est.mean - target) / max(est.stderr, 1e-12)
-            worst_z = max(worst_z, z)
-            ok &= z <= 3.0
-    out.append(CheckResult("stylized buffered MC matches delay recursion (3 sigma)", ok, f"worst z={worst_z:.2f}"))
-
-    # full network: SCPR bufferless throughput never beats its upper bound
-    spec = GridSpec(100, 100)
-    ok = True
-    for mu, tc, xy in ((0.0, 5, 5), (0.9, 5, 5), (0.99, 5, 5), (0.99, 35, 5), (0.99, 5, 10)):
-        params = links.from_p_mu(0.9, mu)
-        est = simulator.estimate(
-            spec, params, "scpr", src=NodeCoord(xy, xy), buffered=False, t_c=tc,
-            trials=n_net, master_seed=90_003,
-        )
-        bound = scpr.scpr_throughput_bound(params, xy, xy, tc)
-        ok &= est.mean <= bound + 3.0 * est.stderr
-    out.append(CheckResult("network SCPR throughput <= analytic bound + 3 sigma", ok))
-
-    # greedy bufferless throughput is memory-independent and matches the formula
-    # (distinct seeds: each link is observed once, so a shared stream would
-    # make the two memory settings trivially identical)
-    target = greedy.gr_throughput(0.9, 5, 5, 0.5)
-    means = []
-    ok = True
-    for mu in (0.0, 0.99):
-        params = links.from_p_mu(0.9, mu)
-        est = simulator.estimate(
-            spec, params, "gr", src=NodeCoord(5, 5), buffered=False,
-            tie=greedy.TieBreak(0.5), trials=n_gr, master_seed=90_004 + int(mu * 100),
-        )
-        means.append(est)
-        ok &= abs(est.mean - target) / est.stderr <= 3.0
-    joint = math.hypot(means[0].stderr, means[1].stderr)
-    ok &= abs(means[0].mean - means[1].mean) <= 3.0 * joint
-    out.append(CheckResult("greedy throughput memory-independent and matches formula (3 sigma)", ok))
-
-    # buffered greedy delay below the closed-form upper bound
-    ok = True
-    for mu in (0.0, 0.5, 0.9, 0.99):
-        params = links.from_p_mu(0.9, mu)
-        est = simulator.estimate(
-            spec, params, "gr", src=NodeCoord(5, 5), buffered=True,
-            tie=greedy.TieBreak(0.5), trials=n_net, master_seed=90_005,
-        )
-        ok &= greedy.gr_delay_upper_bound(params, 5, 5).value >= est.mean - 3.0 * est.stderr
-    out.append(CheckResult("greedy delay bound >= network MC - 3 sigma", ok))
-
-    return out
+    z_free = stylized_path_z(False, (0.0, 0.9, 0.99), {0: 90_001, 5: 90_001}, (2, 10), n_big)
+    z_buf = stylized_path_z(True, (0.0, 0.5, 0.9, 0.99), {0: 90_002, 5: 90_002}, (10,), n_big)
+    scpr_points = ((0.0, 5, 5), (0.9, 5, 5), (0.99, 5, 5), (0.99, 35, 5), (0.99, 5, 10))
+    scpr_excess = scpr_bound_excess(scpr_points, n_net, 90_003)
+    gap, gr_z, _, _ = gr_memory_independence(n_gr, 90_004)
+    gr_excess = gr_delay_bound_excess([(mu, 5) for mu in (0.0, 0.5, 0.9, 0.99)], n_net, 90_005)
+    return [
+        CheckResult("stylized bufferless MC matches survival product (3 sigma)", z_free <= 3.0, f"worst z={z_free:.2f}"),
+        CheckResult("stylized buffered MC matches delay recursion (3 sigma)", z_buf <= 3.0, f"worst z={z_buf:.2f}"),
+        CheckResult("network SCPR throughput <= analytic bound + 3 sigma", scpr_excess <= 3.0),
+        CheckResult("greedy throughput memory-independent and matches formula (3 sigma)", gap <= 3.0 and gr_z <= 3.0),
+        CheckResult("greedy delay bound >= network MC - 3 sigma", gr_excess <= 3.0),
+    ]
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {
@@ -348,4 +415,3 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "intermediate": suite_intermediate,
     "simulation": suite_simulation,
 }
-

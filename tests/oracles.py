@@ -1,5 +1,7 @@
 """Reference implementations that tests compare the production code against.
 
+* ``step`` / ``neighbors``: torus neighbours by coordinate arithmetic, which
+  the node-id table ``grid_topology.neighbor_id_table`` must match.
 * ``sample_next`` / ``sample_k_steps``: one-slot and one-draw k-slot link
   sampling, straight from the Markov chain's definition and its kernel.
 * ``SlotwiseNetworkState``: a NetworkState that evolves every re-observed
@@ -31,6 +33,18 @@ from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_tabl
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import NetworkState, TrialOutcome
 from satroute.special_functions import reg_inc_beta
+
+DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # (L, D, R, U)
+
+
+def step(spec: GridSpec, node: NodeCoord, direction: int) -> NodeCoord:
+    dx, dy = DIR_STEPS[direction]
+    return grid.normalize(spec, NodeCoord(node[0] + dx, node[1] + dy))
+
+
+def neighbors(spec: GridSpec, node: NodeCoord) -> tuple[NodeCoord, NodeCoord, NodeCoord, NodeCoord]:
+    """The four torus neighbors in (left, down, right, up) order."""
+    return tuple(step(spec, node, d) for d in range(4))  # type: ignore[return-value]
 
 
 def sample_next(params: LinkParams, on: bool, rng) -> bool:

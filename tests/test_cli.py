@@ -145,6 +145,21 @@ def test_config_scale_reaches_simulation_suite(tmp_path, capsys, monkeypatch):
     assert out.splitlines() == ["PASS  recorded", "1/1 checks passed"]
 
 
+def test_verify_simulation_golden_output(capsys):
+    """The simulation suite's real checks at 1% scale: seeds and trial counts
+    are fixed, so its output is too."""
+    code, out = run_cli(capsys, "verify", "simulation", "--scale", "0.01")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS  stylized bufferless MC matches survival product (3 sigma)  (worst z=2.85)",
+        "PASS  stylized buffered MC matches delay recursion (3 sigma)  (worst z=1.52)",
+        "PASS  network SCPR throughput <= analytic bound + 3 sigma",
+        "PASS  greedy throughput memory-independent and matches formula (3 sigma)",
+        "PASS  greedy delay bound >= network MC - 3 sigma",
+        "5/5 checks passed",
+    ]
+
+
 @pytest.mark.parametrize("line", ["trails=10", "buffered=maybe", "policy=flooding",
                                   "grid=10y10", "trials 10"])
 def test_config_rejects_unknown_keys_and_invalid_values(tmp_path, capsys, line):

@@ -20,7 +20,6 @@ ALLOWED = {
     "simulator.trial_rng": "the documented per-trial replay stream: rebuilds trial i's RNG",
     "grid_topology.coord_table": "the benchmark tracer's detour metric reads it until the "
                                  "next benchmark revision moves it to tests/oracles.py",
-    "grid_topology.GridSpec.n_nodes": "the grid's size in nodes, a property of the exported GridSpec",
 }
 
 

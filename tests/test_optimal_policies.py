@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import neighbors
 from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import optimal_policies as op
@@ -15,7 +16,7 @@ def d_star(table: op.ValueTable, node: NodeCoord, quad: tuple[bool, bool, bool, 
     if node == ORIGIN:
         return 0.0
     stay = table.d_bar_at(node)
-    nbrs = table.neighbor_values(node)
+    nbrs = [table.d_bar_at(nb) for nb in neighbors(table.spec, node)]
     best = stay
     for d in range(4):
         if quad[d] and nbrs[d] < best:

@@ -94,7 +94,7 @@ EXPORTS = {
                         "gr_delay_upper_bound", "gr_throughput", "w_from_u"],
     "analytic_scpr": ["scpr_delay_lower_bound", "scpr_path_success_prob", "scpr_throughput_bound"],
     "comparison": ["delay_crossover_tc", "throughput_crossover_tc"],
-    "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "neighbors", "normalize",
+    "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"],
     "link_dynamics": ["LinkParams", "from_epsilons", "from_p_mu", "transition_prob"],
     "optimal_policies": ["ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
@@ -116,7 +116,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_api_is_complete_and_unknown_names_raise():
-    assert len(EXPORTED) == 36
+    assert len(EXPORTED) == 35
     star = {}
     exec("from satroute import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
