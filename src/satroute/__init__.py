@@ -13,9 +13,9 @@ modules whose code it runs.
 import importlib
 
 _EXPORTS = {
-    "analytic_greedy": ("TieBreak", "expected_min_tau", "gr_delay_exact_component",
-                        "gr_delay_upper_bound", "gr_throughput", "w_from_u"),
-    "analytic_scpr": ("scpr_delay_lower_bound", "scpr_path_success_prob", "scpr_throughput_bound"),
+    "analytic_greedy": ("expected_min_tau", "gr_delay_exact_component", "gr_delay_upper_bound",
+                        "gr_throughput", "w_from_u"),
+    "analytic_scpr": ("scpr_delay_recursion", "scpr_path_success_prob"),
     "comparison": ("delay_crossover_tc", "throughput_crossover_tc"),
     "grid_topology": ("GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"),

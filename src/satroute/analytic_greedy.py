@@ -15,22 +15,10 @@ directions) before joining the boundary (one usable direction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .link_dynamics import LinkParams
 from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
-
-
-@dataclass(frozen=True)
-class TieBreak:
-    """Probability of choosing the vertical link when both toward-links are ON."""
-
-    u: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.u <= 1.0:
-            raise ValueError(f"u={self.u}: need 0 <= u <= 1")
 
 
 def gr_throughput(p: float, x: int, y: int, u: float | None = None) -> float:

@@ -69,24 +69,14 @@ class Dual:
         return Dual(self.v / other.v, (self.d * other.v - self.v * other.d) / (other.v * other.v))
 
 
-def scpr_throughput_bound(params: LinkParams, x: int, y: int, t_c: int) -> float:
-    """Upper bound on SCPR delivery probability from (x, y), snapshot age t_c.
-
-    Equals the survival probability of a length-(x+y) snapshot-connected
-    path; any realizable path is at least that long, so this bounds the true
-    throughput from above.  Nonincreasing in t_c, x and y.
-    """
-    if x + y < 1:
-        raise ValueError("need x + y >= 1")
-    return scpr_path_success_prob(params, x + y, t_c)
-
-
 def scpr_path_success_prob(params: LinkParams, path_len: int, t_c: int) -> float:
     """Exact bufferless success probability of one snapshot-connected path.
 
     Hop i (ON at snapshot time 0) is traversed at slot t_c + i, so the
     probability that every hop is still ON when reached is
-    prod_{i=0}^{path_len-1} p11(t_c + i).
+    prod_{i=0}^{path_len-1} p11(t_c + i).  Claim 1: at path_len = x + y it
+    bounds SCPR's delivery probability from (x, y) from above, since no routed
+    path is shorter.  Nonincreasing in t_c and path_len.
     """
     if path_len < 0 or t_c < 0:
         raise ValueError("path_len and t_c must be >= 0")
@@ -96,18 +86,13 @@ def scpr_path_success_prob(params: LinkParams, path_len: int, t_c: int) -> float
     return prob
 
 
-def scpr_delay_lower_bound(params: LinkParams, x: int, y: int, t_c: int) -> float:
-    """Lower bound on mean buffered SCPR delay from (x, y), snapshot age t_c.
-
-    Exact mean delay of the stylized snapshot-connected path of x+y hops
-    (waiting a Geometric(epsilon2) time at each hop found OFF); the true
-    routed path is never shorter, so the true mean delay is never smaller.
-    """
-    return scpr_delay_recursion(params, x + y, t_c)
-
-
 def scpr_delay_recursion(params: LinkParams, depth: int, t_c: int) -> float:
-    """E[S_depth]: mean stylized-path delay accumulated over ``depth`` hops."""
+    """E[S_depth]: mean stylized-path delay accumulated over ``depth`` hops.
+
+    Each hop found OFF costs a Geometric(epsilon2) wait.  Claim 2: at depth =
+    x + y it bounds SCPR's mean buffered delay from (x, y) from below, since
+    no routed path is shorter.
+    """
     if depth < 0 or t_c < 0:
         raise ValueError("depth and t_c must be >= 0")
     if depth == 0:

@@ -250,8 +250,8 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
         from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
 
         if buffered:
-            return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_lower_bound(params, x, y, tc))]
-        return [("scpr_throughput_bound", "claim1", scpr.scpr_throughput_bound(params, x, y, tc))]
+            return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_recursion(params, x + y, tc))]
+        return [("scpr_throughput_bound", "claim1", scpr.scpr_path_success_prob(params, x + y, tc))]
     from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
 
     if buffered:
@@ -268,11 +268,7 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
-    tie = None  # SCPR has no tie-break, so --u cannot change its exit code
-    if policy == "gr":
-        from .analytic_greedy import TieBreak  # GR's tie-break; SCPR trials never load it
-
-        tie = DETERMINISTIC if args.u == DETERMINISTIC else TieBreak(_tie_u(args.u, x, y))
+    tie = args.u if args.u == DETERMINISTIC else _tie_u(args.u, x, y)  # SCPR runs ignore it
     return simulator.estimate(args.grid, params, policy, src=NodeCoord(x, y), buffered=args.buffered,
                               t_c=tc, tie=tie, trials=args.trials, master_seed=seed)
 
@@ -284,10 +280,14 @@ def _mc_row(param: str, value: str, policy: str, buffered: bool, est: simulator.
 
 def _write_csv(rows: list[list[str]], path: Optional[str] = None, append: bool = False) -> None:
     """The rows under CSV_HEADER, to stdout or to ``path``; appending to a file
-    that exists writes the rows alone."""
+    that exists writes the rows alone.  A ``path`` that cannot be opened is a
+    ValueError, so the run exits 2."""
     header = not (append and os.path.exists(path))
-    with (open(path, "a" if append else "w", encoding="utf-8", newline="") if path
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    try:
+        out = open(path, "a" if append else "w", encoding="utf-8", newline="") if path else None
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc}") from None
+    with out or contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(CSV_HEADER)

@@ -44,10 +44,10 @@ class GridSpec:
         return self.n_per_plane * self.m_planes
 
     def x_lo(self) -> int:
-        return -(self.m_planes // 2) + 1 if self.m_planes % 2 == 0 else -(self.m_planes // 2)
+        return -((self.m_planes - 1) // 2)
 
     def y_lo(self) -> int:
-        return -(self.n_per_plane // 2) + 1 if self.n_per_plane % 2 == 0 else -(self.n_per_plane // 2)
+        return -((self.n_per_plane - 1) // 2)
 
     def nodes(self) -> Iterator[NodeCoord]:
         xl, yl = self.x_lo(), self.y_lo()

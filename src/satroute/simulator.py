@@ -22,14 +22,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import grid_topology as grid
 from .grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
-
-if TYPE_CHECKING:
-    from .analytic_greedy import TieBreak
 
 DETERMINISTIC = "deterministic"
 
@@ -101,9 +98,8 @@ def run_scpr_trial(
     t_c: int,
     buffered: bool,
     rng,
-    dst: NodeCoord = ORIGIN,
 ) -> TrialOutcome:
-    """One shortest-connected-path trial.
+    """One shortest-connected-path trial toward the origin.
 
     The route is fixed from the t = 0 snapshot: BFS over links ON at t = 0,
     falling back to a uniformly random shortest path when no connected path
@@ -123,14 +119,14 @@ def run_scpr_trial(
     hops = grid.shortest_connected_hops(
         spec,
         grid.node_index(spec, grid.normalize(spec, src)),
-        grid.node_index(spec, grid.normalize(spec, dst)),
+        grid.node_index(spec, ORIGIN),
         p,
         random,
         snapshot,
     )
     found = hops is not None
     if not found:
-        hops = grid.random_shortest_path(spec, src, dst, rng)
+        hops = grid.random_shortest_path(spec, src, ORIGIN, rng)
     q = transition_prob(params, False, True, 1)
     t = t_c
     for nid, d in hops:
@@ -170,14 +166,14 @@ def run_gr_trial(
     state: NetworkState,
     src: NodeCoord,
     buffered: bool,
-    tie: TieBreak | str,
+    tie: float | str,
     rng,
 ) -> TrialOutcome:
     """One greedy-routing trial toward the origin.
 
     At each node only the one or two links that reduce the remaining distance
-    are observed, horizontal first.  Both ON: tie-break (probability
-    ``tie.u`` vertical, or the deterministic farther-dimension rule).  One
+    are observed, horizontal first.  Both ON: tie-break (vertical with
+    probability ``tie``, or the deterministic farther-dimension rule).  One
     ON: forced.  None ON: bufferless drops, buffered waits one slot and
     re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
     jump).  The move count at first boundary contact is recorded.
@@ -220,7 +216,7 @@ def run_gr_trial(
             if deterministic:
                 vertical = abs(y) > abs(x) or (abs(y) == abs(x) and random() < 0.5)
             else:
-                vertical = random() < tie.u
+                vertical = random() < tie
         else:
             vertical = y_on
         if vertical:
@@ -299,13 +295,8 @@ def run_stylized_scpr_path(
     return _estimate_from_sums(good, good, trials, seed)
 
 
-def trial_rng(master_seed: int, index: int) -> random.Random:
-    """Independent, replayable per-trial stream from (master_seed, index)."""
-    return _trial_stream(_mix64(master_seed), index)
-
-
 def _trial_stream(key: int, index: int) -> random.Random:
-    """Trial ``index``'s stream under ``key`` = ``_mix64(master_seed)``."""
+    """Trial ``index``'s independent, replayable stream under ``key`` = ``_mix64(master_seed)``."""
     return random.Random(_mix64(key ^ _mix64(index + 0x9E3779B97F4A7C15)))
 
 
@@ -325,7 +316,7 @@ def estimate(
     src: NodeCoord,
     buffered: bool,
     t_c: int = 0,
-    tie: TieBreak | str | None = None,
+    tie: float | str = 0.5,
     trials: int,
     master_seed: int,
     threads: int = 1,
@@ -335,8 +326,10 @@ def estimate(
     Bufferless runs estimate the delivery probability; buffered runs estimate
     the mean delay (every buffered trial succeeds).  Per-trial RNG streams
     are derived from (master_seed, trial index) and aggregation is exact
-    integer summation.  ``threads`` is accepted for compatibility and has no
-    effect: trials run in one thread, and the result never depended on it.
+    integer summation.  ``tie`` is GR's tie-break: a probability in [0, 1] of
+    moving vertically, or ``"deterministic"``; SCPR runs ignore it.  ``threads``
+    is accepted for compatibility and has no effect: trials run in one thread,
+    and the result never depended on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -344,10 +337,8 @@ def estimate(
         raise ValueError(f"t_c={t_c}: snapshot age must be >= 0")
     if policy not in ("scpr", "gr"):
         raise ValueError(f"unknown policy {policy!r}")
-    if policy == "gr" and tie is None:
-        from .analytic_greedy import TieBreak  # GR's closed forms; SCPR runs never load them
-
-        tie = TieBreak(0.5)
+    if policy == "gr" and tie != DETERMINISTIC and not (isinstance(tie, (int, float)) and 0 <= tie <= 1):
+        raise ValueError(f"tie={tie!r}: need a probability in [0, 1] or {DETERMINISTIC!r}")
     key = _mix64(master_seed)
     total = 0
     total_sq = 0

@@ -9,6 +9,8 @@
 * ``KernelNetworkState``: a NetworkState that calls ``transition_prob`` at
   every re-observation, which the production one's cached one-step kernel
   must match draw for draw.
+* ``trial_rng``: trial i's random stream, rebuilt from (master_seed, i) as
+  ``simulator.estimate`` derives it, so a test can replay any one trial.
 * ``validate_hops``: a validity check for hop lists
   ``[(tail node index, direction), ...]``.
 * ``oracle_scpr_trial``: the SCPR trial observing every link, the t = 0
@@ -25,13 +27,14 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 from satroute import grid_topology as grid
 from satroute.analytic_scpr import Dual
 from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
-from satroute.simulator import NetworkState, TrialOutcome
+from satroute.simulator import NetworkState, TrialOutcome, _mix64, _trial_stream
 from satroute.special_functions import reg_inc_beta
 
 DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # (L, D, R, U)
@@ -156,15 +159,13 @@ def oracle_connected_hops(spec: GridSpec, link_on_id, src_id: int, dst_id: int):
     return None
 
 
-def oracle_scpr_trial(
-    state: NetworkState,
-    src: NodeCoord,
-    t_c: int,
-    buffered: bool,
-    rng,
-    dst: NodeCoord = ORIGIN,
-) -> TrialOutcome:
-    """One SCPR trial with every observation a ``state.link_on_id`` call.
+def trial_rng(master_seed: int, index: int) -> random.Random:
+    """Trial ``index``'s stream in ``simulator.estimate(master_seed=...)``."""
+    return _trial_stream(_mix64(master_seed), index)
+
+
+def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: bool, rng) -> TrialOutcome:
+    """One SCPR trial toward the origin with every observation a ``state.link_on_id`` call.
 
     The snapshot is the state at t = 0; the packet departs at t_c, waits slot
     by slot on an OFF link when buffered, and is dropped on one otherwise.
@@ -174,10 +175,10 @@ def oracle_scpr_trial(
         spec,
         lambda nid, d: state.link_on_id(nid * 4 + d, 0),
         grid.node_index(spec, grid.normalize(spec, src)),
-        grid.node_index(spec, grid.normalize(spec, dst)),
+        grid.node_index(spec, ORIGIN),
     )
     if hops is None:
-        hops = grid.random_shortest_path(spec, src, dst, rng)
+        hops = grid.random_shortest_path(spec, src, ORIGIN, rng)
     t = t_c
     for nid, d in hops:
         lid = nid * 4 + d

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from oracles import trial_rng
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import cli, verify
@@ -116,7 +117,7 @@ def test_criterion_09_memoryless_optimality():
     total = total_sq = 0
     trials = 10**5
     for i in range(trials):
-        rng = sim.trial_rng(44_000, i)
+        rng = trial_rng(44_000, i)
         state = sim.NetworkState(spec, params, rng)
         out = sim.run_gr_trial(state, NodeCoord(3, 4), True, sim.DETERMINISTIC, rng)
         total += out.delay

@@ -109,7 +109,7 @@ def u_for_target_w(params, w_target):
     if w_target < lo - 1e-12 or w_target > hi + 1e-12:
         return None
     u = (w_target - lo) / (hi - lo)
-    return greedy.TieBreak(min(1.0, max(0.0, u)))
+    return min(1.0, max(0.0, u))
 
 
 def test_u_for_target_w_round_trip_and_absent():
@@ -117,9 +117,9 @@ def test_u_for_target_w_round_trip_and_absent():
     for u in (0.0, 0.3, 0.5, 0.9, 1.0):
         w = greedy.w_from_u(params, u)
         back = u_for_target_w(params, w)
-        assert back is not None and back.u == pytest.approx(u, abs=1e-9)
+        assert back is not None and back == pytest.approx(u, abs=1e-9)
     assert u_for_target_w(params, 0.99) is None
-    assert u_for_target_w(params, 0.5).u == pytest.approx(0.5, abs=1e-12)
+    assert u_for_target_w(params, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_shape_condition_matches_interval_endpoint():

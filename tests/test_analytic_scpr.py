@@ -25,34 +25,29 @@ def raw_value(params, t_c, depth, t):
 def test_throughput_bound_memoryless():
     params = ld.from_p_mu(0.8, 0.0)
     # staleness >= 1: every hop is a fresh Bernoulli(p)
-    assert scpr.scpr_throughput_bound(params, 2, 3, 1) == pytest.approx(0.8**5, abs=1e-15)
+    assert scpr.scpr_path_success_prob(params, 5, 1) == pytest.approx(0.8**5, abs=1e-15)
     # staleness 0: the first hop is traversed at the snapshot instant (mu^0 = 1)
-    assert scpr.scpr_throughput_bound(params, 2, 3, 0) == pytest.approx(0.8**4, abs=1e-15)
+    assert scpr.scpr_path_success_prob(params, 5, 0) == pytest.approx(0.8**4, abs=1e-15)
 
 
 def test_throughput_bound_near_static_links():
     params = ld.from_p_mu(0.7, 0.999999)
-    assert 1.0 - scpr.scpr_throughput_bound(params, 1, 1, 1) < 1e-4
+    assert 1.0 - scpr.scpr_path_success_prob(params, 2, 1) < 1e-4
 
 
 def test_throughput_bound_direct_product_value():
     params = ld.from_p_mu(0.9, 0.9)
     expected = (0.9 + 0.1 * 0.9**2) * (0.9 + 0.1 * 0.9**3)
-    assert scpr.scpr_throughput_bound(params, 1, 1, 2) == pytest.approx(expected, abs=1e-15)
+    assert scpr.scpr_path_success_prob(params, 2, 2) == pytest.approx(expected, abs=1e-15)
 
 
 def test_throughput_bound_monotone():
     params = ld.from_p_mu(0.85, 0.6)
-    values_tc = [scpr.scpr_throughput_bound(params, 3, 3, tc) for tc in range(0, 20)]
+    values_tc = [scpr.scpr_path_success_prob(params, 6, tc) for tc in range(0, 20)]
     assert all(a >= b - 1e-15 for a, b in zip(values_tc, values_tc[1:]))
     values_len = [scpr.scpr_path_success_prob(params, n, 4) for n in range(0, 15)]
     assert values_len[0] == 1.0
     assert all(a > b for a, b in zip(values_len, values_len[1:]))
-
-
-def test_bound_equals_path_success_at_same_length():
-    params = ld.from_p_mu(0.9, 0.5)
-    assert scpr.scpr_throughput_bound(params, 2, 5, 3) == scpr.scpr_path_success_prob(params, 7, 3)
 
 
 def test_coefficients_at_zero():
@@ -160,22 +155,22 @@ def test_delay_depth_zero_and_floor():
     params = ld.from_p_mu(0.9, 0.9)
     assert scpr.scpr_delay_recursion(params, 0, 5) == 0.0
     for x, y, tc in ((1, 1, 0), (5, 5, 5), (2, 7, 30)):
-        assert scpr.scpr_delay_lower_bound(params, x, y, tc) >= x + y
+        assert scpr.scpr_delay_recursion(params, x + y, tc) >= x + y
 
 
 def test_delay_memoryless_closed_form():
     params = ld.from_p_mu(0.9, 0.0)
     per_hop = 1.0 + (1.0 - 0.9) / params.epsilon2
-    assert scpr.scpr_delay_lower_bound(params, 5, 5, 5) == pytest.approx(10 * per_hop, rel=1e-12)
+    assert scpr.scpr_delay_recursion(params, 10, 5) == pytest.approx(10 * per_hop, rel=1e-12)
     # staleness 0: first hop is ON at the snapshot instant and costs exactly 1
-    assert scpr.scpr_delay_lower_bound(params, 5, 5, 0) == pytest.approx(
+    assert scpr.scpr_delay_recursion(params, 10, 0) == pytest.approx(
         10 * per_hop - (per_hop - 1.0), rel=1e-12
     )
 
 
 def test_delay_monotone_in_staleness_and_depth():
     params = ld.from_p_mu(0.9, 0.9)
-    by_tc = [scpr.scpr_delay_lower_bound(params, 3, 3, tc) for tc in range(0, 25)]
+    by_tc = [scpr.scpr_delay_recursion(params, 6, tc) for tc in range(0, 25)]
     assert all(b >= a - 1e-12 for a, b in zip(by_tc, by_tc[1:]))
     by_depth = [scpr.scpr_delay_recursion(params, n, 5) for n in range(0, 15)]
     assert all(b > a for a, b in zip(by_depth, by_depth[1:]))
@@ -186,6 +181,6 @@ def test_delay_rejects_near_static_links():
     # exercise the recursion's own guard on 1/log(mu)
     params = ld.from_epsilons(1e-11, 9e-11)
     with pytest.raises(ValueError):
-        scpr.scpr_delay_lower_bound(params, 2, 2, 0)
+        scpr.scpr_delay_recursion(params, 4, 0)
     with pytest.raises(ValueError):
         ld.from_p_mu(0.9, 1.0 - 1e-12)

@@ -27,7 +27,7 @@ def test_analytic_scpr_throughput(capsys):
                         "--p", "0.9", "--mu", "0.99", "--tc", "5", "--x", "5", "--y", "5")
     assert code == 0
     params = ld.from_p_mu(0.9, 0.99)
-    expected = scpr.scpr_throughput_bound(params, 5, 5, 5)
+    expected = scpr.scpr_path_success_prob(params, 10, 5)
     line = out.strip().splitlines()[0].split()
     assert line[0] == "scpr_throughput_bound" and line[1] == "claim1"
     assert float(line[2]) == pytest.approx(expected, rel=1e-12)
@@ -100,20 +100,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     params = ld.from_p_mu(0.8, 0.5)
     assert float(out.split()[2]) == pytest.approx(
-        scpr.scpr_throughput_bound(params, 2, 2, 1), rel=1e-12)
+        scpr.scpr_path_success_prob(params, 4, 1), rel=1e-12)
     # explicit flag beats the file
     code, out = run_cli(capsys, "analytic", "--policy", "scpr", "--config", str(cfg),
                         "--p", "0.9")
     params = ld.from_p_mu(0.9, 0.5)
     assert float(out.split()[2]) == pytest.approx(
-        scpr.scpr_throughput_bound(params, 2, 2, 1), rel=1e-12)
+        scpr.scpr_path_success_prob(params, 4, 1), rel=1e-12)
     # so does a flag of another type
     code, out = run_cli(capsys, "analytic", "--policy", "scpr", "--config", str(cfg),
                         "--buffered", "true")
     name, claim, value = out.split()
     assert code == 0 and (name, claim) == ("scpr_delay_lower_bound", "claim2")
     assert float(value) == pytest.approx(
-        scpr.scpr_delay_lower_bound(ld.from_p_mu(0.8, 0.5), 2, 2, 1), rel=1e-12)
+        scpr.scpr_delay_recursion(ld.from_p_mu(0.8, 0.5), 4, 1), rel=1e-12)
 
 
 def test_config_keys_reach_every_subcommand(tmp_path, capsys):
@@ -293,6 +293,32 @@ def test_source_off_the_closed_forms_domain_exits_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+SMALL_RUNS = {
+    "sweep": ("sweep", "--sweep", "x", "--values", "1", "--grid", "20x20", "--trials", "5"),
+    "simulate": ("simulate", "--policy", "gr", "--grid", "20x20", "--trials", "5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_that_cannot_be_written_exits_2(command, where, tmp_path, capsys):
+    path = tmp_path / "no" / "f.csv" if where == "missing directory" else tmp_path
+    code = cli.main([*SMALL_RUNS[command], "--out", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith(f"error: --out {path}: ")
+    assert "wrote" not in out.out
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_failed_run_leaves_out_untouched(command, tmp_path, capsys):
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("earlier rows\n")
+    for path in (kept, new):
+        assert cli.main([*SMALL_RUNS[command], "--p", "1.5", "--out", str(path)]) == 2
+    assert kept.read_text() == "earlier rows\n" and not new.exists()
+
+
 @pytest.mark.parametrize("values", [",", "", " , ,"])
 def test_sweep_with_no_values_exits_2(values, tmp_path, capsys):
     out_csv = tmp_path / "none.csv"
@@ -369,8 +395,8 @@ def test_config_defaults_do_not_reach_a_later_call(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=0.5\n")
     argv = ["analytic", "--policy", "scpr"]
-    default_p = scpr.scpr_throughput_bound(ld.from_p_mu(0.9, 0.99), 5, 5, 5)
-    file_p = scpr.scpr_throughput_bound(ld.from_p_mu(0.5, 0.99), 5, 5, 5)
+    default_p = scpr.scpr_path_success_prob(ld.from_p_mu(0.9, 0.99), 10, 5)
+    file_p = scpr.scpr_path_success_prob(ld.from_p_mu(0.5, 0.99), 10, 5)
     assert run_cli(capsys, *argv) == (0, f"scpr_throughput_bound claim1 {default_p!r}\n")
     assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, f"scpr_throughput_bound claim1 {file_p!r}\n")
     assert run_cli(capsys, *argv) == (0, f"scpr_throughput_bound claim1 {default_p!r}\n")

@@ -5,6 +5,9 @@ public method of such a class must be named somewhere in ``src/`` other than
 its own definition, or be exported through ``satroute.__all__``.  Code that
 only a test reaches belongs with the tests (as a helper or a deliberate
 oracle in ``tests/oracles.py``).
+
+The Monte Carlo engine is what the closed forms are checked against, so
+``simulator.py`` imports none of them.
 """
 
 import ast
@@ -17,7 +20,6 @@ PACKAGE = Path(satroute.__file__).resolve().parent
 
 # Each kept on purpose, with its reason.
 ALLOWED = {
-    "simulator.trial_rng": "the documented per-trial replay stream: rebuilds trial i's RNG",
     "grid_topology.coord_table": "the benchmark tracer's detour metric reads it until the "
                                  "next benchmark revision moves it to tests/oracles.py",
 }
@@ -83,3 +85,14 @@ def test_no_production_code_only_tests_call():
                 unused.append(qualname)
     assert unused == []
     assert set(ALLOWED) <= defined  # a stale entry would hide nothing and mislead
+
+
+def test_simulator_imports_no_closed_form():
+    tree = ast.parse((PACKAGE / "simulator.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(alias.name for alias in node.names)}
+    assert not [name for name in imported if name.rpartition(".")[2].startswith("analytic_")]

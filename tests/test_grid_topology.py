@@ -8,6 +8,19 @@ from satroute import grid_topology as grid
 from satroute.grid_topology import GridSpec, NodeCoord
 
 
+# The lowest coordinate of an axis of each size, as the two-branch formula
+# -(size//2) + 1 (even) / -(size//2) (odd) gives it.
+LOWEST = {3: -1, 4: -1, 5: -2, 6: -2, 7: -3, 8: -3, 9: -4, 10: -4, 11: -5, 12: -5}
+
+
+@pytest.mark.parametrize("size", sorted(LOWEST))
+def test_lowest_coordinate_of_each_axis(size):
+    """Coordinates run from floor(-size/2)+1 up to floor(size/2)."""
+    lo = LOWEST[size]
+    assert GridSpec(size, 7).y_lo() == GridSpec(7, size).x_lo() == lo
+    assert lo + size - 1 == size // 2
+
+
 def all_on(nid, d):
     return True
 

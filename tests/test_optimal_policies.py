@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import neighbors
+from oracles import neighbors, trial_rng
 from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import optimal_policies as op
@@ -112,7 +112,7 @@ def test_buffered_deterministic_greedy_matches_fixed_point():
     total = total_sq = 0
     n = 20000
     for i in range(n):
-        rng = sim.trial_rng(31, i)
+        rng = trial_rng(31, i)
         state = sim.NetworkState(spec, params, rng)
         out = sim.run_gr_trial(state, NodeCoord(3, 4), True, sim.DETERMINISTIC, rng)
         total += out.delay

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_scpr_trial
+from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_scpr_trial, trial_rng
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
@@ -57,10 +57,10 @@ def test_network_state_near_static_links_persist():
 def test_scpr_trial_certain_links():
     spec = GridSpec(30, 30)
     for i in range(25):
-        rng = sim.trial_rng(5, i)
+        rng = trial_rng(5, i)
         out = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, False, rng)
         assert out.success and out.delay == 7 and out.path_len == 7
-        rng2 = sim.trial_rng(6, i)
+        rng2 = trial_rng(6, i)
         out2 = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, True, rng2)
         assert out2.success and out2.delay == 7
 
@@ -69,7 +69,7 @@ def test_scpr_buffered_always_succeeds():
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.5, 0.6)
     for i in range(300):
-        rng = sim.trial_rng(7, i)
+        rng = trial_rng(7, i)
         out = sim.run_scpr_trial(spec, params, NodeCoord(3, 2), 4, True, rng)
         assert out.success and out.delay >= out.path_len >= 5
 
@@ -82,7 +82,7 @@ def test_scpr_bufferless_success_rate_conditioned_on_connected_geodesic():
     target = scpr.scpr_path_success_prob(params, x + y, t_c)
     hits = total = 0
     for i in range(20000):
-        rng = sim.trial_rng(8, i)
+        rng = trial_rng(8, i)
         out = sim.run_scpr_trial(spec, params, NodeCoord(x, y), t_c, False, rng)
         if out.path_len == x + y:
             # geodesic-length paths found by the BFS are connected at t=0
@@ -95,9 +95,9 @@ def test_scpr_bufferless_success_rate_conditioned_on_connected_geodesic():
 def test_gr_trial_certain_links():
     spec = GridSpec(30, 30)
     for i in range(25):
-        rng = sim.trial_rng(9, i)
+        rng = trial_rng(9, i)
         state = sim.NetworkState(spec, NEAR_ONE, rng)
-        out = sim.run_gr_trial(state, NodeCoord(5, 2), False, greedy.TieBreak(0.5), rng)
+        out = sim.run_gr_trial(state, NodeCoord(5, 2), False, 0.5, rng)
         assert out.success and out.delay == 7 and out.path_len == 7
         assert out.hit_boundary_at is not None and 2 <= out.hit_boundary_at <= 6
 
@@ -107,9 +107,9 @@ def test_gr_bufferless_success_takes_exactly_distance_moves():
     params = ld.from_p_mu(0.7, 0.3)
     succ = 0
     for i in range(2000):
-        rng = sim.trial_rng(10, i)
+        rng = trial_rng(10, i)
         state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(3, 4), False, greedy.TieBreak(0.4), rng)
+        out = sim.run_gr_trial(state, NodeCoord(3, 4), False, 0.4, rng)
         if out.success:
             succ += 1
             assert out.path_len == 7 and out.delay == 7
@@ -122,9 +122,9 @@ def test_gr_buffered_always_succeeds_and_is_slower():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.5, 0.4)
     for i in range(300):
-        rng = sim.trial_rng(11, i)
+        rng = trial_rng(11, i)
         state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(2, 3), True, greedy.TieBreak(0.5), rng)
+        out = sim.run_gr_trial(state, NodeCoord(2, 3), True, 0.5, rng)
         assert out.success and out.path_len == 5 and out.delay >= 5
 
 
@@ -132,7 +132,7 @@ def test_gr_deterministic_tie_break_runs():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.6, 0.0)
     for i in range(200):
-        rng = sim.trial_rng(12, i)
+        rng = trial_rng(12, i)
         state = sim.NetworkState(spec, params, rng)
         out = sim.run_gr_trial(state, NodeCoord(4, 4), True, sim.DETERMINISTIC, rng)
         assert out.success and out.path_len == 8
@@ -141,9 +141,9 @@ def test_gr_deterministic_tie_break_runs():
 def test_gr_negative_quadrant_sources():
     spec = GridSpec(20, 20)
     for src in (NodeCoord(-5, 2), NodeCoord(5, -2), NodeCoord(-3, -3), NodeCoord(0, -4)):
-        rng = sim.trial_rng(13, hash(src) & 0xFFFF)
+        rng = trial_rng(13, hash(src) & 0xFFFF)
         state = sim.NetworkState(spec, NEAR_ONE, rng)
-        out = sim.run_gr_trial(state, src, False, greedy.TieBreak(0.5), rng)
+        out = sim.run_gr_trial(state, src, False, 0.5, rng)
         assert out.success and out.delay == abs(src.x) + abs(src.y)
 
 
@@ -162,9 +162,9 @@ def test_gr_boundary_hit_distribution_bufferless_tilted():
     counts = dict.fromkeys(base, 0)
     reached = 0
     for i in range(30000):
-        rng = sim.trial_rng(14, i)
+        rng = trial_rng(14, i)
         state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(x, y), False, greedy.TieBreak(u), rng)
+        out = sim.run_gr_trial(state, NodeCoord(x, y), False, u, rng)
         if out.hit_boundary_at is not None:
             reached += 1
             counts[out.hit_boundary_at] += 1
@@ -182,9 +182,9 @@ def test_gr_boundary_hit_distribution_buffered():
     counts = dict.fromkeys(pmf, 0)
     n = 30000
     for i in range(n):
-        rng = sim.trial_rng(15, i)
+        rng = trial_rng(15, i)
         state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(x, y), True, greedy.TieBreak(u), rng)
+        out = sim.run_gr_trial(state, NodeCoord(x, y), True, u, rng)
         counts[out.hit_boundary_at] += 1
     chi2 = sum((counts[k] - n * pmf[k]) ** 2 / (n * pmf[k]) for k in pmf)
     assert chi2 < CHI2_999[len(pmf) - 1]
@@ -217,7 +217,7 @@ def test_gr_axis_source_finishes_at_mu_max():
     (x+y)(1 + (1-p)/e2)."""
     params = ld.from_p_mu(0.9, ld.MU_MAX)
     est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(0, 3), buffered=True,
-                       tie=greedy.TieBreak(0.5), trials=300, master_seed=61)
+                       tie=0.5, trials=300, master_seed=61)
     target = greedy.gr_delay_exact_component(params, 0, 3)
     assert est.mean > 10 * sim.WAIT_SLOTWISE
     assert abs(est.mean - target) < 3 * est.stderr
@@ -225,10 +225,10 @@ def test_gr_axis_source_finishes_at_mu_max():
 
 def test_gr_interior_source_near_static_matches_eq23():
     params = ld.from_p_mu(0.8, 1 - 1e-6)
-    tie = greedy.TieBreak(0.5)
+    tie = 0.5
     est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(2, 2), buffered=True,
                        tie=tie, trials=300, master_seed=62)
-    target = greedy.gr_delay_exact_component(params, 2, 2, greedy.w_from_u(params, tie.u))
+    target = greedy.gr_delay_exact_component(params, 2, 2, greedy.w_from_u(params, tie))
     assert abs(est.mean - target) < 3 * est.stderr
 
 
@@ -257,8 +257,8 @@ def test_wait_jump_keeps_the_law(monkeypatch):
     n = 20000
     total = total_sq = 0
     for i in range(n):
-        rng = sim.trial_rng(64, i)
-        out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), NodeCoord(x, y), True, greedy.TieBreak(u), rng)
+        rng = trial_rng(64, i)
+        out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), NodeCoord(x, y), True, u, rng)
         counts[out.hit_boundary_at] += 1
         total += out.delay
         total_sq += out.delay**2
@@ -274,7 +274,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
     for seed, trial in ((65, sim.run_scpr_trial), (66, None)):
         delays = []
         for i in range(10000):
-            rng = sim.trial_rng(seed, i)
+            rng = trial_rng(seed, i)
             if trial is None:
                 out = oracle_scpr_trial(sim.NetworkState(spec, params, rng), NodeCoord(2, 2), 3, True, rng)
             else:
@@ -302,7 +302,7 @@ def test_stylized_bufferless_matches_product():
 def test_stylized_buffered_matches_recursion():
     params = ld.from_p_mu(0.9, 0.9)
     est = sim.run_stylized_scpr_path(params, 10, 5, True, 10**5, seed=19)
-    target = scpr.scpr_delay_lower_bound(params, 5, 5, 5)
+    target = scpr.scpr_delay_recursion(params, 10, 5)
     assert abs(est.mean - target) <= 3 * est.stderr
 
 
@@ -329,7 +329,7 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
     for seed in (21, 22):
         hits = 0
         for i in range(n):
-            rng = sim.trial_rng(seed, i)
+            rng = trial_rng(seed, i)
             if seed == 21:
                 out = sim.run_scpr_trial(spec, params, NodeCoord(1, 2), 3, False, rng)
             else:
@@ -356,17 +356,15 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
         params = ld.from_p_mu(p, 0.7)
         for t_c in (0, 3):
             for buffered in (False, True):
-                for dst in (grid.ORIGIN, NodeCoord(1, -1)):
-                    for i in range(40):
-                        src = pick.choice(nodes)
-                        rng = sim.trial_rng(31, i)
-                        ref_rng = sim.trial_rng(31, i)
-                        out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng, dst)
-                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered,
-                                                ref_rng, dst)
-                        assert out == ref, (p, t_c, buffered, dst, i)
-                        assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, dst, i)
-                        waits += buffered and out.delay > out.path_len
+                for i in range(40):
+                    src = pick.choice(nodes)
+                    rng = trial_rng(31, i)
+                    ref_rng = trial_rng(31, i)
+                    out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng)
+                    ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered, ref_rng)
+                    assert out == ref, (p, t_c, buffered, i)
+                    assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, i)
+                    waits += buffered and out.delay > out.path_len
     assert fallbacks and waits
 
 
@@ -414,10 +412,10 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
         for buffered in (False, True):
             for i in range(trials):
                 src = pick.choice(nodes)
-                shape_u = greedy.TieBreak(abs(src.y) / (abs(src.x) + abs(src.y)))
-                for tie in (greedy.TieBreak(0.5), shape_u, sim.DETERMINISTIC):
-                    rng = sim.trial_rng(32, i)
-                    ref_rng = sim.trial_rng(32, i)
+                shape_u = abs(src.y) / (abs(src.x) + abs(src.y))
+                for tie in (0.5, shape_u, sim.DETERMINISTIC):
+                    rng = trial_rng(32, i)
+                    ref_rng = trial_rng(32, i)
                     out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
                     ref = sim.run_gr_trial(KernelNetworkState(spec, params, ref_rng), src, buffered, tie,
                                            ref_rng)
@@ -432,11 +430,11 @@ def test_estimate_equals_a_loop_over_trial_rng(policy):
     """estimate() runs trial i of the public trial functions on trial_rng(master_seed, i)."""
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.7, 0.9)
-    src, t_c, tie, trials, seed = NodeCoord(3, -2), 2, greedy.TieBreak(0.3), 300, 77
+    src, t_c, tie, trials, seed = NodeCoord(3, -2), 2, 0.3, 300, 77
     for buffered in (False, True):
         total = total_sq = 0
         for i in range(trials):
-            rng = sim.trial_rng(seed, i)
+            rng = trial_rng(seed, i)
             if policy == "scpr":
                 out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng)
             else:
@@ -456,11 +454,32 @@ def test_estimate_deterministic_across_thread_counts():
     single = sim.estimate(spec, params, "scpr", threads=1, **kwargs)
     multi = sim.estimate(spec, params, "scpr", threads=8, **kwargs)
     assert single == multi
-    g1 = sim.estimate(spec, params, "gr", tie=greedy.TieBreak(0.5), threads=1,
+    g1 = sim.estimate(spec, params, "gr", tie=0.5, threads=1,
                       src=NodeCoord(3, 3), buffered=True, trials=1000, master_seed=7)
-    g2 = sim.estimate(spec, params, "gr", tie=greedy.TieBreak(0.5), threads=5,
+    g2 = sim.estimate(spec, params, "gr", tie=0.5, threads=5,
                       src=NodeCoord(3, 3), buffered=True, trials=1000, master_seed=7)
     assert g1 == g2
+
+
+@pytest.mark.parametrize("tie", [-0.1, 1.5, math.nan, "auto"])
+def test_gr_estimate_rejects_a_tie_outside_its_domain(tie):
+    with pytest.raises(ValueError, match="tie="):
+        sim.estimate(GridSpec(12, 12), ld.from_p_mu(0.7, 0.9), "gr", src=NodeCoord(2, 3),
+                     buffered=False, tie=tie, trials=1, master_seed=0)
+
+
+@pytest.mark.parametrize("tie", [0.0, 1.0, sim.DETERMINISTIC])
+def test_gr_estimate_accepts_a_tie_in_its_domain(tie):
+    est = sim.estimate(GridSpec(12, 12), ld.from_p_mu(0.7, 0.9), "gr", src=NodeCoord(2, 3),
+                       buffered=False, tie=tie, trials=20, master_seed=5)
+    assert est.trials == 20 and 0.0 <= est.mean <= 1.0
+
+
+def test_scpr_estimate_ignores_tie():
+    ests = {sim.estimate(GridSpec(12, 12), ld.from_p_mu(0.7, 0.9), "scpr", src=NodeCoord(2, 3),
+                         buffered=True, tie=tie, trials=20, master_seed=5)
+            for tie in (None, 0.3, -0.1, 1.5, math.nan, "auto", sim.DETERMINISTIC)}
+    assert len(ests) == 1
 
 
 HIGH_P = ld.from_p_mu(0.9, 0.99)
@@ -481,11 +500,11 @@ GOLDEN = {
                                           master_seed=103),
                                      79.62, 3.389745635560515),
     "gr_bufferless_u0.5": ("gr", GridSpec(30, 30), HIGH_P,
-                           dict(src=NodeCoord(6, 4), buffered=False, tie=greedy.TieBreak(0.5),
+                           dict(src=NodeCoord(6, 4), buffered=False, tie=0.5,
                                 trials=400, master_seed=104),
                            0.67, 0.02354007940398385),
     "gr_buffered_u_auto": ("gr", GridSpec(30, 30), HIGH_P,
-                           dict(src=NodeCoord(6, 4), buffered=True, tie=greedy.TieBreak(4 / 10),
+                           dict(src=NodeCoord(6, 4), buffered=True, tie=4 / 10,
                                 trials=400, master_seed=105),
                            44.6925, 4.304375853488545),
     "gr_buffered_deterministic": ("gr", GridSpec(30, 30), HIGH_P,
@@ -527,7 +546,7 @@ def test_buffered_delay_bound_is_tight_at_high_availability():
     params = ld.from_p_mu(0.99, 0.9)
     est = sim.estimate(GridSpec(100, 100), params, "scpr", src=NodeCoord(5, 5),
                        buffered=True, t_c=5, trials=8000, master_seed=55)
-    floor = scpr.scpr_delay_lower_bound(params, 5, 5, 5)
+    floor = scpr.scpr_delay_recursion(params, 10, 5)
     assert abs(est.mean - floor) <= 0.01 * floor + 3 * est.stderr
 
 
@@ -535,7 +554,7 @@ def test_estimate_stderr_matches_bernoulli():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.8, 0.0)
     est = sim.estimate(spec, params, "gr", src=NodeCoord(2, 2), buffered=False,
-                       tie=greedy.TieBreak(0.5), trials=5000, master_seed=3)
+                       tie=0.5, trials=5000, master_seed=3)
     n, m = est.trials, est.mean
     expected = math.sqrt(n / (n - 1) * m * (1 - m) / n)
     assert est.stderr == pytest.approx(expected, rel=1e-9)

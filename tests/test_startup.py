@@ -73,7 +73,7 @@ ALL = {*CORE, *GREEDY, "analytic_scpr", "comparison", "optimal_policies", "verif
 @pytest.mark.parametrize("argv, loaded", [
     ([], set()),
     (["simulate", "--policy", "scpr", "--trials", "1", "--seed", "0"], CORE),
-    (["simulate", "--policy", "gr", "--trials", "1", "--seed", "0"], CORE | GREEDY),
+    (["simulate", "--policy", "gr", "--trials", "1", "--seed", "0"], CORE),
     (["analytic", "--policy", "scpr"], CORE | {"analytic_scpr"}),
     (["analytic", "--policy", "gr", "--buffered", "true"], CORE | GREEDY),
     (["sweep", "--sweep", "x", "--values", "1", "--policy", "scpr", "--trials", "1"],
@@ -90,9 +90,9 @@ def test_command_loads_only_its_modules(argv, loaded):
 
 # The names `satroute` exports, by defining module.
 EXPORTS = {
-    "analytic_greedy": ["TieBreak", "expected_min_tau", "gr_delay_exact_component",
-                        "gr_delay_upper_bound", "gr_throughput", "w_from_u"],
-    "analytic_scpr": ["scpr_delay_lower_bound", "scpr_path_success_prob", "scpr_throughput_bound"],
+    "analytic_greedy": ["expected_min_tau", "gr_delay_exact_component", "gr_delay_upper_bound",
+                        "gr_throughput", "w_from_u"],
+    "analytic_scpr": ["scpr_delay_recursion", "scpr_path_success_prob"],
     "comparison": ["delay_crossover_tc", "throughput_crossover_tc"],
     "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"],
@@ -116,7 +116,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_api_is_complete_and_unknown_names_raise():
-    assert len(EXPORTED) == 35
+    assert len(EXPORTED) == 33
     star = {}
     exec("from satroute import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
