@@ -19,7 +19,7 @@ _EXPORTS = {
     "comparison": ("delay_crossover_tc", "throughput_crossover_tc"),
     "grid_topology": ("GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"),
-    "link_dynamics": ("LinkParams", "from_epsilons", "from_p_mu", "transition_prob"),
+    "link_dynamics": ("LinkParams", "from_p_mu", "transition_prob"),
     "optimal_policies": ("ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"),
     "simulator": ("Estimate", "TrialOutcome", "estimate", "run_gr_trial", "run_scpr_trial",

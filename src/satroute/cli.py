@@ -153,13 +153,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         return sp
 
     point = ["p", "mu", "tc", "x", "y"]
-    monte_carlo = [*point, "grid", "policy", "buffered", "u", "trials", "seed", "threads", "out"]
+    monte_carlo = [*point, "grid", "policy", "buffered", "u", "trials", "seed", "threads"]
     add("analytic", cmd_analytic, "evaluate closed-form quantities",
         [*point, "policy", "buffered", "u"], required=["policy"])
     add("simulate", cmd_simulate, "Monte Carlo estimate for one configuration",
         monte_carlo, required=["policy"])
     add("sweep", cmd_sweep, "CSV sweep over mu, tc or x (analytic + MC rows)",
-        [*monte_carlo, "sweep", "values"], required=["sweep"])
+        [*monte_carlo, "out", "sweep", "values"], required=["sweep"])
     add("crossover", cmd_crossover, "smallest t_c where greedy routing wins",
         ["p", "mu", "x", "y", "u", "metric", "tc_min", "tc_max"], required=["metric"])
     sp = add("verify", cmd_verify, "run verification suites", ["scale"])
@@ -255,7 +255,7 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
     from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
 
     if buffered:
-        w = y / (x + y)
+        w = greedy.w_from_u(params, _tie_u(u_arg, x, y))  # the walk's vertical move probability
         exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
         if x == 0 or y == 0:
             return [exact]  # claim4 and eqEK describe interior sources only
@@ -273,24 +273,16 @@ def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> 
                               t_c=tc, tie=tie, trials=args.trials, master_seed=seed)
 
 
-def _mc_row(param: str, value: str, policy: str, buffered: bool, est: simulator.Estimate) -> list[str]:
-    return [param, value, policy, *_labels(buffered), "mc", repr(est.mean), repr(est.stderr),
-            str(est.trials), str(est.seed), ""]
-
-
-def _write_csv(rows: list[list[str]], path: Optional[str] = None, append: bool = False) -> None:
-    """The rows under CSV_HEADER, to stdout or to ``path``; appending to a file
-    that exists writes the rows alone.  A ``path`` that cannot be opened is a
-    ValueError, so the run exits 2."""
-    header = not (append and os.path.exists(path))
+def _write_csv(rows: list[list[str]], path: Optional[str]) -> None:
+    """The rows under CSV_HEADER, to stdout or to ``path``.  A ``path`` that
+    cannot be opened is a ValueError, so the run exits 2."""
     try:
-        out = open(path, "a" if append else "w", encoding="utf-8", newline="") if path else None
+        out = open(path, "w", encoding="utf-8", newline="") if path else None
     except OSError as exc:
         raise ValueError(f"--out {path}: {exc}") from None
     with out or contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow(CSV_HEADER)
+        writer.writerow(CSV_HEADER)
         writer.writerows(rows)
 
 
@@ -311,9 +303,6 @@ def cmd_simulate(args) -> int:
     print(f"policy={args.policy} regime={regime} "
           f"metric={metric} mean={est.mean!r} stderr={est.stderr!r} "
           f"trials={est.trials} seed={est.seed}")
-    if args.out:
-        _write_csv([_mc_row("", "", args.policy, args.buffered, est)], args.out, append=True)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -333,6 +322,10 @@ def cmd_sweep(args) -> int:
         values = SWEEP_VALUES[swept]
     for x, y in [(v, v) for v in values] if swept == "x" else [(args.x, args.y)]:
         _check_distance(x, y, args.grid)
+    # a directory, or a file in a missing one, fails before the first trial and
+    # touches no file; _write_csv's open after the run reports any other failure
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ValueError(f"--out {args.out}: not a file in an existing directory")
     # every swept mu (and --p) is checked before the first trial runs
     all_params = [links.from_p_mu(args.p, value if swept == "mu" else args.mu) for value in values]
     policies = [args.policy] if args.policy else ["scpr", "gr"]
@@ -351,7 +344,8 @@ def cmd_sweep(args) -> int:
                              "analytic", repr(analytic_value), "", "", "", claim])
             mc_counter += 1
             est = _estimate(args, params, policy, x, y, tc, _mix64(args.seed ^ _mix64(mc_counter)))
-            rows.append(_mc_row(swept, repr(value), policy, args.buffered, est))
+            rows.append([swept, repr(value), policy, *_labels(args.buffered), "mc", repr(est.mean),
+                         repr(est.stderr), str(est.trials), str(est.seed), ""])
     _write_csv(rows, args.out)
     if args.out:
         print(f"wrote {args.out} ({len(rows)} rows)")

@@ -51,12 +51,6 @@ class LinkParams:
             raise ValueError("p inconsistent with epsilon1, epsilon2")
 
 
-def from_epsilons(epsilon1: float, epsilon2: float) -> LinkParams:
-    """Build LinkParams from the per-slot transition probabilities."""
-    s = epsilon1 + epsilon2
-    return LinkParams(epsilon1, epsilon2, epsilon2 / s, 1.0 - s)
-
-
 def from_p_mu(p: float, mu: float) -> LinkParams:
     """Build LinkParams from steady-state ON probability and memory.
 

@@ -8,21 +8,27 @@ fixed point for mu = 0 (link quads i.i.d. Bernoulli(p) per slot):
     Dbar(v)        = E_quad[ Dstar(v, quad) ],   Dbar(origin) = 0,
 
 where "stay" is always allowed and a directional action is allowed iff that
-outgoing link is ON.  The sweep closes the 16-quad expectation analytically,
-iterating on Dbar alone; Dstar is reconstructed on demand.
+outgoing link is ON.  The sweep iterates on Dbar alone and takes the 16-quad
+expectation in closed form by order statistics: with the four neighbour values
+each capped by staying and sorted, c_(0) <= ... <= c_(3), the best allowed
+action is worth c_(j) when the j-th smallest link is ON and the j below it are
+OFF, so
+
+    E_quad[ min ] = sum_{j=0..3} p (1-p)^j c_(j) + (1-p)^4 Dbar(v).
+
+Dstar is reconstructed on demand.
 numpy is imported inside value_iterate_delay, where the sweep runs: loading it
 is about half of a CLI process's start-up, and no other command needs it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import grid_topology as grid
-from .analytic_greedy import gr_delay_exact_component, gr_throughput
+from .analytic_greedy import gr_throughput
 from .grid_topology import DOWN, LEFT, GridSpec, NodeCoord
 from .link_dynamics import LinkParams, transition_prob
 
@@ -30,6 +36,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 QUADS = tuple(itertools.product((False, True), repeat=4))  # (l, d, r, u)
+
+# Value iteration stops at the first sweep that changes no Dbar by this much,
+# and gives up after MAX_SWEEPS sweeps.
+RESIDUAL_TOL = 1e-12
+MAX_SWEEPS = 100_000
+
+# Two delays closer than this count as a tie in the ordering and argmin checks.
+TIE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -44,7 +58,6 @@ class ValueTable:
     """Converged unconditional mean delays Dbar, indexed [x - x_lo, y - y_lo]."""
 
     spec: GridSpec
-    p: float
     d_bar: np.ndarray
     iterations: int
     residual: float
@@ -55,17 +68,12 @@ class ValueTable:
         return float(self.d_bar[node.x - self.spec.x_lo(), node.y - self.spec.y_lo()])
 
 
-def value_iterate_delay(
-    spec: GridSpec,
-    p: float,
-    tol: float = 1e-12,
-    max_iters: int = 100_000,
-) -> ValueTable:
+def value_iterate_delay(spec: GridSpec, p: float) -> ValueTable:
     """Fixed point of the memoryless buffered-delay Bellman equation.
 
     Initialized at the hop distance (an admissible underestimate), so the
     sweep converges monotonically from below.  Raises ConvergenceError with
-    the last residual if the sup-norm change never drops below tol.
+    the last residual if the sup-norm change never drops below RESIDUAL_TOL.
     """
     import numpy as np
 
@@ -76,37 +84,29 @@ def value_iterate_delay(
     d = np.empty((m, n))
     for node in spec.nodes():
         d[node.x - spec.x_lo(), node.y - spec.y_lo()] = grid.hop_distance(spec, node, grid.ORIGIN)
-    quad_weights = [
-        (quad, p ** sum(quad) * (1.0 - p) ** (4 - sum(quad))) for quad in QUADS
-    ]
+    weights = [p * (1.0 - p) ** j for j in range(4)]  # of c_(0) .. c_(3)
     history: list[float] = []
-    for iteration in range(1, max_iters + 1):
-        nbrs = (
+    for iteration in range(1, MAX_SWEEPS + 1):
+        nbrs = np.stack((
             np.roll(d, 1, axis=0),  # left  neighbor value Dbar(x-1, y)
             np.roll(d, 1, axis=1),  # down
             np.roll(d, -1, axis=0),  # right
             np.roll(d, -1, axis=1),  # up
-        )
-        acc = np.zeros_like(d)
-        for quad, weight in quad_weights:
-            best = d.copy()  # stay is always allowed
-            for dir_idx in range(4):
-                if quad[dir_idx]:
-                    np.minimum(best, nbrs[dir_idx], out=best)
-            acc += weight * best
-        new = 1.0 + acc
+        ))
+        capped = np.sort(np.minimum(nbrs, d), axis=0)  # c_(0) .. c_(3)
+        new = 1.0 + np.tensordot(weights, capped, 1) + (1.0 - p) ** 4 * d  # last term: no link ON, stay
         new[oi] = 0.0
         history.append(float(np.max(np.abs(new - d))))
         d = new
-        if history[-1] < tol:
-            return ValueTable(spec, p, d, iteration, history[-1], history)
-    raise ConvergenceError(max_iters, history[-1])
+        if history[-1] < RESIDUAL_TOL:
+            return ValueTable(spec, d, iteration, history[-1], history)
+    raise ConvergenceError(MAX_SWEEPS, history[-1])
 
 
-def check_mean_delay_ordering(table: ValueTable, tol: float = 1e-9) -> list[tuple]:
+def check_mean_delay_ordering(table: ValueTable) -> list[tuple]:
     """Violations of the lexicographic delay ordering of nodes.
 
-    Requires Dbar(a) < Dbar(b) - tol whenever |xa|+|ya| < |xb|+|yb|, or the
+    Requires Dbar(a) < Dbar(b) - TIE_TOL whenever |xa|+|ya| < |xb|+|yb|, or the
     sums tie and ||xa|-|ya|| < ||xb|-|yb||.  Nodes with identical signatures
     (symmetric images) are exact ties and are not compared.
     """
@@ -118,19 +118,19 @@ def check_mean_delay_ordering(table: ValueTable, tol: float = 1e-9) -> list[tupl
     for (sig_a, node_a, da), (sig_b, node_b, db) in itertools.combinations(sorted(entries), 2):
         if sig_a == sig_b:
             continue
-        if not db - da > tol:
+        if not db - da > TIE_TOL:
             violations.append((node_a, node_b, da, db))
     return violations
 
 
-def greedy_action_violations(table: ValueTable, tol: float = 1e-9) -> list[tuple]:
+def greedy_action_violations(table: ValueTable) -> list[tuple]:
     """Quads where the deterministic greedy action misses the Bellman minimum.
 
     Checked over the canonical region y >= x >= 0 (all other nodes are
     symmetric images).  Greedy: with both toward-links ON move along the
     dimension with more remaining distance (either one at x == y); with one
     ON take it; with none stay.  A violation is recorded when the greedy
-    action's one-step value exceeds the minimum by more than tol.
+    action's one-step value exceeds the minimum by more than TIE_TOL.
     """
     spec = table.spec
     m, n = spec.m_planes, spec.n_per_plane
@@ -150,7 +150,7 @@ def greedy_action_violations(table: ValueTable, tol: float = 1e-9) -> list[tuple
             best = min(candidates)
             greedy = _greedy_values(x, y, quad, stay, nbrs)
             worst_greedy = max(greedy)
-            if worst_greedy - best > tol:
+            if worst_greedy - best > TIE_TOL:
                 violations.append((node, quad, worst_greedy, best))
     return violations
 
@@ -195,53 +195,25 @@ def verify_connected_path_ordering(params: LinkParams, t_c: int, max_len: int) -
     return violations
 
 
-def find_best_intermediate(
-    p: float,
-    x: int,
-    y: int,
-    metric: str,
-    params: Optional[LinkParams] = None,
-) -> Optional[NodeCoord]:
-    """Best relay node (u, v) that strictly improves two-leg greedy routing.
+def find_best_intermediate(p: float, x: int, y: int) -> Optional[NodeCoord]:
+    """Best relay node (u, v) that strictly improves two-leg greedy throughput.
 
     Baseline: direct greedy routing with the default fair-coin tie-break.
     Candidates: every 0 <= u <= x, 0 <= v <= y except the endpoints, with
     each leg steered along its own diagonal (that steering is where the
-    improvement comes from).  Throughput: maximize T(x-u, y-v) * T(u, v)
-    against direct T(x, y); delay: minimize the leg sum against the direct
-    value (requires ``params``).  None when nothing strictly improves.
+    improvement comes from).  Maximizes T(x-u, y-v) * T(u, v) against direct
+    T(x, y).  None when nothing strictly improves.
     """
     if x < 0 or y < 0:
         raise ValueError("need x, y >= 0")
-    if metric not in ("throughput", "delay"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric == "delay" and params is None:
-        raise ValueError("delay metric needs link params")
-
-    if metric == "throughput":
-        leg = functools.partial(gr_throughput, p)
-    else:
-        leg = functools.partial(gr_delay_exact_component, params)
-    direct = leg(x, y, 0.5)  # the fair coin; an axis source has no tie-break to make
     best_node = None
-    best_value = direct
+    best_value = gr_throughput(p, x, y, 0.5)  # the fair coin; an axis source has no tie-break to make
     for u in range(x + 1):
         for v in range(y + 1):
             if (u, v) in ((0, 0), (x, y)):
                 continue
-            if metric == "throughput":
-                combined = leg(x - u, y - v) * leg(u, v)
-                better = combined > best_value
-            else:
-                combined = leg(x - u, y - v) + leg(u, v)
-                better = combined < best_value
-            if better:
+            combined = gr_throughput(p, x - u, y - v) * gr_throughput(p, u, v)
+            if combined > best_value:
                 best_value = combined
                 best_node = NodeCoord(u, v)
-    if best_node is not None:
-        u, v = best_node
-        if metric == "throughput":
-            assert leg(x - u, y - v) * leg(u, v) > direct
-        else:
-            assert leg(x - u, y - v) + leg(u, v) < direct
     return best_node

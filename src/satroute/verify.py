@@ -77,7 +77,7 @@ def expected_min_tau_direct(x: int, y: int, w: float) -> float:
     return sum(k * prob for k, prob in greedy.min_tau_pmf(x, y, w).items())
 
 
-def quadrature_reg_inc_beta(v: float, a: int, b: int, tol: float = 1e-12) -> float:
+def quadrature_reg_inc_beta(v: float, a: int, b: int) -> float:
     """I_v(a,b) by adaptive Simpson integration of t^(a-1)(1-t)^(b-1)/B(a,b)."""
 
     def f(t: float) -> float:
@@ -101,7 +101,7 @@ def quadrature_reg_inc_beta(v: float, a: int, b: int, tol: float = 1e-12) -> flo
         return 0.0
     mid = 0.5 * v
     whole = simpson(0.0, v, f(0.0), f(mid), f(v))
-    return adapt(0.0, v, f(0.0), f(mid), f(v), whole, tol) / beta_fn(a, b)
+    return adapt(0.0, v, f(0.0), f(mid), f(v), whole, 1e-12) / beta_fn(a, b)  # error target 1e-12 over [0, v]
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,12 @@ def beta_identity_errors() -> tuple[float, float]:
     return worst_sym, worst_pascal
 
 
+def quadrature_error() -> float:
+    """Worst |reg_inc_beta - quadrature_reg_inc_beta| at five spot checks (v, a, b)."""
+    return max(abs(reg_inc_beta(v, a, b) - quadrature_reg_inc_beta(v, a, b))
+               for v, a, b in ((0.37, 3, 5), (0.5, 2, 2), (0.81, 6, 1), (0.12, 1, 7), (0.66, 10, 4)))
+
+
 def dual_derivative_error(cases, ts) -> float:
     """Worst |dual derivative - central difference (h = 1e-6)| of the SCPR
     MGF coefficients A(t), B(t) at each (p, mu, t_c) of ``cases`` and t of ``ts``."""
@@ -169,6 +175,29 @@ def dual_derivative_error(cases, ts) -> float:
             a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
             worst = max(worst, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)), abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
     return worst
+
+
+def delay_bound_overshoot() -> tuple[float, bool]:
+    """(worst gr_delay_exact_component - gr_delay_upper_bound where the bound
+    is not clamped, whether every clamp flag agrees with shape_condition_holds)
+    over p in (0.3, 0.6, 0.9), mu in (0.0, 0.5, 0.9) and 1 <= x <= y <= 12.
+
+    The exact component is taken at the bound's own w.
+    """
+    worst = -math.inf
+    flags_ok = True
+    for p in (0.3, 0.6, 0.9):
+        for mu in (0.0, 0.5, 0.9):
+            params = links.from_p_mu(p, mu)
+            for x in range(1, 13):
+                for y in range(x, 13):
+                    bound = greedy.gr_delay_upper_bound(params, x, y)
+                    flags_ok &= bound.clamped == (not greedy.shape_condition_holds(params, x, y))
+                    if bound.clamped:
+                        continue  # no Stirling certificate off the diagonal bias
+                    exact = greedy.gr_delay_exact_component(params, x, y, bound.w)
+                    worst = max(worst, exact - bound.value)
+    return worst, flags_ok
 
 
 def stylized_path_z(buffered: bool, mus, seeds: dict[int, int], lengths, trials: int) -> float:
@@ -265,7 +294,7 @@ def value_iteration_checks() -> dict[tuple[int, float], tuple[optimal.ValueTable
     out = {}
     for n in (9, 11):
         for p in (0.3, 0.6, 0.9):
-            table = optimal.value_iterate_delay(GridSpec(n, n), p, tol=1e-12)
+            table = optimal.value_iterate_delay(GridSpec(n, n), p)
             out[n, p] = table, optimal.check_mean_delay_ordering(table), optimal.greedy_action_violations(table)
     return out
 
@@ -273,8 +302,8 @@ def value_iteration_checks() -> dict[tuple[int, float], tuple[optimal.ValueTable
 def relay_checks() -> tuple[bool, NodeCoord | None]:
     """(no relay improves a diagonal source x = y in 2..8 at p = 0.9,
     the best throughput relay for the source (1, 10) at p = 0.7)."""
-    none_ok = all(optimal.find_best_intermediate(0.9, k, k, "throughput") is None for k in range(2, 9))
-    return none_ok, optimal.find_best_intermediate(0.7, 1, 10, "throughput")
+    none_ok = all(optimal.find_best_intermediate(0.9, k, k) is None for k in range(2, 9))
+    return none_ok, optimal.find_best_intermediate(0.7, 1, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -306,34 +335,17 @@ def suite_analytic() -> list[CheckResult]:
     out.append(CheckResult("beta Pascal recurrence (<=1e-12)", worst_pascal <= 1e-12, f"max|diff|={worst_pascal:.2e}"))
     out.append(CheckResult("B(2,3) == 1/12 exactly", beta_fn(2, 3) == 1.0 / 12.0))
 
-    worst = 0.0
-    for v, a, b in ((0.37, 3, 5), (0.5, 2, 2), (0.81, 6, 1), (0.12, 1, 7), (0.66, 10, 4)):
-        worst = max(worst, abs(reg_inc_beta(v, a, b) - quadrature_reg_inc_beta(v, a, b)))
+    worst = quadrature_error()
     out.append(CheckResult("beta tail-sum == quadrature spot checks (<=1e-9)", worst <= 1e-9, f"max|diff|={worst:.2e}"))
 
     worst = dual_derivative_error(((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)), (0.0, 1.0, 2.0, 5.0))
     out.append(CheckResult("dual derivatives == central differences (<=1e-6)", worst <= 1e-6, f"max|diff|={worst:.2e}"))
 
-    worst = -math.inf
-    gap_ok = True
-    flags_ok = True
-    for p in (0.3, 0.6, 0.9):
-        for mu in (0.0, 0.5, 0.9):
-            params = links.from_p_mu(p, mu)
-            for x in range(1, 13):
-                for y in range(x, 13):
-                    bound = greedy.gr_delay_upper_bound(params, x, y)
-                    flags_ok &= bound.clamped == (not greedy.shape_condition_holds(params, x, y))
-                    if bound.clamped:
-                        continue  # no Stirling certificate off the diagonal bias
-                    exact = greedy.gr_delay_exact_component(params, x, y, bound.w)
-                    if bound.value < exact - 1e-12:
-                        gap_ok = False
-                    worst = max(worst, exact - bound.value)
+    worst, flags_ok = delay_bound_overshoot()
     out.append(
         CheckResult(
             "delay upper bound dominates exact component (attainable diagonal bias)",
-            gap_ok and flags_ok,
+            worst <= 1e-12 and flags_ok,
             f"max overshoot={worst:.2e}; clamp flags consistent={flags_ok}",
         )
     )

@@ -4,6 +4,7 @@ import pytest
 
 from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
+from satroute import verify
 from satroute.verify import dp_throughput, expected_min_tau_direct
 
 
@@ -179,16 +180,9 @@ def test_delay_exact_component_limits():
 def test_delay_upper_bound_dominates_exact():
     # the Stirling step certifies the bound only where the diagonal bias is
     # attainable; clamped results are flagged and carry no guarantee
-    for p in (0.3, 0.6, 0.9):
-        for mu in (0.0, 0.5, 0.9):
-            params = ld.from_p_mu(p, mu)
-            for x in range(1, 13):
-                for y in range(x, 13):
-                    bound = greedy.gr_delay_upper_bound(params, x, y)
-                    assert bound.clamped == (not greedy.shape_condition_holds(params, x, y))
-                    if not bound.clamped:
-                        exact = greedy.gr_delay_exact_component(params, x, y, bound.w)
-                        assert bound.value >= exact - 1e-12
+    overshoot, flags_ok = verify.delay_bound_overshoot()
+    assert flags_ok
+    assert overshoot <= 1e-12
 
 
 def test_delay_bound_limit_and_relative_gap_shrinks():

@@ -5,6 +5,7 @@ import pytest
 
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
+from satroute import verify
 
 from oracles import scalar_mgf_rows
 
@@ -72,15 +73,8 @@ def test_mgf_table_row_zero_and_recursion_identity():
 
 
 def test_ab_duals_match_central_differences():
-    h = 1e-6
-    for p, mu, tc in ((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20)):
-        params = ld.from_p_mu(p, mu)
-        for t in (0.0, 1.0, 2.0):
-            a, b = scpr.mgf_coefficients(params, tc, t)
-            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
-            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
-            assert a.d == pytest.approx((a_hi.v - a_lo.v) / (2 * h), abs=1e-6)
-            assert b.d == pytest.approx((b_hi.v - b_lo.v) / (2 * h), abs=1e-6)
+    cases = ((0.9, 0.9, 5), (0.7, 0.5, 0), (0.9, 0.99, 20))
+    assert verify.dual_derivative_error(cases, (0.0, 1.0, 2.0)) <= 1e-6
 
 
 def test_mean_delay_matches_finite_difference_of_raw_mgf():
@@ -179,7 +173,7 @@ def test_delay_monotone_in_staleness_and_depth():
 def test_delay_rejects_near_static_links():
     # from_p_mu already refuses mu this close to 1; build the raw params to
     # exercise the recursion's own guard on 1/log(mu)
-    params = ld.from_epsilons(1e-11, 9e-11)
+    params = ld.LinkParams(1e-11, 9e-11, 0.9, 1.0 - 1e-10)
     with pytest.raises(ValueError):
         scpr.scpr_delay_recursion(params, 4, 0)
     with pytest.raises(ValueError):

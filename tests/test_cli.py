@@ -1,3 +1,6 @@
+import csv
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -41,17 +44,46 @@ def test_analytic_gr_buffered_prints_bound_exact_and_hitting_time(capsys):
     assert tags == ["claim4", "eq23", "eqEK"]
 
 
+@pytest.mark.parametrize("x, y, u, tie", [(2, 6, "auto", 0.75), (4, 4, "0.1", 0.1)])
+def test_buffered_gr_rows_take_the_walk_of_u(x, y, u, tie, capsys):
+    """eq23 and eqEK are evaluated at the vertical-move probability w that the
+    tie-break gives the Monte Carlo walk, not at the diagonal y/(x+y)."""
+    params = ld.from_p_mu(0.9, 0.5)
+    w = greedy.w_from_u(params, tie)
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--p", "0.9",
+                        "--mu", "0.5", "--x", str(x), "--y", str(y), "--u", u)
+    assert code == 0
+    rows = {claim: value for _, claim, value in (line.split() for line in out.splitlines())}
+    assert rows["eq23"] == repr(greedy.gr_delay_exact_component(params, x, y, w))
+    assert rows["eqEK"] == repr(greedy.expected_min_tau(x, y, w))
+
+
+def test_buffered_gr_exact_row_matches_the_monte_carlo_off_the_diagonal(capsys):
+    """With u = 0.1 the walk from (4, 4) leaves the diagonal: eq23 taken at
+    w = y/(x+y) would lie about 20 standard errors below the mc row."""
+    code, out = run_cli(capsys, "sweep", "--sweep", "mu", "--values", "0.5", "--policy", "gr",
+                        "--buffered", "true", "--x", "4", "--y", "4", "--u", "0.1", "--grid", "20x20",
+                        "--trials", "20000")
+    assert code == 0
+    rows = {row["claim"] or row["kind"]: row for row in csv.DictReader(io.StringIO(out))}
+    mc = rows["mc"]
+    assert abs(float(mc["estimate"]) - float(rows["eq23"]["estimate"])) / float(mc["stderr"]) <= 3.0
+
+
 def test_simulate_prints_estimate_and_writes_csv(tmp_path, capsys):
-    out_path = tmp_path / "row.csv"
-    code, out = run_cli(capsys, "simulate", "--policy", "gr", "--buffered", "false",
-                        "--p", "0.9", "--mu", "0.0", "--grid", "20x20",
-                        "--x", "2", "--y", "2", "--trials", "500", "--seed", "42",
-                        "--out", str(out_path))
+    """simulate prints its estimate; the CSV row of one configuration comes
+    from a one-value sweep, which names the swept parameter and its value."""
+    config = ["--policy", "gr", "--buffered", "false", "--p", "0.9", "--grid", "20x20",
+              "--x", "2", "--y", "2", "--trials", "500", "--seed", "42"]
+    code, out = run_cli(capsys, "simulate", "--mu", "0.0", *config)
     assert code == 0
     assert "policy=gr" in out and "metric=throughput" in out
+    out_path = tmp_path / "row.csv"
+    code, _ = run_cli(capsys, "sweep", "--sweep", "mu", "--values", "0.0", *config, "--out", str(out_path))
+    assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(cli.CSV_HEADER)
-    assert len(lines) == 2 and lines[1].split(",")[5] == "mc"
+    assert len(lines) == 3 and lines[2].split(",")[:6] == ["mu", "0.0", "gr", "bufferless", "throughput", "mc"]
 
 
 def test_sweep_deterministic_across_runs_and_threads(tmp_path, capsys):
@@ -160,6 +192,43 @@ def test_verify_simulation_golden_output(capsys):
     ]
 
 
+def test_verify_optimal_golden_output(capsys):
+    """Every check's status and name, and the sweep and violation counts.
+
+    The residual and |diff| digits are rounding and are not pinned.  The four
+    ordering FAILs are the known-red low-availability violations.
+    """
+    code, out = run_cli(capsys, "verify", "optimal")
+    assert code == 1
+    assert [re.sub(r"(residual|\|diff\|)=[^)]*", r"\1=", line) for line in out.splitlines()] == [
+        "PASS  value iteration converged (9x9, p=0.3)  (108 sweeps, residual=)",
+        "FAIL  mean-delay node ordering (9x9, p=0.3)  (48 violations)",
+        "PASS  greedy attains Bellman argmin (9x9, p=0.3)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (9x9, p=0.3)  (|diff|=)",
+        "PASS  value iteration converged (9x9, p=0.6)  (44 sweeps, residual=)",
+        "FAIL  mean-delay node ordering (9x9, p=0.6)  (32 violations)",
+        "PASS  greedy attains Bellman argmin (9x9, p=0.6)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (9x9, p=0.6)  (|diff|=)",
+        "PASS  value iteration converged (9x9, p=0.9)  (20 sweeps, residual=)",
+        "PASS  mean-delay node ordering (9x9, p=0.9)  (0 violations)",
+        "PASS  greedy attains Bellman argmin (9x9, p=0.9)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (9x9, p=0.9)  (|diff|=)",
+        "PASS  value iteration converged (11x11, p=0.3)  (115 sweeps, residual=)",
+        "FAIL  mean-delay node ordering (11x11, p=0.3)  (192 violations)",
+        "PASS  greedy attains Bellman argmin (11x11, p=0.3)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (11x11, p=0.3)  (|diff|=)",
+        "PASS  value iteration converged (11x11, p=0.6)  (47 sweeps, residual=)",
+        "FAIL  mean-delay node ordering (11x11, p=0.6)  (80 violations)",
+        "PASS  greedy attains Bellman argmin (11x11, p=0.6)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (11x11, p=0.6)  (|diff|=)",
+        "PASS  value iteration converged (11x11, p=0.9)  (22 sweeps, residual=)",
+        "PASS  mean-delay node ordering (11x11, p=0.9)  (0 violations)",
+        "PASS  greedy attains Bellman argmin (11x11, p=0.9)  (0 violations)",
+        "PASS  boundary chain D(1,0) == 1/p (11x11, p=0.9)  (|diff|=)",
+        "20/24 checks passed",
+    ]
+
+
 @pytest.mark.parametrize("line", ["trails=10", "buffered=maybe", "policy=flooding",
                                   "grid=10y10", "trials 10"])
 def test_config_rejects_unknown_keys_and_invalid_values(tmp_path, capsys, line):
@@ -195,6 +264,7 @@ REMOVED_FLAGS = [
     *(("crossover", "--metric", "throughput", flag, value) for flag, value in
       (("--tc", "99"), ("--grid", "20x20"), ("--policy", "scpr"), ("--buffered", "true"),
        ("--trials", "7"), ("--seed", "1"), ("--threads", "1"), ("--out", "unused.csv"))),
+    ("simulate", "--policy", "scpr", "--out", "unused.csv"),
 ]
 
 
@@ -293,21 +363,27 @@ def test_source_off_the_closed_forms_domain_exits_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+# The runs that take --out, by subcommand.
 SMALL_RUNS = {
     "sweep": ("sweep", "--sweep", "x", "--values", "1", "--grid", "20x20", "--trials", "5"),
-    "simulate": ("simulate", "--policy", "gr", "--grid", "20x20", "--trials", "5"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
-def test_out_that_cannot_be_written_exits_2(command, where, tmp_path, capsys):
+def test_out_that_cannot_be_written_exits_2(command, where, tmp_path, capsys, monkeypatch):
+    """Before the first trial, and without creating a file."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(simulator, "estimate", no_trials)
     path = tmp_path / "no" / "f.csv" if where == "missing directory" else tmp_path
     code = cli.main([*SMALL_RUNS[command], "--out", str(path)])
     out = capsys.readouterr()
     assert code == 2
     assert out.err.startswith(f"error: --out {path}: ")
     assert "wrote" not in out.out
+    assert path.is_dir() if where == "directory" else not path.parent.exists()
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
@@ -568,8 +644,8 @@ GOLDEN_STDOUT = {
         'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
         'x,3,gr,buffered,delay,analytic,29.973376862736103,,,,claim4\n'
-        'x,3,gr,buffered,delay,analytic,29.135359116022073,,,,eq23\n'
-        'x,3,gr,buffered,delay,analytic,4.125,,,,eqEK\n'
+        'x,3,gr,buffered,delay,analytic,30.753649117233667,,,,eq23\n'
+        'x,3,gr,buffered,delay,analytic,3.9716518321961365,,,,eqEK\n'
         'x,3,gr,buffered,delay,mc,26.46,8.523782335684226,50,6631279983548901972,\n'
     ),
     ("analytic", "--policy", "gr", "--u", "deterministic"): (

@@ -2,9 +2,13 @@
 
 Every public module-level function or class of ``src/satroute`` and every
 public method of such a class must be named somewhere in ``src/`` other than
-its own definition, or be exported through ``satroute.__all__``.  Code that
-only a test reaches belongs with the tests (as a helper or a deliberate
-oracle in ``tests/oracles.py``).
+its own definition; an export through ``satroute.__all__`` does not count.
+Code that only a test reaches belongs with the tests (as a helper or a
+deliberate oracle in ``tests/oracles.py``).
+
+Likewise every defaulted parameter of a ``src/`` function or method, private
+ones included, must be set by some ``src/`` call outside its own body: a
+value that only tests set is a constant of the module.
 
 The Monte Carlo engine is what the closed forms are checked against, so
 ``simulator.py`` imports none of them.
@@ -22,6 +26,16 @@ PACKAGE = Path(satroute.__file__).resolve().parent
 ALLOWED = {
     "grid_topology.coord_table": "the benchmark tracer's detour metric reads it until the "
                                  "next benchmark revision moves it to tests/oracles.py",
+}
+
+# Defaulted parameters that no src/ call sets, each kept on purpose, with its reason.
+ALLOWED_PARAMETERS = {
+    "cli.main.argv": "the benchmark and the tests call main(argv); the console script calls main()",
+    "simulator.estimate.threads": "the engine rule of ROADMAP.md pins "
+                                  "test_estimate_deterministic_across_thread_counts, which sets it",
+    "analytic_scpr.mgf_rows.t": "the tests' raw_value finite-difference oracle evaluates G at "
+                                "t = +-h, and the values-only recursion (ROADMAP item 8(b)) reads "
+                                "rows at t = 1",
 }
 
 
@@ -81,10 +95,56 @@ def test_no_production_code_only_tests_call():
         for qualname, name, node, method in public_definitions(module, tree):
             defined.add(qualname)
             elsewhere = sum(r.count(name, method) for r in refs) - References(node).count(name, method)
-            if elsewhere <= 0 and name not in satroute.__all__ and qualname not in ALLOWED:
+            if elsewhere <= 0 and qualname not in ALLOWED:
                 unused.append(qualname)
     assert unused == []
     assert set(ALLOWED) <= defined  # a stale entry would hide nothing and mislead
+
+
+def defaulted_parameters(module: str, tree: ast.Module):
+    """(qualified name, callee name, node, parameter, position or None) of each
+    defaulted parameter, at any depth; a method's position skips self, and
+    ``__init__`` is called by its class's name."""
+    def walk(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}.{node.name}", node.name)
+            elif isinstance(node, ast.FunctionDef):
+                qual = f"{prefix}.{node.name}"
+                callee = cls if cls and node.name == "__init__" else node.name
+                positional = [*node.args.posonlyargs, *node.args.args][1 if cls else 0:]
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(node.args.defaults):
+                        yield f"{qual}.{arg.arg}", callee, node, arg.arg, i
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        yield f"{qual}.{arg.arg}", callee, node, arg.arg, None
+                yield from walk(node.body, qual, None)
+
+    yield from walk(tree.body, module, None)
+
+
+def sets(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``."""
+    positional = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+    return (any(kw.arg in (name, None) for kw in call.keywords)  # None: **forwarding
+            or position is not None and (len(positional) > position or len(positional) < len(call.args)))
+
+
+def test_no_parameter_only_tests_set():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [node for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    callee = {id(call): getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls}
+    unset = set()
+    for module, tree in trees:
+        for qualname, name, node, param, position in defaulted_parameters(module, tree):
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(callee[id(call)] == name and id(call) not in own and sets(call, param, position)
+                       for call in calls):
+                unset.add(qualname)
+    assert unset - set(ALLOWED_PARAMETERS) == set()
+    assert set(ALLOWED_PARAMETERS) <= unset  # a stale entry would hide nothing and mislead
 
 
 def test_simulator_imports_no_closed_form():

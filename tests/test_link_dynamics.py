@@ -32,8 +32,7 @@ def test_from_p_mu_round_trip(p, mu):
     params = ld.from_p_mu(p, mu)
     assert math.isclose(params.p, p, rel_tol=1e-12)
     assert math.isclose(params.mu, mu, rel_tol=1e-12, abs_tol=1e-15)
-    again = ld.from_epsilons(params.epsilon1, params.epsilon2)
-    assert math.isclose(again.p, p, rel_tol=1e-12)
+    assert math.isclose(params.epsilon2 / (params.epsilon1 + params.epsilon2), p, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("p,mu", [(0.0, 0.5), (1.0, 0.5), (0.5, 1.0), (0.5, -0.1), (-0.2, 0.0)])
@@ -44,11 +43,11 @@ def test_from_p_mu_rejects_degenerate(p, mu):
 
 def test_negative_memory_rejected():
     with pytest.raises(ValueError):
-        ld.from_epsilons(0.6, 0.6)
+        ld.LinkParams(0.6, 0.6, 0.5, -0.2)
 
 
 def test_one_step_transition_matches_rates():
-    params = ld.from_epsilons(0.25, 0.4)
+    params = ld.LinkParams(0.25, 0.4, 0.4 / 0.65, 0.35)
     assert ld.transition_prob(params, True, True, 1) == pytest.approx(0.75, abs=1e-15)
     assert ld.transition_prob(params, True, False, 1) == pytest.approx(0.25, abs=1e-15)
     assert ld.transition_prob(params, False, True, 1) == pytest.approx(0.4, abs=1e-15)
@@ -109,7 +108,7 @@ def test_positive_memory_ordering():
 def test_sample_next_near_degenerate_rates():
     # epsilon1 = 0 / epsilon2 = 1 are excluded by the positive-rate and
     # positive-memory invariants; probe the admissible limit instead.
-    params = ld.from_epsilons(1e-15, 1.0 - 1e-15)
+    params = ld.LinkParams(1e-15, 1.0 - 1e-15, 1.0 - 1e-15, 0.0)
     rng = random.Random(7)
     assert all(sample_next(params, True, rng) for _ in range(1000))
     assert all(sample_next(params, False, rng) for _ in range(1000))
@@ -118,7 +117,7 @@ def test_sample_next_near_degenerate_rates():
 def test_sample_next_long_run_frequency():
     # epsilon1 + epsilon2 = 1, so after the first step the chain is i.i.d.
     # and the binomial confidence interval applies directly.
-    params = ld.from_epsilons(0.1, 0.9)
+    params = ld.LinkParams(0.1, 0.9, 0.9, 0.0)
     rng = random.Random(12345)
     n = 10**6
     state = True

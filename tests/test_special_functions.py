@@ -4,7 +4,6 @@ import pytest
 
 from satroute import special_functions, verify
 from satroute.special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
-from satroute.verify import quadrature_reg_inc_beta
 
 from oracles import pointwise_beta_identities
 
@@ -52,8 +51,7 @@ def test_monotone_in_v_and_a():
 
 
 def test_matches_quadrature():
-    for v, a, b in ((0.37, 3, 5), (0.5, 2, 2), (0.81, 6, 1), (0.12, 1, 7), (0.66, 10, 4)):
-        assert reg_inc_beta(v, a, b) == pytest.approx(quadrature_reg_inc_beta(v, a, b), abs=1e-9)
+    assert verify.quadrature_error() <= 1e-9
 
 
 def test_rejects_bad_arguments():

@@ -96,7 +96,7 @@ EXPORTS = {
     "comparison": ["delay_crossover_tc", "throughput_crossover_tc"],
     "grid_topology": ["GridSpec", "NodeCoord", "hop_distance", "normalize",
                       "random_shortest_path", "shortest_connected_hops"],
-    "link_dynamics": ["LinkParams", "from_epsilons", "from_p_mu", "transition_prob"],
+    "link_dynamics": ["LinkParams", "from_p_mu", "transition_prob"],
     "optimal_policies": ["ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"],
     "simulator": ["Estimate", "TrialOutcome", "estimate", "run_gr_trial", "run_scpr_trial",
@@ -116,7 +116,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_api_is_complete_and_unknown_names_raise():
-    assert len(EXPORTED) == 33
+    assert len(EXPORTED) == 32
     star = {}
     exec("from satroute import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
