@@ -21,12 +21,11 @@ from .link_dynamics import LinkParams
 from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
 
 
-def gr_throughput(p: float, x: int, y: int, u: float | None = None) -> float:
+def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     """Bufferless GR delivery probability from source (x, y), x, y >= 0.
 
-    An axis source (x == 0 or y == 0) has one usable link per hop: p^(x+y).
-    From an interior source, with u defaulting to the diagonal-seeking
-    y/(x+y), it evaluates
+    An axis source (x == 0 or y == 0) has one usable link per hop: p^(x+y),
+    whatever u.  From an interior source it evaluates
 
         p^y ((1-up)/ubar)^x I_{ubar p}(x, y) + p^x ((1-ubar p)/u)^y I_{up}(y, x)
 
@@ -43,15 +42,13 @@ def gr_throughput(p: float, x: int, y: int, u: float | None = None) -> float:
     return p ** (x + y) * bracket
 
 
-def _throughput_bracket(p: float, x: int, y: int, u: float | None) -> float:
+def _throughput_bracket(p: float, x: int, y: int, u: float) -> float:
     """gr_throughput / p^(x+y): the bracket above, exactly 1.0 from an axis source."""
     if x < 0 or y < 0:
         raise ValueError(f"x={x}, y={y}: need x, y >= 0")
     _check_prob("p", p)
     if x == 0 or y == 0:
         return 1.0
-    if u is None:
-        u = y / (x + y)
     _check_prob("u", u)
     ub = 1.0 - u
     s1 = neg_binomial_sum(1.0 - ub * p, x, y)
@@ -128,13 +125,13 @@ def expected_min_tau(x: int, y: int, w: float) -> float:
     )
 
 
-def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float | None = None) -> float:
+def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float) -> float:
     """Mean buffered GR delay from (x, y) via the interior/boundary split.
 
     Interior moves cost 1 + (1-p)^2 / (2 e2 - e2^2) in expectation (wait for
     the first of two links to recover), boundary moves 1 + (1-p)/e2; the walk
     spends E[min(tau_x, tau_y)] moves in the interior out of x + y total.
-    A source with x == 0 or y == 0 is all-boundary.  Default w: y/(x+y).
+    A source with x == 0 or y == 0 is all-boundary, whatever w.
     """
     p, e2 = params.p, params.epsilon2
     if x < 0 or y < 0:
@@ -142,8 +139,6 @@ def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float | None
     boundary_extra = (1.0 - p) / e2
     if x == 0 or y == 0:
         return (x + y) * (1.0 + boundary_extra)
-    if w is None:
-        w = y / (x + y)
     interior_extra = (1.0 - p) ** 2 / (2.0 * e2 - e2 * e2)
     e_min = expected_min_tau(x, y, w)
     return (x + y) + interior_extra * e_min + boundary_extra * (x + y - e_min)

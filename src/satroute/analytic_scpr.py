@@ -82,7 +82,7 @@ def scpr_path_success_prob(params: LinkParams, path_len: int, t_c: int) -> float
         raise ValueError("path_len and t_c must be >= 0")
     prob = 1.0
     for i in range(path_len):
-        prob *= transition_prob(params, True, True, t_c + i)
+        prob *= transition_prob(params, True, t_c + i)
     return prob
 
 

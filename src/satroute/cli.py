@@ -353,15 +353,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    from . import analytic_greedy as greedy
     from . import comparison  # both policies' closed forms; only crossover searches them
 
     params = links.from_p_mu(args.p, args.mu)
     x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
     _check_distance(x, y)
+    u = _tie_u(args.u, x, y)
     if args.metric == "throughput":
-        tc = comparison.throughput_crossover_tc(params, x, y, lo, hi, _tie_u(args.u, x, y))
-    else:
-        tc = comparison.delay_crossover_tc(params, x, y, lo, hi)
+        tc = comparison.throughput_crossover_tc(params, x, y, lo, hi, u)
+    else:  # eq23's walk, as in analytic
+        tc = comparison.delay_crossover_tc(params, x, y, lo, hi, greedy.w_from_u(params, u))
     print(f"crossover_tc={tc if tc is not None else 'none'}")
     return 0
 

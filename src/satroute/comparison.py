@@ -22,7 +22,7 @@ from .analytic_scpr import scpr_delay_recursion
 from .link_dynamics import LinkParams
 
 
-def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: float | None = None) -> bool:
+def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: float) -> bool:
     """Whether GR's delivery probability g reaches SCPR's bound prod_{i<x+y} p11(t_c+i).
 
     With p11(k) = p (1 + (1-p)/p mu^k) and g = p^(x+y) times a bracket that is
@@ -37,23 +37,22 @@ def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: fl
     return math.log(_throughput_bracket(p, x, y, u)) >= bound_excess
 
 
-def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int) -> bool:
-    gr = gr_delay_exact_component(params, x, y)
+def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int, w: float) -> bool:
+    """Whether GR's mean delay under walk w is at most SCPR's recursion at depth x+y-1."""
+    gr = gr_delay_exact_component(params, x, y, w)
     return gr <= scpr_delay_recursion(params, x + y - 1, t_c)
 
 
-def throughput_crossover_tc(
-    params: LinkParams, x: int, y: int, t_c_min: int = 0, t_c_max: int = 200, u: float | None = None
-) -> Optional[int]:
-    """Smallest t_c in range where greedy delivery reaches the SCPR bound."""
+def throughput_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
+                            u: float) -> Optional[int]:
+    """Smallest t_c in range where greedy delivery under tie-break u reaches the SCPR bound."""
     return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, u), t_c_min, t_c_max)
 
 
-def delay_crossover_tc(
-    params: LinkParams, x: int, y: int, t_c_min: int = 0, t_c_max: int = 200
-) -> Optional[int]:
-    """Smallest t_c in range where greedy mean delay beats the SCPR recursion."""
-    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc), t_c_min, t_c_max)
+def delay_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
+                       w: float) -> Optional[int]:
+    """Smallest t_c in range where greedy mean delay under walk w beats the SCPR recursion."""
+    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, w), t_c_min, t_c_max)
 
 
 def _first_true(pred, lo: int, hi: int) -> Optional[int]:

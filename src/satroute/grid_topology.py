@@ -179,8 +179,8 @@ def _tree_hops(parent: dict[int, int], nid: int, src_id: int) -> list[tuple[int,
     return hops
 
 
-def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) -> list[tuple[int, int]]:
-    """A uniformly random minimum-length monotone path from src to dst.
+def random_shortest_path(spec: GridSpec, src: NodeCoord, rng) -> list[tuple[int, int]]:
+    """A uniformly random minimum-length monotone path from src to the origin.
 
     Per axis the shorter wrap direction is taken (fair coin on an exact tie),
     then the horizontal/vertical moves are interleaved uniformly at random
@@ -188,9 +188,8 @@ def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) ->
     [(tail node index, direction), ...], like shortest_connected_hops.
     """
     src = normalize(spec, src)
-    dst = normalize(spec, dst)
-    xdir, a = _axis_moves(src[0], dst[0], spec.m_planes, LEFT, RIGHT, rng)
-    ydir, b = _axis_moves(src[1], dst[1], spec.n_per_plane, DOWN, UP, rng)
+    xdir, a = _axis_moves(src[0], spec.m_planes, LEFT, RIGHT, rng)
+    ydir, b = _axis_moves(src[1], spec.n_per_plane, DOWN, UP, rng)
     nbr = neighbor_id_table(spec)
     nid = node_index(spec, src)
     hops = []
@@ -207,8 +206,9 @@ def random_shortest_path(spec: GridSpec, src: NodeCoord, dst: NodeCoord, rng) ->
     return hops
 
 
-def _axis_moves(c_src: int, c_dst: int, span: int, neg_dir: int, pos_dir: int, rng) -> tuple[int, int]:
-    fwd = (c_dst - c_src) % span  # steps in the positive direction
+def _axis_moves(c_src: int, span: int, neg_dir: int, pos_dir: int, rng) -> tuple[int, int]:
+    """(direction, step count) toward coordinate 0 along one axis of length span."""
+    fwd = -c_src % span  # steps in the positive direction
     bwd = span - fwd
     if fwd == 0:
         return pos_dir, 0

@@ -1,4 +1,4 @@
-"""Two-state Markov link model: parameters, steady state, k-stage transitions.
+"""Two-state Markov link model: parameters, steady state, k-stage ON probabilities.
 
 A link is ON (available) or OFF.  Per slot it flips ON->OFF with probability
 ``epsilon1`` and OFF->ON with probability ``epsilon2``.  The long-run ON
@@ -64,24 +64,21 @@ def from_p_mu(p: float, mu: float) -> LinkParams:
     return LinkParams((1.0 - mu) * (1.0 - p), (1.0 - mu) * p, p, mu)
 
 
-def transition_prob(params: LinkParams, from_on: bool, to_on: bool, k: int) -> float:
-    """k-stage transition probability P(state at t+k = to | state at t = from).
+def transition_prob(params: LinkParams, from_on: bool, k: int) -> float:
+    """k-stage ON probability P(ON at t+k | state at t = from_on).
 
-    k = 0 is the identity kernel.  For k >= 1:
+    k = 0 gives 1.0 from ON and 0.0 from OFF.  For k >= 1:
 
-        p11(k) = p + (1-p) mu^k        p10(k) = (1-p)(1 - mu^k)
-        p01(k) = p (1 - mu^k)          p00(k) = (1-p) + p mu^k
+        p11(k) = p + (1-p) mu^k        p01(k) = p (1 - mu^k)
     """
     if k < 0:
         raise ValueError(f"k={k}: slot count must be >= 0")
     if k == 0:
-        return 1.0 if from_on == to_on else 0.0
+        return 1.0 if from_on else 0.0
     muk = params.mu ** k
     if from_on:
-        p_on = params.p + (1.0 - params.p) * muk
-    else:
-        p_on = params.p - params.p * muk
-    return _clamp01(p_on if to_on else 1.0 - p_on)
+        return _clamp01(params.p + (1.0 - params.p) * muk)
+    return _clamp01(params.p - params.p * muk)
 
 
 def _clamp01(v: float) -> float:

@@ -29,8 +29,9 @@ from typing import TYPE_CHECKING, Optional
 
 from . import grid_topology as grid
 from .analytic_greedy import gr_throughput
+from .analytic_scpr import scpr_path_success_prob
 from .grid_topology import DOWN, LEFT, GridSpec, NodeCoord
-from .link_dynamics import LinkParams, transition_prob
+from .link_dynamics import LinkParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,9 +48,8 @@ TIE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no fixed point after {iterations} sweeps; last residual {residual:.3e}")
-        self.iterations = iterations
+    def __init__(self, residual: float):
+        super().__init__(f"no fixed point after {MAX_SWEEPS} sweeps; last residual {residual:.3e}")
         self.residual = residual
 
 
@@ -100,7 +100,7 @@ def value_iterate_delay(spec: GridSpec, p: float) -> ValueTable:
         d = new
         if history[-1] < RESIDUAL_TOL:
             return ValueTable(spec, d, iteration, history[-1], history)
-    raise ConvergenceError(MAX_SWEEPS, history[-1])
+    raise ConvergenceError(history[-1])
 
 
 def check_mean_delay_ordering(table: ValueTable) -> list[tuple]:
@@ -177,7 +177,7 @@ def _greedy_values(x, y, quad, stay, nbrs) -> list[float]:
 def verify_connected_path_ordering(params: LinkParams, t_c: int, max_len: int) -> list[tuple]:
     """Violations of: a longer snapshot-connected path never survives better.
 
-    The survival probability of a length-L connected path is
+    The survival of a length-L connected path is scpr_path_success_prob,
     prod_{i<L} p11(t_c + i), so each extra hop multiplies by p11(t_c + L),
     which is < 1 except for the hop traversed at the snapshot instant itself
     (t_c = 0, first hop): survival must strictly decrease across every
@@ -186,9 +186,8 @@ def verify_connected_path_ordering(params: LinkParams, t_c: int, max_len: int) -
     violations = []
     prob = 1.0
     for length in range(1, max_len + 1):
-        factor = transition_prob(params, True, True, t_c + length - 1)
-        nxt = prob * factor
-        strict_required = factor < 1.0
+        nxt = scpr_path_success_prob(params, length, t_c)
+        strict_required = t_c + length > 1  # the hop is traversed after the snapshot instant
         if nxt > prob or (strict_required and not nxt < prob):
             violations.append((length, prob, nxt))
         prob = nxt
@@ -198,7 +197,7 @@ def verify_connected_path_ordering(params: LinkParams, t_c: int, max_len: int) -
 def find_best_intermediate(p: float, x: int, y: int) -> Optional[NodeCoord]:
     """Best relay node (u, v) that strictly improves two-leg greedy throughput.
 
-    Baseline: direct greedy routing with the default fair-coin tie-break.
+    Baseline: direct greedy routing with the fair-coin tie-break.
     Candidates: every 0 <= u <= x, 0 <= v <= y except the endpoints, with
     each leg steered along its own diagonal (that steering is where the
     improvement comes from).  Maximizes T(x-u, y-v) * T(u, v) against direct
@@ -212,7 +211,8 @@ def find_best_intermediate(p: float, x: int, y: int) -> Optional[NodeCoord]:
         for v in range(y + 1):
             if (u, v) in ((0, 0), (x, y)):
                 continue
-            combined = gr_throughput(p, x - u, y - v) * gr_throughput(p, u, v)
+            combined = (gr_throughput(p, x - u, y - v, (y - v) / (x + y - u - v))
+                        * gr_throughput(p, u, v, v / (u + v)))
             if combined > best_value:
                 best_value = combined
                 best_node = NodeCoord(u, v)

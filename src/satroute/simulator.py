@@ -72,7 +72,7 @@ class NetworkState:
         self.params = params
         self.rng = rng
         self._cache: dict[int, tuple[bool, int]] = {}
-        self.step_on = (transition_prob(params, False, True, 1), transition_prob(params, True, True, 1))
+        self.step_on = (transition_prob(params, False, 1), transition_prob(params, True, 1))
 
     def link_on_id(self, lid: int, t: int) -> bool:
         cached = self._cache.get(lid)
@@ -84,7 +84,7 @@ class NetworkState:
             if k == 1:
                 on = self.rng.random() < self.step_on[on]
             elif k > 1:
-                on = self.rng.random() < transition_prob(self.params, on, True, k)
+                on = self.rng.random() < transition_prob(self.params, on, k)
             elif k < 0:
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
         self._cache[lid] = (on, t)
@@ -126,15 +126,15 @@ def run_scpr_trial(
     )
     found = hops is not None
     if not found:
-        hops = grid.random_shortest_path(spec, src, ORIGIN, rng)
-    q = transition_prob(params, False, True, 1)
+        hops = grid.random_shortest_path(spec, src, rng)
+    q = transition_prob(params, False, 1)
     t = t_c
     for nid, d in hops:
         on0 = True if found else snapshot.get(nid * 4 + d)
         if on0 is None:
             on = random() < p
         elif t > 0:
-            on = random() < transition_prob(params, on0, True, t)
+            on = random() < transition_prob(params, on0, t)
         else:
             on = on0
         if not on:
@@ -289,7 +289,7 @@ def run_stylized_scpr_path(
         return _estimate_from_sums(int(s.sum()), int(np.dot(s, s)), trials, seed)
     ok = np.ones(trials, dtype=bool)
     for i in range(path_len):
-        p_on = transition_prob(params, True, True, t_c + i)
+        p_on = transition_prob(params, True, t_c + i)
         ok &= rng.random(trials) < p_on
     good = int(ok.sum())
     return _estimate_from_sums(good, good, trials, seed)

@@ -271,9 +271,11 @@ def gr_delay_bound_excess(points, trials: int, seed: int) -> float:
 
 
 def crossovers() -> tuple[int | None, int | None]:
-    """(throughput, delay) crossover t_c for the source (5, 5) at p = 0.9, mu = 0.99."""
+    """(throughput, delay) crossover t_c over [0, 200] for the source (5, 5)
+    at p = 0.9, mu = 0.99, with the fair coin u = 0.5 and the walk w = 0.5."""
     params = links.from_p_mu(0.9, 0.99)
-    return comparison.throughput_crossover_tc(params, 5, 5), comparison.delay_crossover_tc(params, 5, 5)
+    return (comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5),
+            comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5))
 
 
 def path_ordering_violations() -> dict[tuple[float, float, int], list[tuple]]:

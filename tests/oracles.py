@@ -65,7 +65,7 @@ def sample_k_steps(params: LinkParams, on: bool, k: int, rng) -> bool:
     """
     if k == 0:
         return on
-    return rng.random() < transition_prob(params, on, True, k)
+    return rng.random() < transition_prob(params, on, k)
 
 
 class SlotwiseNetworkState(NetworkState):
@@ -102,7 +102,7 @@ class KernelNetworkState(NetworkState):
             if k < 0:
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
             if k > 0:
-                on = self.rng.random() < transition_prob(self.params, on, True, k)
+                on = self.rng.random() < transition_prob(self.params, on, k)
         self._cache[lid] = (on, t)
         return on
 
@@ -178,7 +178,7 @@ def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: b
         grid.node_index(spec, ORIGIN),
     )
     if hops is None:
-        hops = grid.random_shortest_path(spec, src, ORIGIN, rng)
+        hops = grid.random_shortest_path(spec, src, rng)
     t = t_c
     for nid, d in hops:
         lid = nid * 4 + d

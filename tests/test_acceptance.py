@@ -156,7 +156,9 @@ def test_criterion_12_intermediate_relay():
     if node is not None:
         u, v = node
         direct = greedy.gr_throughput(0.7, 1, 10, 0.5)
-        via = greedy.gr_throughput(0.7, 1 - u, 10 - v) * greedy.gr_throughput(0.7, u, v)
+        # each leg steered along its own diagonal
+        via = (greedy.gr_throughput(0.7, 1 - u, 10 - v, (10 - v) / (11 - u - v))
+               * greedy.gr_throughput(0.7, u, v, v / (u + v)))
         improver_ok = via > direct
     report(12, diagonal_absent and improver_ok,
            f"diagonal sources give no relay = {diagonal_absent}; "

@@ -45,7 +45,6 @@ def test_throughput_symmetric_with_recommended_tie_break():
         txy = greedy.gr_throughput(0.9, x, y, y / (x + y))
         tyx = greedy.gr_throughput(0.9, y, x, x / (x + y))
         assert txy == pytest.approx(tyx, abs=1e-12)
-        assert greedy.gr_throughput(0.9, x, y) == txy  # y/(x+y) is the default
 
 
 def test_throughput_symmetric_square_sources():
@@ -58,20 +57,13 @@ def test_throughput_symmetric_square_sources():
 
 
 def test_boundary_throughput():
-    assert greedy.gr_throughput(0.9, 0, 0) == 1.0
-    assert greedy.gr_throughput(0.9, 0, 3) == pytest.approx(0.729, abs=1e-12)
+    assert greedy.gr_throughput(0.9, 0, 0, 0.5) == 1.0
+    assert greedy.gr_throughput(0.9, 0, 3, 0.5) == pytest.approx(0.729, abs=1e-12)
     # matches the DP boundary rows exactly: forced single-link hops, on either axis
     for n in range(0, 9):
-        assert greedy.gr_throughput(0.5, 0, n) == 0.5**n
+        assert greedy.gr_throughput(0.5, 0, n, 0.5) == 0.5**n
         assert greedy.gr_throughput(0.5, n, 0, 0.3) == 0.5**n  # no tie-break to make
-        assert greedy.gr_throughput(0.5, n, 0) == dp_throughput(0.5, n, 0, 0.5)
-
-
-def test_recommended_u_values():
-    # the default tie-break is u = y/(x+y)
-    for x, y, u in ((5, 5, 0.5), (1, 9, 0.9), (3, 7, 0.7)):
-        assert y / (x + y) == pytest.approx(u, abs=1e-15)
-        assert greedy.gr_throughput(0.8, x, y) == greedy.gr_throughput(0.8, x, y, y / (x + y))
+        assert greedy.gr_throughput(0.5, n, 0, 0.5) == dp_throughput(0.5, n, 0, 0.5)
 
 
 def test_w_from_u_midpoint_is_exact_half():
@@ -170,11 +162,11 @@ def test_expected_min_tau_stirling_floor_at_diagonal_bias():
 
 def test_delay_exact_component_limits():
     near_one = ld.from_p_mu(1 - 1e-9, 0.5)
-    assert greedy.gr_delay_exact_component(near_one, 4, 3) == pytest.approx(7.0, abs=1e-6)
+    assert greedy.gr_delay_exact_component(near_one, 4, 3, 3 / 7) == pytest.approx(7.0, abs=1e-6)
     params = ld.from_p_mu(0.8, 0.3)
     all_boundary = (6) * (1 + (1 - 0.8) / params.epsilon2)
-    assert greedy.gr_delay_exact_component(params, 0, 6) == pytest.approx(all_boundary, rel=1e-12)
-    assert greedy.gr_delay_exact_component(params, 6, 0) == pytest.approx(all_boundary, rel=1e-12)
+    assert greedy.gr_delay_exact_component(params, 0, 6, 0.5) == pytest.approx(all_boundary, rel=1e-12)
+    assert greedy.gr_delay_exact_component(params, 6, 0, 0.3) == pytest.approx(all_boundary, rel=1e-12)
 
 
 def test_delay_upper_bound_dominates_exact():
@@ -209,17 +201,12 @@ def test_delay_bound_clamps_when_diagonal_bias_unreachable():
 def test_dispatchers():
     # one entry point per closed form takes axis and interior sources alike
     params = ld.from_p_mu(0.8, 0.0)
-    assert greedy.gr_throughput(0.8, 0, 4) == pytest.approx(0.8**4, abs=1e-12)
-    assert greedy.gr_throughput(0.8, 2, 3) == pytest.approx(
-        greedy.gr_throughput(0.8, 2, 3, 0.6), abs=1e-12
-    )
-    assert greedy.gr_delay_exact_component(params, 0, 2) == pytest.approx(
+    assert greedy.gr_throughput(0.8, 0, 4, 0.5) == pytest.approx(0.8**4, abs=1e-12)
+    assert greedy.gr_delay_exact_component(params, 0, 2, 0.5) == pytest.approx(
         2 * (1 + (1 - 0.8) / params.epsilon2), rel=1e-12
     )
-    exact = greedy.gr_delay_exact_component
-    assert exact(params, 2, 3) == exact(params, 2, 3, 0.6)
     for x, y in ((-1, 2), (2, -1), (-3, 0), (0, -3)):
         with pytest.raises(ValueError):
-            greedy.gr_throughput(0.8, x, y)
+            greedy.gr_throughput(0.8, x, y, 0.5)
         with pytest.raises(ValueError):
-            greedy.gr_delay_exact_component(params, x, y)
+            greedy.gr_delay_exact_component(params, x, y, 0.5)

@@ -141,7 +141,7 @@ def test_single_hop_delay_closed_form():
     # one hop: 1 + p10(t_c)/epsilon2, straight from the geometric wait
     for p, mu, tc in ((0.9, 0.5, 0), (0.8, 0.9, 7)):
         params = ld.from_p_mu(p, mu)
-        expected = 1.0 + ld.transition_prob(params, True, False, tc) / params.epsilon2
+        expected = 1.0 + (1.0 - ld.transition_prob(params, True, tc)) / params.epsilon2
         assert scpr.scpr_delay_recursion(params, 1, tc) == pytest.approx(expected, rel=1e-12)
 
 

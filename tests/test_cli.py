@@ -530,6 +530,42 @@ def test_crossover_commands(capsys):
     assert code == 0 and out.strip() == "crossover_tc=none"
 
 
+POINT_2_6 = ("--p", "0.9", "--mu", "0.99", "--x", "2", "--y", "6")
+
+
+@pytest.mark.parametrize("argv, tag", [
+    (("analytic", "--policy", "gr"), "claim3"),
+    (("analytic", "--policy", "gr", "--buffered", "true"), "eq23"),
+    (("analytic", "--policy", "gr", "--buffered", "true"), "eqEK"),
+    (("simulate", "--policy", "gr", "--grid", "20x20", "--trials", "200"), None),
+    (("crossover", "--metric", "throughput"), None),
+    (("crossover", "--metric", "delay"), None),
+], ids=["analytic-claim3", "analytic-eq23", "analytic-eqEK", "simulate-gr",
+        "crossover-throughput", "crossover-delay"])
+def test_u_changes_what_gr_commands_print(argv, tag, capsys):
+    """From (2, 6) --u 0.0 and --u 1.0 steer GR's walk apart, so every figure
+    of that walk (the row tagged ``tag``, or the whole output) must differ."""
+    printed = []
+    for u in ("0.0", "1.0"):
+        code, out = run_cli(capsys, *argv, *POINT_2_6, "--u", u)
+        assert code == 0
+        printed.append(out if tag is None else next(line for line in out.splitlines() if f" {tag} " in line))
+    assert printed[0] != printed[1]
+
+
+@pytest.mark.parametrize("u, tie, expected", [("0.0", 0.0, 177), ("1.0", 1.0, 31), ("auto", 6 / 8, 51)])
+def test_delay_crossover_scans_the_walk_of_u(u, tie, expected, capsys):
+    """crossover --metric delay is the first t_c in [0, 200] at which eq23, at
+    the walk w_from_u(params, u) that --u gives, reaches SCPR's recursion at
+    depth x + y - 1."""
+    params = ld.from_p_mu(0.9, 0.99)
+    gr = greedy.gr_delay_exact_component(params, 2, 6, greedy.w_from_u(params, tie))
+    scan = next((tc for tc in range(201) if gr <= scpr.scpr_delay_recursion(params, 7, tc)), None)
+    assert scan == expected
+    code, out = run_cli(capsys, "crossover", "--metric", "delay", *POINT_2_6, "--u", u)
+    assert code == 0 and out == f"crossover_tc={scan}\n"
+
+
 def test_analytic_gr_axis_source(capsys):
     """An axis source is all boundary: p^n bufferless, eq23 alone buffered."""
     params = ld.from_p_mu(0.9, 0.99)
@@ -537,13 +573,14 @@ def test_analytic_gr_axis_source(capsys):
     assert code == 0 and out == f"gr_throughput claim3 {0.9 ** 2!r}\n"
     code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--x", "3", "--y", "0")
     assert code == 0
-    assert out == f"gr_delay_exact_component eq23 {greedy.gr_delay_exact_component(params, 3, 0)!r}\n"
+    exact = greedy.gr_delay_exact_component(params, 3, 0, greedy.w_from_u(params, 0.0))  # --u auto: 0/3
+    assert out == f"gr_delay_exact_component eq23 {exact!r}\n"
 
 
 def test_crossover_throughput_axis_source(capsys):
     params = ld.from_p_mu(0.9, 0.5)
     for x, y in ((0, 2), (2, 0)):
-        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200)
+        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200, y / (x + y))
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0.5",
                             "--x", str(x), "--y", str(y))
         assert code == 0
@@ -570,7 +607,8 @@ def test_sweep_gr_axis_source_matches_eq23(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(r[5], r[10]) for r in rows] == [("analytic", "eq23"), ("mc", "")]
     exact, mean, stderr = float(rows[0][6]), float(rows[1][6]), float(rows[1][7])
-    assert exact == greedy.gr_delay_exact_component(ld.from_p_mu(0.9, 0.5), 0, 2)
+    params = ld.from_p_mu(0.9, 0.5)
+    assert exact == greedy.gr_delay_exact_component(params, 0, 2, greedy.w_from_u(params, 1.0))
     assert abs(mean - exact) < 5 * stderr
 
 

@@ -6,37 +6,37 @@ from satroute import link_dynamics as ld
 
 def test_crossovers_at_reference_parameters():
     params = ld.from_p_mu(0.9, 0.99)
-    assert comparison.throughput_crossover_tc(params, 5, 5) == 35
-    assert comparison.delay_crossover_tc(params, 5, 5) == 30
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5) == 35
+    assert comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5) == 30
 
 
 def test_crossover_is_first_hit():
     params = ld.from_p_mu(0.9, 0.99)
-    tc = comparison.throughput_crossover_tc(params, 5, 5)
-    assert comparison.gr_beats_scpr_throughput(params, 5, 5, tc)
-    assert not comparison.gr_beats_scpr_throughput(params, 5, 5, tc - 1)
-    td = comparison.delay_crossover_tc(params, 5, 5)
-    assert comparison.gr_beats_scpr_delay(params, 5, 5, td)
-    assert not comparison.gr_beats_scpr_delay(params, 5, 5, td - 1)
+    tc = comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5)
+    assert comparison.gr_beats_scpr_throughput(params, 5, 5, tc, 0.5)
+    assert not comparison.gr_beats_scpr_throughput(params, 5, 5, tc - 1, 0.5)
+    td = comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5)
+    assert comparison.gr_beats_scpr_delay(params, 5, 5, td, 0.5)
+    assert not comparison.gr_beats_scpr_delay(params, 5, 5, td - 1, 0.5)
 
 
 def test_memoryless_greedy_wins_throughput_immediately():
     # with no memory the snapshot is worthless: the centralized bound drops
     # to the per-hop product while greedy enjoys its two-link advantage
     params = ld.from_p_mu(0.9, 0.0)
-    assert comparison.throughput_crossover_tc(params, 5, 5) == 0
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5) == 0
 
 
 def test_crossover_none_when_out_of_range():
     params = ld.from_p_mu(0.9, 0.99)
-    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 10) is None
-    assert comparison.delay_crossover_tc(params, 5, 5, 0, 10) is None
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 10, 0.5) is None
+    assert comparison.delay_crossover_tc(params, 5, 5, 0, 10, 0.5) is None
 
 
 def test_explicit_tie_break_changes_throughput_crossover():
     params = ld.from_p_mu(0.9, 0.99)
-    skew = comparison.throughput_crossover_tc(params, 2, 8, u=0.5)
-    tuned = comparison.throughput_crossover_tc(params, 2, 8)
+    skew = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, 0.5)
+    tuned = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, 8 / 10)
     assert tuned is not None and skew is not None
     assert tuned <= skew  # diagonal steering can only help greedy
 

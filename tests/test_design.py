@@ -8,7 +8,10 @@ deliberate oracle in ``tests/oracles.py``).
 
 Likewise every defaulted parameter of a ``src/`` function or method, private
 ones included, must be set by some ``src/`` call outside its own body: a
-value that only tests set is a constant of the module.
+value that only tests set is a constant of the module.  And a required
+parameter that every ``src/`` call sets to the same constant (a literal, or an
+UPPER_CASE name such as ``ORIGIN``) is a constant of the callee; callees that
+only ``verify.py`` calls are exempt, since its checks pass their own points.
 
 The Monte Carlo engine is what the closed forms are checked against, so
 ``simulator.py`` imports none of them.
@@ -36,6 +39,12 @@ ALLOWED_PARAMETERS = {
     "analytic_scpr.mgf_rows.t": "the tests' raw_value finite-difference oracle evaluates G at "
                                 "t = +-h, and the values-only recursion (ROADMAP item 8(b)) reads "
                                 "rows at t = 1",
+}
+
+# Required parameters that every src/ call sets to one constant, each kept on purpose, with its reason.
+ALLOWED_FIXED = {
+    "grid_topology.hop_distance.b": "the benchmark tracer's BFS detour metric calls hop_distance(spec, src, dst) "
+                                    "until the benchmark revision of ROADMAP item 6",
 }
 
 
@@ -101,10 +110,10 @@ def test_no_production_code_only_tests_call():
     assert set(ALLOWED) <= defined  # a stale entry would hide nothing and mislead
 
 
-def defaulted_parameters(module: str, tree: ast.Module):
-    """(qualified name, callee name, node, parameter, position or None) of each
-    defaulted parameter, at any depth; a method's position skips self, and
-    ``__init__`` is called by its class's name."""
+def parameters(module: str, tree: ast.Module):
+    """(qualified name, callee name, node, parameter, position or None, whether
+    defaulted) of each parameter, at any depth; a method's position skips self,
+    and ``__init__`` is called by its class's name."""
     def walk(body, prefix, cls):
         for node in body:
             if isinstance(node, ast.ClassDef):
@@ -113,12 +122,11 @@ def defaulted_parameters(module: str, tree: ast.Module):
                 qual = f"{prefix}.{node.name}"
                 callee = cls if cls and node.name == "__init__" else node.name
                 positional = [*node.args.posonlyargs, *node.args.args][1 if cls else 0:]
+                first_default = len(positional) - len(node.args.defaults)
                 for i, arg in enumerate(positional):
-                    if i >= len(positional) - len(node.args.defaults):
-                        yield f"{qual}.{arg.arg}", callee, node, arg.arg, i
+                    yield f"{qual}.{arg.arg}", callee, node, arg.arg, i, i >= first_default
                 for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
-                    if default is not None:
-                        yield f"{qual}.{arg.arg}", callee, node, arg.arg, None
+                    yield f"{qual}.{arg.arg}", callee, node, arg.arg, None, default is not None
                 yield from walk(node.body, qual, None)
 
     yield from walk(tree.body, module, None)
@@ -138,13 +146,58 @@ def test_no_parameter_only_tests_set():
     callee = {id(call): getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls}
     unset = set()
     for module, tree in trees:
-        for qualname, name, node, param, position in defaulted_parameters(module, tree):
+        for qualname, name, node, param, position, defaulted in parameters(module, tree):
+            if not defaulted:
+                continue
             own = {id(sub) for sub in ast.walk(node)}
             if not any(callee[id(call)] == name and id(call) not in own and sets(call, param, position)
                        for call in calls):
                 unset.add(qualname)
     assert unset - set(ALLOWED_PARAMETERS) == set()
     assert set(ALLOWED_PARAMETERS) <= unset  # a stale entry would hide nothing and mislead
+
+
+def argument(call: ast.Call, name: str, position):
+    """The expression ``call`` passes for the parameter, or None when it passes
+    none or a starred or ``**`` argument may hide it."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    return call.args[position] if position is not None and position < len(call.args) else None
+
+
+def constant(expr):
+    """The constant ``expr`` names, or None: a literal, or an UPPER_CASE name
+    or attribute (``ORIGIN`` and ``grid.ORIGIN`` name the same one)."""
+    if isinstance(expr, ast.Constant):
+        return repr(expr.value)
+    name = expr.id if isinstance(expr, ast.Name) else expr.attr if isinstance(expr, ast.Attribute) else ""
+    return name if name.isupper() else None
+
+
+def test_no_required_parameter_production_fixes():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [(module, node) for module, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    callee = {id(call): getattr(call.func, "id", getattr(call.func, "attr", None)) for _, call in calls}
+    defined = Counter(node.name for _, tree in trees for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    fixed = set()
+    for module, tree in trees:
+        for qualname, name, node, param, position, defaulted in parameters(module, tree):
+            if defaulted or defined[name] > 1:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            sites = [(caller, call) for caller, call in calls if callee[id(call)] == name and id(call) not in own]
+            if {caller for caller, _ in sites} <= {"verify"}:
+                continue  # no caller, or the checks alone, which pass their own points
+            values = {constant(argument(call, param, position)) for _, call in sites}
+            if len(values) == 1 and None not in values:
+                fixed.add(qualname)
+    assert fixed - set(ALLOWED_FIXED) == set()
+    assert set(ALLOWED_FIXED) <= fixed  # a stale entry would hide nothing and mislead
 
 
 def test_simulator_imports_no_closed_form():

@@ -48,38 +48,28 @@ def test_negative_memory_rejected():
 
 def test_one_step_transition_matches_rates():
     params = ld.LinkParams(0.25, 0.4, 0.4 / 0.65, 0.35)
-    assert ld.transition_prob(params, True, True, 1) == pytest.approx(0.75, abs=1e-15)
-    assert ld.transition_prob(params, True, False, 1) == pytest.approx(0.25, abs=1e-15)
-    assert ld.transition_prob(params, False, True, 1) == pytest.approx(0.4, abs=1e-15)
+    assert ld.transition_prob(params, True, 1) == pytest.approx(0.75, abs=1e-15)
+    assert 1.0 - ld.transition_prob(params, True, 1) == pytest.approx(0.25, abs=1e-15)
+    assert ld.transition_prob(params, False, 1) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_transition_k0_is_identity():
     params = ld.from_p_mu(0.7, 0.3)
-    for a in (True, False):
-        for b in (True, False):
-            assert ld.transition_prob(params, a, b, 0) == (1.0 if a == b else 0.0)
+    assert ld.transition_prob(params, True, 0) == 1.0
+    assert ld.transition_prob(params, False, 0) == 0.0
 
 
 def test_memoryless_forgets_after_one_step():
     params = ld.from_p_mu(0.73, 0.0)
     for k in (1, 2, 5, 100):
-        assert ld.transition_prob(params, False, True, k) == pytest.approx(0.73, abs=1e-15)
-        assert ld.transition_prob(params, True, True, k) == pytest.approx(0.73, abs=1e-15)
+        assert ld.transition_prob(params, False, k) == pytest.approx(0.73, abs=1e-15)
+        assert ld.transition_prob(params, True, k) == pytest.approx(0.73, abs=1e-15)
 
 
 def test_ergodic_limit():
     params = ld.from_p_mu(0.6, 0.99)
-    assert abs(ld.transition_prob(params, False, True, 10**4) - 0.6) < 1e-12
-    assert abs(ld.transition_prob(params, True, True, 10**4) - 0.6) < 1e-12
-
-
-@pytest.mark.parametrize("p,mu", [(0.3, 0.0), (0.5, 0.5), (0.9, 0.99), (0.1, 0.8)])
-def test_rows_sum_to_one_exactly(p, mu):
-    params = ld.from_p_mu(p, mu)
-    for k in range(0, 200, 7):
-        for frm in (True, False):
-            s = ld.transition_prob(params, frm, True, k) + ld.transition_prob(params, frm, False, k)
-            assert abs(s - 1.0) <= 1e-15
+    assert abs(ld.transition_prob(params, False, 10**4) - 0.6) < 1e-12
+    assert abs(ld.transition_prob(params, True, 10**4) - 0.6) < 1e-12
 
 
 @pytest.mark.parametrize("p,mu", [(0.4, 0.3), (0.9, 0.95)])
@@ -88,20 +78,17 @@ def test_chapman_kolmogorov(p, mu):
     for k in (1, 3, 17, 100):
         for m in (1, 5, 42, 100):
             for i in (True, False):
-                for j in (True, False):
-                    combined = ld.transition_prob(params, i, j, k + m)
-                    split = sum(
-                        ld.transition_prob(params, i, s, k) * ld.transition_prob(params, s, j, m)
-                        for s in (True, False)
-                    )
-                    assert abs(combined - split) < 1e-12
+                on_k = ld.transition_prob(params, i, k)  # P(OFF at k | i) is 1 - on_k
+                split = (on_k * ld.transition_prob(params, True, m)
+                         + (1.0 - on_k) * ld.transition_prob(params, False, m))
+                assert abs(ld.transition_prob(params, i, k + m) - split) < 1e-12
 
 
 def test_positive_memory_ordering():
     params = ld.from_p_mu(0.65, 0.4)
     for k in range(1, 50):
-        p11 = ld.transition_prob(params, True, True, k)
-        p01 = ld.transition_prob(params, False, True, k)
+        p11 = ld.transition_prob(params, True, k)
+        p01 = ld.transition_prob(params, False, k)
         assert p11 >= params.p >= p01
 
 
@@ -135,7 +122,7 @@ def test_sample_k_steps_matches_kernel_frequency():
     rng = random.Random(99)
     n = 10**6
     hits = sum(sample_k_steps(params, True, k, rng) for _ in range(n))
-    target = ld.transition_prob(params, True, True, k)
+    target = ld.transition_prob(params, True, k)
     sigma = math.sqrt(target * (1 - target) / n)
     assert abs(hits / n - target) < 3 * sigma
 

@@ -218,7 +218,7 @@ def test_gr_axis_source_finishes_at_mu_max():
     params = ld.from_p_mu(0.9, ld.MU_MAX)
     est = sim.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(0, 3), buffered=True,
                        tie=0.5, trials=300, master_seed=61)
-    target = greedy.gr_delay_exact_component(params, 0, 3)
+    target = greedy.gr_delay_exact_component(params, 0, 3, greedy.w_from_u(params, 0.5))
     assert est.mean > 10 * sim.WAIT_SLOTWISE
     assert abs(est.mean - target) < 3 * est.stderr
 
