@@ -15,7 +15,6 @@ directions) before joining the boundary (one usable direction).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .link_dynamics import LinkParams
 from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
@@ -72,10 +71,12 @@ def w_from_u(params: LinkParams, u: float) -> float:
 
 
 def shape_condition_holds(params: LinkParams, x: int, y: int) -> bool:
-    """Whether the diagonal bias w = max(x,y)/(x+y) is attainable from u in [0,1]."""
-    p, e2 = params.p, params.epsilon2
-    threshold = (1.0 - p) * (p + (1.0 - p) * (1.0 - e2) / (2.0 - e2))
-    return min(x, y) / (x + y) >= threshold - 1e-12
+    """Whether the diagonal bias w = y/(x+y) is attainable from some u in [0, 1].
+
+    The attainable walks span [w_from_u(0), 1 - w_from_u(0)], so the bias is
+    attainable when min(x, y)/(x+y) reaches the lower end.
+    """
+    return min(x, y) / (x + y) >= w_from_u(params, 0.0) - 1e-12
 
 
 def min_tau_pmf(x: int, y: int, w: float) -> dict[int, float]:
@@ -144,40 +145,27 @@ def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float) -> fl
     return (x + y) + interior_extra * e_min + boundary_extra * (x + y - e_min)
 
 
-class GrDelayBound(NamedTuple):
-    value: float
-    w: float
-    clamped: bool
-
-
-def gr_delay_upper_bound(params: LinkParams, x: int, y: int) -> GrDelayBound:
+def gr_delay_upper_bound(params: LinkParams, x: int, y: int) -> float:
     """Closed-form upper bound on mean buffered GR delay from (x, y >= 1).
 
-    With w = y/(x+y), a Stirling bound on E[min(tau_x, tau_y)] gives
+    It bounds the diagonal-bias walk w = y/(x+y), where a Stirling bound on
+    E[min(tau_x, tau_y)] gives
 
         (x+y)(1 + (1-p)^2/(2 e2 - e2^2))
         + (1-p)(1 - e2 + p)/(2 e2 - e2^2) * sqrt((x+y) / (2 pi w wbar)).
 
-    If the diagonal bias w is not attainable from any u in [0, 1], w is
-    clamped to the nearest attainable endpoint and the result is flagged;
-    the Stirling step is only guaranteed at the diagonal bias, so a clamped
-    value is a reference figure rather than a certified bound.
+    Raises ValueError where no u in [0, 1] attains that walk.
     """
     if x < 1 or y < 1:
         raise ValueError("interior source requires x >= 1 and y >= 1")
+    if not shape_condition_holds(params, x, y):
+        raise ValueError(f"x={x}, y={y}: no tie-break u in [0, 1] attains the diagonal bias y/(x+y)")
     p, e2 = params.p, params.epsilon2
     w = y / (x + y)
-    lo, hi = w_from_u(params, 0.0), w_from_u(params, 1.0)
-    clamped = False
-    if w < lo:
-        w, clamped = lo, w < lo - 1e-12
-    elif w > hi:
-        w, clamped = hi, w > hi + 1e-12
     denom = 2.0 * e2 - e2 * e2
-    value = (x + y) * (1.0 + (1.0 - p) ** 2 / denom) + (
+    return (x + y) * (1.0 + (1.0 - p) ** 2 / denom) + (
         (1.0 - p) * (1.0 - e2 + p) / denom
     ) * math.sqrt((x + y) / (2.0 * math.pi * w * (1.0 - w)))
-    return GrDelayBound(value, w, clamped)
 
 
 def _check_prob(name: str, v: float) -> None:

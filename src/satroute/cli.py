@@ -120,7 +120,8 @@ OPTIONS = {
     "policy": ("--policy", dict(choices=["scpr", "gr"])),
     "buffered": ("--buffered", dict(type=_true_false, default="false", metavar="{true,false}")),
     "u": ("--u", dict(type=_tie, default="auto",
-                      help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic'")),
+                      help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic' "
+                           "(farther axis; Monte Carlo only from an interior source)")),
     "trials": ("--trials", dict(type=int, default=2000)),
     "seed": ("--seed", dict(type=int, default=2024)),
     "threads": ("--threads", dict(type=int, default=1,
@@ -228,15 +229,22 @@ def _check_distance(x: int, y: int, grid: Optional[GridSpec] = None) -> None:
                          f"need x <= {grid.m_planes // 2} and y <= {grid.n_per_plane // 2}")
 
 
-def _tie_u(u: str | float, x: int, y: int) -> float:
-    """The tie-break probability --u names: a float, or y/(x+y) for 'auto'.
+def _tie_u(u: str | float, x: int, y: int) -> str | float:
+    """The tie-break --u names: a float, y/(x+y) for 'auto', or 'deterministic'."""
+    return y / (x + y) if u == "auto" else u
 
-    The deterministic tie-break has no closed form; its analytic reference is
-    the diagonal-steering y/(x+y) too.
-    """
-    if u not in ("auto", DETERMINISTIC):
-        return u
-    return y / (x + y)
+
+def _closed_form_u(u: str | float, x: int, y: int) -> Optional[float]:
+    """The u of the walk GR's closed forms describe for --u, or None where none
+    does: the deterministic farther-axis walk from an interior source.  From an
+    axis source every move is forced, so any u gives that walk."""
+    tie = _tie_u(u, x, y)
+    if tie == DETERMINISTIC:
+        return None if x and y else 0.5
+    return tie
+
+
+NO_CLOSED_FORM = "--u deterministic: no GR closed form describes this walk from an interior source"
 
 
 def _labels(buffered: bool) -> tuple[str, str]:
@@ -254,23 +262,24 @@ def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int,
         return [("scpr_throughput_bound", "claim1", scpr.scpr_path_success_prob(params, x + y, tc))]
     from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
 
-    if buffered:
-        w = greedy.w_from_u(params, _tie_u(u_arg, x, y))  # the walk's vertical move probability
-        exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
-        if x == 0 or y == 0:
-            return [exact]  # claim4 and eqEK describe interior sources only
-        return [
-            ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y).value),
-            exact,
-            ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)),
-        ]
-    return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, _tie_u(u_arg, x, y)))]
+    u = _closed_form_u(u_arg, x, y)
+    if u is None:
+        return []
+    if not buffered:
+        return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, u))]
+    w = greedy.w_from_u(params, u)  # the walk's vertical move probability
+    exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
+    if x == 0 or y == 0:
+        return [exact]  # claim4 and eqEK describe interior sources only
+    rows = [exact, ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w))]
+    if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
+        rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
+    return rows
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
-    tie = args.u if args.u == DETERMINISTIC else _tie_u(args.u, x, y)  # SCPR runs ignore it
     return simulator.estimate(args.grid, params, policy, src=NodeCoord(x, y), buffered=args.buffered,
-                              t_c=tc, tie=tie, trials=args.trials, master_seed=seed)
+                              t_c=tc, tie=_tie_u(args.u, x, y), trials=args.trials, master_seed=seed)
 
 
 def _write_csv(rows: list[list[str]], path: Optional[str]) -> None:
@@ -289,8 +298,10 @@ def _write_csv(rows: list[list[str]], path: Optional[str]) -> None:
 def cmd_analytic(args) -> int:
     _check_distance(args.x, args.y)
     params = links.from_p_mu(args.p, args.mu)
-    for name, claim, value in _analytic_rows(args.policy, args.buffered, params,
-                                             args.x, args.y, args.tc, args.u):
+    rows = _analytic_rows(args.policy, args.buffered, params, args.x, args.y, args.tc, args.u)
+    if not rows:
+        raise ValueError(NO_CLOSED_FORM)
+    for name, claim, value in rows:
         print(f"{name} {claim} {value!r}")
     return 0
 
@@ -359,7 +370,9 @@ def cmd_crossover(args) -> int:
     params = links.from_p_mu(args.p, args.mu)
     x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
     _check_distance(x, y)
-    u = _tie_u(args.u, x, y)
+    u = _closed_form_u(args.u, x, y)
+    if u is None:
+        raise ValueError(NO_CLOSED_FORM)
     if args.metric == "throughput":
         tc = comparison.throughput_crossover_tc(params, x, y, lo, hi, u)
     else:  # eq23's walk, as in analytic

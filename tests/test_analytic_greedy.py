@@ -170,32 +170,32 @@ def test_delay_exact_component_limits():
 
 
 def test_delay_upper_bound_dominates_exact():
-    # the Stirling step certifies the bound only where the diagonal bias is
-    # attainable; clamped results are flagged and carry no guarantee
-    overshoot, flags_ok = verify.delay_bound_overshoot()
-    assert flags_ok
-    assert overshoot <= 1e-12
+    # the Stirling step certifies the bound where the diagonal bias is
+    # attainable, which is the only place the bound is defined
+    assert verify.delay_bound_overshoot() <= 1e-12
 
 
 def test_delay_bound_limit_and_relative_gap_shrinks():
     near_one = ld.from_p_mu(1 - 1e-9, 0.5)
-    assert greedy.gr_delay_upper_bound(near_one, 4, 4).value == pytest.approx(8.0, abs=1e-3)
+    assert greedy.gr_delay_upper_bound(near_one, 4, 4) == pytest.approx(8.0, abs=1e-3)
     params = ld.from_p_mu(0.9, 0.9)
     gaps = []
     for n in (5, 20, 80):
         bound = greedy.gr_delay_upper_bound(params, n, n)
         exact = greedy.gr_delay_exact_component(params, n, n, 0.5)
-        gaps.append((bound.value - exact) / exact)
+        gaps.append((bound - exact) / exact)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
-def test_delay_bound_clamps_when_diagonal_bias_unreachable():
+def test_delay_bound_raises_when_diagonal_bias_unreachable():
     params = ld.from_p_mu(0.3, 0.0)
-    assert not greedy.shape_condition_holds(params, 1, 30)
-    bound = greedy.gr_delay_upper_bound(params, 1, 30)
-    assert bound.clamped
     lo, hi = attainable_w_interval(params)
-    assert bound.w == pytest.approx(hi, abs=1e-12)
+    assert 30 / 31 > hi and 1 / 31 < lo
+    assert not greedy.shape_condition_holds(params, 1, 30)
+    for x, y in ((1, 30), (30, 1)):
+        with pytest.raises(ValueError, match="diagonal bias"):
+            greedy.gr_delay_upper_bound(params, x, y)
+    assert greedy.gr_delay_upper_bound(params, 5, 5) > greedy.gr_delay_exact_component(params, 5, 5, 0.5)
 
 
 def test_dispatchers():

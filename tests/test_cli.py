@@ -37,11 +37,13 @@ def test_analytic_scpr_throughput(capsys):
 
 
 def test_analytic_gr_buffered_prints_bound_exact_and_hitting_time(capsys):
-    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true",
-                        "--p", "0.9", "--mu", "0.9", "--x", "3", "--y", "7")
-    assert code == 0
-    tags = [ln.split()[1] for ln in out.strip().splitlines()]
-    assert tags == ["claim4", "eq23", "eqEK"]
+    """claim4 bounds the diagonal-bias walk y/(x+y), which --u auto takes only
+    from a diagonal source: from (3, 7) it would lie below eq23."""
+    for x, y, tags in (("3", "7", ["eq23", "eqEK"]), ("4", "4", ["claim4", "eq23", "eqEK"])):
+        code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true",
+                            "--p", "0.9", "--mu", "0.9", "--x", x, "--y", y)
+        assert code == 0
+        assert [ln.split()[1] for ln in out.strip().splitlines()] == tags
 
 
 @pytest.mark.parametrize("x, y, u, tie", [(2, 6, "auto", 0.75), (4, 4, "0.1", 0.1)])
@@ -454,10 +456,10 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
     cli._shared_parser.cache_clear()
-    argv = ["analytic", "--policy", "gr", "--u", "deterministic"]
+    argv = ["analytic", "--policy", "gr", "--u", "0.3"]
     for _ in range(3):
         assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[tuple(argv)])
-    assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "deterministic")[0] == 0
+    assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "0.3")[0] == 0
     assert len(builds) == 1
     # a --config run builds a parser of its own for the file's defaults
     cfg = tmp_path / "run.cfg"
@@ -479,7 +481,7 @@ def test_config_defaults_do_not_reach_a_later_call(tmp_path, capsys):
 
 
 def test_usage_error_between_calls_leaves_the_next_call_unchanged(capsys):
-    argv = ("crossover", "--metric", "throughput", "--u", "deterministic")
+    argv = ("crossover", "--metric", "throughput", "--u", "0.3")
     assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv])
     assert_usage_error(capsys, ["crossover", "--x", "9", "--metric", "speed"])
     assert_usage_error(capsys, ["analytic", "--p", "0.1", "--policy", "flooding"])
@@ -566,6 +568,75 @@ def test_delay_crossover_scans_the_walk_of_u(u, tie, expected, capsys):
     assert code == 0 and out == f"crossover_tc={scan}\n"
 
 
+def test_claim4_never_below_eq23(capsys):
+    """claim4 bounds the diagonal-bias walk, so a reply prints it only beside
+    that walk's eq23, and there it is never below eq23."""
+    below = []
+    for p in ("0.3", "0.9"):
+        for mu in ("0", "0.9", "0.99"):
+            for x, y in ((1, 1), (4, 4), (3, 7), (2, 6), (1, 10), (12, 4)):
+                for u in ("auto", "0", "0.3", "0.5", "1"):
+                    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--p", p,
+                                        "--mu", mu, "--x", str(x), "--y", str(y), "--u", u)
+                    assert code == 0
+                    rows = {claim: float(value) for _, claim, value in (line.split() for line in out.splitlines())}
+                    if (x, y, u) == (4, 4, "auto"):
+                        assert list(rows) == ["claim4", "eq23", "eqEK"]
+                    if "claim4" in rows and rows["claim4"] < rows["eq23"]:
+                        below.append((p, mu, x, y, u))
+    assert below == []
+
+
+# ROADMAP item 11's domain-edge table, its --u slice: every command that takes
+# --u, at axis, diagonal and off-diagonal sources, in both regimes.
+EDGE_COMMANDS = {
+    "analytic": ("analytic", "--policy", "gr"),
+    "simulate": ("simulate", "--policy", "gr", "--grid", "20x20", "--trials", "20"),
+    "sweep": ("sweep", "--sweep", "mu", "--values", "0.5", "--grid", "20x20", "--trials", "20"),
+    "crossover": ("crossover",),
+}
+EDGE_U = ("auto", "0", "1", "0.3", "deterministic")
+EDGE_SOURCES = ((0, 3), (3, 0), (4, 4), (2, 6))
+
+
+def run_edge_case(capsys, command, u, x, y, buffered):
+    regime = (("--metric", "delay" if buffered else "throughput") if command == "crossover"
+              else ("--buffered", "true" if buffered else "false"))
+    code = cli.main([*EDGE_COMMANDS[command], *regime, "--x", str(x), "--y", str(y), "--u", u])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["bufferless", "buffered"])
+@pytest.mark.parametrize("u", EDGE_U)
+@pytest.mark.parametrize("command", list(EDGE_COMMANDS))
+def test_u_at_the_edge_of_the_domain(command, u, buffered, capsys):
+    """Each case exits 0 with finite numbers, or 2 with an error line: only a
+    GR closed form of the deterministic walk from an interior source is refused."""
+    for x, y in EDGE_SOURCES:
+        code, out, err = run_edge_case(capsys, command, u, x, y, buffered)
+        refused = u == "deterministic" and x and y and command in ("analytic", "crossover")
+        assert code == (2 if refused else 0), (x, y)
+        if refused:
+            assert out == "" and err.startswith("error: ")
+        else:
+            assert out and not re.search(r"nan|inf", out, re.IGNORECASE), (x, y)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["bufferless", "buffered"])
+def test_deterministic_keeps_the_axis_rows_and_the_scpr_rows(buffered, capsys):
+    """From an axis source every GR move is forced, so the deterministic walk
+    keeps eq23 or claim3; SCPR has no tie-break, so its sweep rows never change."""
+    for x, y in EDGE_SOURCES:
+        auto, det = (run_edge_case(capsys, "sweep", u, x, y, buffered)[1] for u in ("auto", "deterministic"))
+        assert [row for row in det.splitlines() if ",scpr," in row] == \
+            [row for row in auto.splitlines() if ",scpr," in row]
+        if x == 0 or y == 0:
+            assert det == auto
+            assert run_edge_case(capsys, "analytic", "deterministic", x, y, buffered)[1].split()[1] == \
+                ("eq23" if buffered else "claim3")
+
+
 def test_analytic_gr_axis_source(capsys):
     """An axis source is all boundary: p^n bufferless, eq23 alone buffered."""
     params = ld.from_p_mu(0.9, 0.99)
@@ -631,18 +702,18 @@ def test_invalid_arguments_exit_2(capsys):
 
 
 # Exact stdout of short runs: the CSV schema, the float repr of every value
-# and the meaning of --u are part of the CLI's contract.
+# and the meaning of --u are part of the CLI's contract.  The deterministic
+# walk from an interior source has no GR closed form: its sweeps print the mc
+# rows alone, and `analytic --policy gr` and `crossover` under it exit 2.
 SWEEP_X = ("sweep", "--sweep", "x", "--values", "1,3", "--grid", "20x20", "--trials", "50")
 GOLDEN_STDOUT = {
     (*SWEEP_X, "--buffered", "false", "--u", "deterministic"): (
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
         'x,1,scpr,bufferless,throughput,analytic,0.9892757004796772,,,,claim1\n'
         'x,1,scpr,bufferless,throughput,mc,1.0,0.0,50,10805136638887256990,\n'
-        'x,1,gr,bufferless,throughput,analytic,0.8910000000000001,,,,claim3\n'
         'x,1,gr,bufferless,throughput,mc,0.94,0.033926691677251195,50,68349201353214159,\n'
         'x,3,scpr,bufferless,throughput,analytic,0.9572907872663518,,,,claim1\n'
         'x,3,scpr,bufferless,throughput,mc,0.88,0.046423076597919784,50,8300601847187466982,\n'
-        'x,3,gr,bufferless,throughput,analytic,0.7895771726287505,,,,claim3\n'
         'x,3,gr,bufferless,throughput,mc,0.82,0.05488392203513871,50,6631279983548901972,\n'
     ),
     (*SWEEP_X, "--buffered", "false", "--u", "0.3"): (
@@ -660,37 +731,29 @@ GOLDEN_STDOUT = {
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
         'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
         'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
-        'x,1,gr,buffered,delay,analytic,15.023968999261186,,,,claim4\n'
-        'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,eq23\n'
-        'x,1,gr,buffered,delay,analytic,1.0,,,,eqEK\n'
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
         'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
-        'x,3,gr,buffered,delay,analytic,29.973376862736103,,,,claim4\n'
-        'x,3,gr,buffered,delay,analytic,29.135359116022073,,,,eq23\n'
-        'x,3,gr,buffered,delay,analytic,4.125,,,,eqEK\n'
         'x,3,gr,buffered,delay,mc,29.52,9.10322840243717,50,6631279983548901972,\n'
     ),
     (*SWEEP_X, "--buffered", "true", "--u", "0.3"): (
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
         'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
         'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
-        'x,1,gr,buffered,delay,analytic,15.023968999261186,,,,claim4\n'
         'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,eq23\n'
         'x,1,gr,buffered,delay,analytic,1.0,,,,eqEK\n'
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
         'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
-        'x,3,gr,buffered,delay,analytic,29.973376862736103,,,,claim4\n'
         'x,3,gr,buffered,delay,analytic,30.753649117233667,,,,eq23\n'
         'x,3,gr,buffered,delay,analytic,3.9716518321961365,,,,eqEK\n'
         'x,3,gr,buffered,delay,mc,26.46,8.523782335684226,50,6631279983548901972,\n'
     ),
-    ("analytic", "--policy", "gr", "--u", "deterministic"): (
-        'gr_throughput claim3 0.720049827956685\n'
+    ("analytic", "--policy", "gr", "--u", "0.3"): (
+        'gr_throughput claim3 0.6889757970465529\n'
     ),
-    ("crossover", "--metric", "throughput", "--u", "deterministic"): (
-        'crossover_tc=35\n'
+    ("crossover", "--metric", "throughput", "--u", "0.3"): (
+        'crossover_tc=41\n'
     ),
 }
 
