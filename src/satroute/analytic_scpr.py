@@ -7,36 +7,44 @@ time:
 * throughput upper bound: the product of per-hop survival probabilities
   p11(t_c + i) over the first x+y hops;
 * mean-delay lower bound: the exact expected buffered delay of that stylized
-  path process, extracted from a moment-generating-function recursion.
+  path process, from a values-only recursion.
 
-The MGF recursion works on G_i(t) = E[mu^(t * S_i)], where S_i is the delay
-accumulated over the first i hops:
+Let S_i be the delay accumulated over the first i hops.  Hop i is reached
+t_c + S_{i-1} slots after the snapshot, is OFF then with probability
+(1-p)(1 - mu^(t_c + S_{i-1})), and an OFF hop waits 1/e2 slots on average, so
 
-    G_i(t) = A(t) G_{i-1}(t) + B(t) G_{i-1}(t+1),   G_0(t) = 1,
+    E[S_i] = E[S_{i-1}] + 1 + (1-p)/e2 (omc + (1-omc) H_{i-1}(1)),
 
-    A(t) = (p(1-m)m + e2 m^2) / (1 - (1-e2) m),     m = mu^t
-    B(t) = (1-p) mu^(t_c) m (1-m) / (1 - (1-e2) m)
+where H_i(t) = 1 - E[mu^(t S_i)] obeys
 
-and E[S_i] = G_i'(0) / log(mu).  Derivatives are propagated through the
-recursion with forward-mode dual numbers, so no finite-difference step size
-is involved.  Working on G (values in (0, 1]) rather than G/log(mu) avoids
-dividing by log(mu) until the very end.
+    H_i(t) = C(t) + A(t) H_{i-1}(t) + B(t) H_{i-1}(t+1),   H_0(t) = 0,
 
-Each row G_i(t .. t + depth - i) is one dual number of numpy arrays, so a row
-costs a few array operations; mgf_rows() yields the rows one at a time and
-scpr_delay_recursion() keeps only the last.  numpy is imported inside that
-kernel, not at module top: loading it is about half of a CLI process's
-start-up, and the GR and throughput paths never need it.
+    A(t) = (p om + e2 m) m / den
+    B(t) = (1-p) (1-omc) m om / den
+    C(t) = 1 - A - B = om (om + (1-p) m omc + e2 m) / den
+
+with om = 1 - mu^t, omc = 1 - mu^(t_c), m = 1 - om and den = om + e2 m.  om and
+omc come from expm1(t log mu), and every term of A, B and C is >= 0, so nothing
+cancels as mu -> 1 or p -> 0.  Every row has t >= 1, so mu = 0 is simply
+log mu = -inf.
+
+Row H_i(1 .. depth - i) is one numpy expression, and scpr_delay_recursion()
+keeps only the row being extended.  numpy is imported inside that kernel, not
+at module top: loading it is about half of a CLI process's start-up, and the GR
+and throughput paths never need it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
-from .link_dynamics import MU_MAX, LinkParams, transition_prob
+from .link_dynamics import LinkParams, transition_prob
 
 
+# Dual and mgf_coefficients (A, B of G = 1 - H in derivative form) serve only
+# verify.dual_derivative_error, which `verify analytic` and criterion 5 share.
+# Replacing that check renames a verify line that the benchmark's closed_forms
+# reference pins, so they go with the next benchmark revision (ROADMAP item 8).
 class Dual:
     """Minimal forward-mode dual number: value + first derivative (floats or arrays)."""
 
@@ -95,27 +103,25 @@ def scpr_delay_recursion(params: LinkParams, depth: int, t_c: int) -> float:
     """
     if depth < 0 or t_c < 0:
         raise ValueError("depth and t_c must be >= 0")
-    if depth == 0:
-        return 0.0
-    if params.mu == 0.0:
-        return _delay_mu0(params, depth, t_c)
-    if params.mu > MU_MAX:
-        raise ValueError(f"mu={params.mu} too close to 1 for a stable 1/log(mu)")
-    for row in mgf_rows(params, t_c, depth):
-        pass
-    return float(row.d[0]) / math.log(params.mu)  # E[S_depth] = G_depth'(0) / log(mu)
+    import numpy as np
 
-
-def _delay_mu0(params: LinkParams, depth: int, t_c: int) -> float:
-    # Memoryless links: every hop reached at slot >= 1 is fresh Bernoulli(p),
-    # so each costs 1 + (1-p)/e2 in expectation.  The sole exception is the
-    # first hop when t_c == 0: it is traversed at the snapshot instant itself,
-    # where it is ON by construction and costs exactly 1.
-    per_hop_extra = (1.0 - params.p) / params.epsilon2
-    value = depth * (1.0 + per_hop_extra)
-    if t_c == 0:
-        value -= per_hop_extra
-    return value
+    p, e2 = params.p, params.epsilon2
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        log_mu = np.log(params.mu)
+    omc = -math.expm1(t_c * log_mu) if t_c else 0.0  # mu^0 = 1, also at mu = 0
+    om = -np.expm1(np.arange(1, depth) * log_mu)  # t = 1 .. depth - 1
+    m = 1.0 - om
+    den = om + e2 * m
+    a = (p * om + e2 * m) * m / den
+    b = (1.0 - p) * (1.0 - omc) * m * om / den
+    c = om * (om + (1.0 - p) * m * omc + e2 * m) / den
+    wait = (1.0 - p) / e2
+    h = np.zeros(depth)  # H_0(1 .. depth)
+    mean = 0.0
+    for n in range(depth - 1, -1, -1):  # H_i has n = depth - i cells
+        mean += 1.0 + wait * (omc + (1.0 - omc) * h[0])
+        h = c[:n] + a[:n] * h[:n] + b[:n] * h[1 : n + 1]
+    return float(mean)
 
 
 def mgf_coefficients(params: LinkParams, t_c: int, t) -> tuple[Dual, Dual]:
@@ -126,20 +132,3 @@ def mgf_coefficients(params: LinkParams, t_c: int, t) -> tuple[Dual, Dual]:
     a = (p * (1.0 - m) * m + e2 * m * m) / den
     b = (1.0 - p) * (mu**t_c) * (m * (1.0 - m)) / den
     return a, b
-
-
-def mgf_rows(params: LinkParams, t_c: int, depth: int, t: float = 0.0) -> Iterator[Dual]:
-    """Yield the rows G_0 .. G_depth, row i over the offsets t + (0 .. depth - i).
-
-    Needs 0 < mu < 1.  The derivative of G_depth at t = 0 consumes exactly
-    this triangle, and only the row being extended is kept.
-    """
-    import numpy as np
-
-    a, b = mgf_coefficients(params, t_c, t + np.arange(depth, dtype=float))
-    row = Dual(np.ones(depth + 1), np.zeros(depth + 1))
-    yield row
-    for n in range(depth, 0, -1):
-        # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
-        row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
-        yield row

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Chains this close to static make geometric waits effectively infinite and
-# 1/log(mu) catastrophically cancel; reject them up front.
+# Chains closer to static than this wait about 1e9 slots or more for an OFF
+# link to recover; reject them up front.
 MU_MAX = 1.0 - 1e-9
 
 

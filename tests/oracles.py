@@ -17,8 +17,12 @@
   snapshot included, through a NetworkState, with the BFS asking a predicate
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
-* ``scalar_mgf_rows``: the SCPR delay-MGF triangle built cell by cell from
-  scalar dual numbers, which the array rows of ``analytic_scpr.mgf_rows`` must match.
+* ``mgf_rows`` / ``scalar_mgf_rows``: the SCPR delay-MGF triangle in dual
+  numbers, one array expression per row and one scalar cell at a time.  The
+  derivative form is exact in law and accurate at moderate mu, where the
+  values recursion ``analytic_scpr.scpr_delay_recursion`` must match it.
+* ``delay_mp``: the same delay at 40 digits, from the G-form values
+  recursion, the reference for claim2 over the whole accepted domain.
 * ``pointwise_beta_identities``: the Beta complement and Pascal errors with
   every term evaluated at its own point, which ``verify``'s row-at-a-time
   check must match exactly.
@@ -29,9 +33,13 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import Iterator
+
+import mpmath
+import numpy as np
 
 from satroute import grid_topology as grid
-from satroute.analytic_scpr import Dual
+from satroute.analytic_scpr import Dual, mgf_coefficients
 from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import NetworkState, TrialOutcome, _mix64, _trial_stream
@@ -214,6 +222,48 @@ def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]
             row.append(a * prev[t] + b * prev[t + 1])
         rows.append(row)
     return rows
+
+
+def mgf_rows(params: LinkParams, t_c: int, depth: int, t: float = 0.0) -> Iterator[Dual]:
+    """Yield the rows G_0 .. G_depth, row i over the offsets t + (0 .. depth - i).
+
+    Needs 0 < mu < 1.  E[S_depth] = G_depth'(0) / log(mu), and only the row
+    being extended is kept.
+    """
+    a, b = mgf_coefficients(params, t_c, t + np.arange(depth, dtype=float))
+    row = Dual(np.ones(depth + 1), np.zeros(depth + 1))
+    yield row
+    for n in range(depth, 0, -1):
+        # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
+        row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
+        yield row
+
+
+def delay_mp(p: float, mu: float, depth: int, t_c: int) -> mpmath.mpf:
+    """E[S_depth] of the SCPR stylized path at 40 digits, in G form.
+
+    G_i(t) = E[mu^(t S_i)] follows G_i(t) = A(t) G_{i-1}(t) + B(t) G_{i-1}(t+1)
+    with G_0 = 1, and hop i adds 1 + (1-p)/e2 (1 - mu^t_c G_{i-1}(1)) to the
+    mean.  The cancellation in 1 - mu^t and 1 - G, magnified by (1-p)/e2 (up
+    to 1e21 for p >= 1e-12 and mu <= 1 - 1e-9), still leaves the result well
+    beyond float64 precision.  Pass the float p and mu of a ``LinkParams``.
+    """
+    with mpmath.workdps(40):
+        p, mu = mpmath.mpf(p), mpmath.mpf(mu)
+        e2 = (1 - mu) * p
+        muc = mu**t_c
+        a, b = [], []
+        for t in range(depth):
+            m = mu**t
+            den = 1 - (1 - e2) * m
+            a.append((p * (1 - m) * m + e2 * m * m) / den)
+            b.append((1 - p) * muc * m * (1 - m) / den)
+        g = [mpmath.mpf(1)] * (depth + 1)
+        mean = mpmath.mpf(0)
+        for n in range(depth, 0, -1):
+            mean += 1 + (1 - p) / e2 * (1 - muc * g[1])
+            g = [a[t] * g[t] + b[t] * g[t + 1] for t in range(n)]
+        return mean
 
 
 def pointwise_beta_identities() -> tuple[float, float]:

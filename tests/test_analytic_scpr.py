@@ -7,18 +7,18 @@ from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
 from satroute import verify
 
-from oracles import scalar_mgf_rows
+from oracles import delay_mp, mgf_rows, scalar_mgf_rows
 
 
 def table(params, t_c, depth):
-    """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i, from the production rows."""
+    """M_i(t) = G_i(t)/log(mu) for t = 0 .. depth - i, row per i, from the array rows."""
     log_mu = math.log(params.mu)
-    return [(row.v / log_mu).tolist() for row in scpr.mgf_rows(params, t_c, depth)]
+    return [(row.v / log_mu).tolist() for row in mgf_rows(params, t_c, depth)]
 
 
 def raw_value(params, t_c, depth, t):
-    """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t, from the production rows."""
-    for row in scpr.mgf_rows(params, t_c, depth, t):
+    """G_depth(t) = E[mu^(t S_depth)] at arbitrary real t, from the array rows."""
+    for row in mgf_rows(params, t_c, depth, t):
         pass
     return float(row.v[0])
 
@@ -115,8 +115,8 @@ def test_deep_recursion_per_hop_increments():
     params = ld.from_p_mu(0.9, 0.99)
     depth = 1000
     log_mu = math.log(params.mu)
-    means = [float(row.d[0]) / log_mu for row in scpr.mgf_rows(params, 5, depth)]
-    assert scpr.scpr_delay_recursion(params, depth, 5) == means[depth]
+    means = [float(row.d[0]) / log_mu for row in mgf_rows(params, 5, depth)]
+    assert scpr.scpr_delay_recursion(params, depth, 5) == pytest.approx(means[depth], rel=1e-12)
     steps = [b - a for a, b in zip(means, means[1:])]
     cap = 1.0 + (1.0 - params.p) / params.epsilon2
     slack = 1e-9  # float64 rounding of means up to ~1e4
@@ -125,7 +125,7 @@ def test_deep_recursion_per_hop_increments():
 
 
 def test_deep_recursion_keeps_one_row_at_a_time():
-    # the whole triangle at depth 3000 is about 4.5M (value, derivative) cell pairs, 73 MB
+    # the whole triangle at depth 3000 is about 4.5M cells, 36 MB
     params = ld.from_p_mu(0.9, 0.99)
     scpr.scpr_delay_recursion(params, 1, 5)  # load numpy outside the measurement
     tracemalloc.start()
@@ -171,10 +171,33 @@ def test_delay_monotone_in_staleness_and_depth():
 
 
 def test_delay_rejects_near_static_links():
-    # from_p_mu already refuses mu this close to 1; build the raw params to
-    # exercise the recursion's own guard on 1/log(mu)
-    params = ld.LinkParams(1e-11, 9e-11, 0.9, 1.0 - 1e-10)
-    with pytest.raises(ValueError):
-        scpr.scpr_delay_recursion(params, 4, 0)
+    # from_p_mu refuses mu past MU_MAX; at MU_MAX itself the recursion is exact
     with pytest.raises(ValueError):
         ld.from_p_mu(0.9, 1.0 - 1e-12)
+    params = ld.from_p_mu(0.9, ld.MU_MAX)
+    expected = delay_mp(params.p, params.mu, 10, 5)
+    assert scpr.scpr_delay_recursion(params, 10, 5) == pytest.approx(float(expected), rel=1e-12)
+
+
+# (p, mu, depth, t_c): small p magnifies each rounding error by (1-p)/e2, and
+# mu near 1 makes 1 - mu^t cancel in the derivative form.
+ACCURACY_POINTS = [
+    (p, 1.0 - delta, depth, tc)
+    for p in (1e-12, 1e-6, 1e-3, 0.3, 0.6, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
+    for delta in (1.0, 0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9)
+    for tc in (0, 5, 1000)
+    for depth in (1, 3, 10)
+] + [(0.9, 0.99, 100, 5), (1e-6, 0.99, 40, 5), (0.3, 1.0 - 1e-6, 40, 1000)]
+
+
+def test_delay_matches_mpmath_over_the_accepted_domain():
+    worst, where = 0.0, None
+    for p, mu, depth, tc in ACCURACY_POINTS:
+        params = ld.from_p_mu(p, mu)
+        value = scpr.scpr_delay_recursion(params, depth, tc)
+        assert depth <= value < math.inf, (p, mu, depth, tc, value)  # no NaN, nothing negative
+        expected = delay_mp(params.p, params.mu, depth, tc)
+        err = float(abs(value - expected) / expected)
+        if err > worst:
+            worst, where = err, (p, mu, depth, tc)
+    assert worst <= 1e-12, where

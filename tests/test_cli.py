@@ -451,6 +451,21 @@ def test_source_at_the_edge_of_the_domain_runs(argv, capsys):
     assert code == 0 and capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, expected, rel", [
+    (("--p", "1e-12", "--mu", "0.5", "--x", "1", "--y", "0", "--tc", "0"), 1.0, 0.0),
+    (("--p", "1e-12", "--mu", "0.999999999", "--x", "3", "--y", "4", "--tc", "7"), 251999994035472.28, 1e-12),
+    (("--mu", "0.999999999", "--tc", "5"), 22.648134450734332, 1e-12),
+], ids=["one-hop-small-p", "small-p-near-static", "near-static"])
+def test_claim2_at_the_edge_of_the_domain(argv, expected, rel, capsys):
+    """Small p magnifies each rounding error by (1-p)/e2, and mu near 1 makes
+    1 - mu^t cancel.  The expected values are oracles.delay_mp's; one hop
+    taken at the snapshot instant costs exactly 1 slot."""
+    code, out = run_cli(capsys, "analytic", "--policy", "scpr", "--buffered", "true", *argv)
+    _, claim, value = out.split()
+    assert code == 0 and claim == "claim2"
+    assert float(value) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     builds = []
     build = cli._build_parser
@@ -729,21 +744,21 @@ GOLDEN_STDOUT = {
     ),
     (*SWEEP_X, "--buffered", "true", "--u", "deterministic"): (
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
-        'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
+        'x,1,scpr,buffered,delay,analytic,3.221887552946926,,,,claim2\n'
         'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
-        'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
+        'x,3,scpr,buffered,delay,analytic,11.334992107338495,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
         'x,3,gr,buffered,delay,mc,29.52,9.10322840243717,50,6631279983548901972,\n'
     ),
     (*SWEEP_X, "--buffered", "true", "--u", "0.3"): (
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
-        'x,1,scpr,buffered,delay,analytic,3.2218875529468582,,,,claim2\n'
+        'x,1,scpr,buffered,delay,analytic,3.221887552946926,,,,claim2\n'
         'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
         'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,eq23\n'
         'x,1,gr,buffered,delay,analytic,1.0,,,,eqEK\n'
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
-        'x,3,scpr,buffered,delay,analytic,11.334992107338104,,,,claim2\n'
+        'x,3,scpr,buffered,delay,analytic,11.334992107338495,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
         'x,3,gr,buffered,delay,analytic,30.753649117233667,,,,eq23\n'
         'x,3,gr,buffered,delay,analytic,3.9716518321961365,,,,eqEK\n'

@@ -36,9 +36,6 @@ ALLOWED_PARAMETERS = {
     "cli.main.argv": "the benchmark and the tests call main(argv); the console script calls main()",
     "simulator.estimate.threads": "the engine rule of ROADMAP.md pins "
                                   "test_estimate_deterministic_across_thread_counts, which sets it",
-    "analytic_scpr.mgf_rows.t": "the tests' raw_value finite-difference oracle evaluates G at "
-                                "t = +-h, and the values-only recursion (ROADMAP item 8(b)) reads "
-                                "rows at t = 1",
 }
 
 # Required parameters that every src/ call sets to one constant, each kept on purpose, with its reason.
