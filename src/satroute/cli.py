@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
 import sys
-from typing import Optional
 
 # Only what parsing and every handler share is imported here.  The closed
-# forms, the crossover search and the verification suites are imported by the
-# functions that call them, so a command loads (and, without a bytecode cache,
-# compiles) only the modules whose code it runs.
+# forms, the crossover search, the verification suites and csv are imported
+# by the functions that call them, so a command loads (and, without a
+# bytecode cache, compiles) only the modules whose code it runs.  The records
+# are named tuples, so no command loads dataclasses and the inspect, ast, dis
+# and tokenize modules behind it.
 from . import link_dynamics as links
 from . import simulator
 from .grid_topology import GridSpec, NodeCoord
@@ -49,7 +49,7 @@ SWEEP_VALUES = {
 VERIFY_SUITES = ("analytic", "crossover", "intermediate", "optimal", "ordering", "simulation")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     if args.config:
         # A parser of its own: the file's defaults must not reach later calls.
@@ -215,7 +215,7 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
     sp.set_defaults(**defaults)
 
 
-def _check_distance(x: int, y: int, grid: Optional[GridSpec] = None) -> None:
+def _check_distance(x: int, y: int, grid: GridSpec | None = None) -> None:
     """Reject a source the closed forms do not describe; they take x + y hops.
 
     Both policies need x, y >= 0 and x + y >= 1.  On a ``grid`` the source
@@ -234,7 +234,7 @@ def _tie_u(u: str | float, x: int, y: int) -> str | float:
     return y / (x + y) if u == "auto" else u
 
 
-def _closed_form_u(u: str | float, x: int, y: int) -> Optional[float]:
+def _closed_form_u(u: str | float, x: int, y: int) -> float | None:
     """The u of the walk GR's closed forms describe for --u, or None where none
     does: the deterministic farther-axis walk from an interior source.  From an
     axis source every move is forced, so any u gives that walk."""
@@ -282,9 +282,11 @@ def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> 
                               t_c=tc, tie=_tie_u(args.u, x, y), trials=args.trials, master_seed=seed)
 
 
-def _write_csv(rows: list[list[str]], path: Optional[str]) -> None:
+def _write_csv(rows: list[list[str]], path: str | None) -> None:
     """The rows under CSV_HEADER, to stdout or to ``path``.  A ``path`` that
     cannot be opened is a ValueError, so the run exits 2."""
+    import csv
+
     try:
         out = open(path, "w", encoding="utf-8", newline="") if path else None
     except OSError as exc:

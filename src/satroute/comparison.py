@@ -15,7 +15,6 @@ when it beats a figure that favors the centralized policy:
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .analytic_greedy import _throughput_bracket, gr_delay_exact_component
 from .analytic_scpr import scpr_delay_recursion
@@ -44,18 +43,18 @@ def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int, w: float) 
 
 
 def throughput_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                            u: float) -> Optional[int]:
+                            u: float) -> int | None:
     """Smallest t_c in range where greedy delivery under tie-break u reaches the SCPR bound."""
     return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, u), t_c_min, t_c_max)
 
 
 def delay_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                       w: float) -> Optional[int]:
+                       w: float) -> int | None:
     """Smallest t_c in range where greedy mean delay under walk w beats the SCPR recursion."""
     return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, w), t_c_min, t_c_max)
 
 
-def _first_true(pred, lo: int, hi: int) -> Optional[int]:
+def _first_true(pred, lo: int, hi: int) -> int | None:
     """First t in [lo, hi] with pred(t) when pred(lo) or pred(hi) holds, else None.
 
     Evaluates pred(lo) (a hit returns lo), then pred(hi) (a miss returns

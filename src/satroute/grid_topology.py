@@ -12,32 +12,27 @@ link leaving node ``nid`` in direction ``d`` has id ``nid * 4 + d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
 
 # Direction indices, in the fixed expansion order used everywhere.
 LEFT, DOWN, RIGHT, UP = 0, 1, 2, 3
 
 
-class NodeCoord(NamedTuple):
-    x: int
-    y: int
-
-
+NodeCoord = namedtuple("NodeCoord", "x y")
 ORIGIN = NodeCoord(0, 0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "n_per_plane m_planes")):
     """Torus dimensions: N = n_per_plane (y axis), M = m_planes (x axis)."""
 
-    n_per_plane: int
-    m_planes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_per_plane < 3 or self.m_planes < 3:
+    def __new__(cls, n_per_plane: int, m_planes: int) -> GridSpec:
+        if n_per_plane < 3 or m_planes < 3:
             raise ValueError("need N >= 3 and M >= 3 so the four neighbors are distinct")
+        return super().__new__(cls, n_per_plane, m_planes)
 
     @property
     def n_nodes(self) -> int:
@@ -107,7 +102,7 @@ def shortest_connected_hops(
     p: float,
     random,
     snapshot: dict[int, bool],
-) -> Optional[list[tuple[int, int]]]:
+) -> list[tuple[int, int]] | None:
     """BFS over links that are ON in a lazily drawn t = 0 snapshot; None if unreachable.
 
     Returns the hop list [(tail node index, direction), ...], empty when

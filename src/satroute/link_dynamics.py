@@ -16,15 +16,15 @@ serves GR trials only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 # Chains closer to static than this wait about 1e9 slots or more for an OFF
 # link to recover; reject them up front.
 MU_MAX = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class LinkParams(namedtuple("LinkParams", "epsilon1 epsilon2 p mu")):
     """Immutable link-chain parameters, stored in both representations.
 
     epsilon1: P(OFF at t | ON at t-1), per-slot failure probability.
@@ -33,22 +33,18 @@ class LinkParams:
     mu:       memory parameter, 1 - epsilon1 - epsilon2.
     """
 
-    epsilon1: float
-    epsilon2: float
-    p: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon1 <= 1.0 and 0.0 < self.epsilon2 <= 1.0):
-            raise ValueError(
-                f"epsilon1={self.epsilon1}, epsilon2={self.epsilon2}: both must be in (0, 1]"
-            )
-        if self.mu < 0.0:
-            raise ValueError(f"negative memory mu={self.mu} not supported")
-        if abs(self.mu - (1.0 - self.epsilon1 - self.epsilon2)) > 1e-12:
+    def __new__(cls, epsilon1: float, epsilon2: float, p: float, mu: float) -> LinkParams:
+        if not (0.0 < epsilon1 <= 1.0 and 0.0 < epsilon2 <= 1.0):
+            raise ValueError(f"epsilon1={epsilon1}, epsilon2={epsilon2}: both must be in (0, 1]")
+        if mu < 0.0:
+            raise ValueError(f"negative memory mu={mu} not supported")
+        if abs(mu - (1.0 - epsilon1 - epsilon2)) > 1e-12:
             raise ValueError("mu inconsistent with epsilon1, epsilon2")
-        if abs(self.p - self.epsilon2 / (self.epsilon1 + self.epsilon2)) > 1e-12:
+        if abs(p - epsilon2 / (epsilon1 + epsilon2)) > 1e-12:
             raise ValueError("p inconsistent with epsilon1, epsilon2")
+        return super().__new__(cls, epsilon1, epsilon2, p, mu)
 
 
 def from_p_mu(p: float, mu: float) -> LinkParams:
@@ -70,15 +66,19 @@ def transition_prob(params: LinkParams, from_on: bool, k: int) -> float:
     k = 0 gives 1.0 from ON and 0.0 from OFF.  For k >= 1:
 
         p11(k) = p + (1-p) mu^k        p01(k) = p (1 - mu^k)
+
+    p01 comes from ``expm1(k log mu)``, so it keeps its relative accuracy
+    near static links, where 1 - mu^k cancels.
     """
     if k < 0:
         raise ValueError(f"k={k}: slot count must be >= 0")
     if k == 0:
         return 1.0 if from_on else 0.0
-    muk = params.mu ** k
     if from_on:
-        return _clamp01(params.p + (1.0 - params.p) * muk)
-    return _clamp01(params.p - params.p * muk)
+        return _clamp01(params.p + (1.0 - params.p) * params.mu ** k)
+    if params.mu == 0.0:
+        return params.p  # log(0) raises; mu^k = 0
+    return -params.p * math.expm1(k * math.log(params.mu))
 
 
 def _clamp01(v: float) -> float:

@@ -24,17 +24,13 @@ is about half of a CLI process's start-up, and no other command needs it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from collections import namedtuple
 
 from . import grid_topology as grid
 from .analytic_greedy import gr_throughput
 from .analytic_scpr import scpr_path_success_prob
 from .grid_topology import DOWN, LEFT, GridSpec, NodeCoord
 from .link_dynamics import LinkParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 QUADS = tuple(itertools.product((False, True), repeat=4))  # (l, d, r, u)
 
@@ -53,15 +49,11 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class ValueTable:
-    """Converged unconditional mean delays Dbar, indexed [x - x_lo, y - y_lo]."""
+class ValueTable(namedtuple("ValueTable", "spec d_bar iterations residual residual_history")):
+    """Converged unconditional mean delays ``d_bar``, indexed [x - x_lo, y - y_lo],
+    with the sweep count, the last sweep's residual and every sweep's."""
 
-    spec: GridSpec
-    d_bar: np.ndarray
-    iterations: int
-    residual: float
-    residual_history: list[float]
+    __slots__ = ()
 
     def d_bar_at(self, node: NodeCoord) -> float:
         node = grid.normalize(self.spec, node)
@@ -194,7 +186,7 @@ def verify_connected_path_ordering(params: LinkParams, t_c: int, max_len: int) -
     return violations
 
 
-def find_best_intermediate(p: float, x: int, y: int) -> Optional[NodeCoord]:
+def find_best_intermediate(p: float, x: int, y: int) -> NodeCoord | None:
     """Best relay node (u, v) that strictly improves two-leg greedy throughput.
 
     Baseline: direct greedy routing with the fair-coin tie-break.

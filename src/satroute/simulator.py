@@ -14,15 +14,16 @@ jumps in one draw, so waits near static links finish.
 Delays are integer slot counts, so estimates aggregate as exact integer
 sums.  numpy is imported only inside run_stylized_scpr_path, the one
 vectorised oracle: loading it is about half of a CLI process's start-up, and
-the trials themselves never call it.
+the trials themselves never call it.  For the same reason Estimate and
+TrialOutcome are named tuples: a dataclass would load inspect, ast, dis and
+tokenize into every command.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import grid_topology as grid
 from .grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
@@ -34,22 +35,13 @@ DETERMINISTIC = "deterministic"
 WAIT_SLOTWISE = 10_000
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """Monte Carlo estimate: sample mean, its standard error, provenance."""
+# Monte Carlo estimate: sample mean, its standard error, provenance.
+Estimate = namedtuple("Estimate", "mean stderr trials seed")
 
-    mean: float
-    stderr: float
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    success: bool
-    delay: Optional[int]  # slots from departure, present iff success
-    path_len: int  # hops of the chosen/realized path
-    hit_boundary_at: Optional[int]  # move count at first boundary contact (GR)
+# delay: slots from departure, an int iff success, else None.
+# path_len: hops of the chosen/realized path.
+# hit_boundary_at: move count at first boundary contact (GR), or None.
+TrialOutcome = namedtuple("TrialOutcome", "success delay path_len hit_boundary_at")
 
 
 class NetworkState:
@@ -195,7 +187,7 @@ def run_gr_trial(
     nid = grid.node_index(spec, node)
     t = 0
     moves = 0
-    hit_boundary: Optional[int] = 0 if (x == 0 or y == 0) and (x, y) != (0, 0) else None
+    hit_boundary: int | None = 0 if (x == 0 or y == 0) and (x, y) != (0, 0) else None
     while x or y:
         x_lid = nid * 4 + (LEFT if x > 0 else RIGHT) if x else None
         y_lid = nid * 4 + (DOWN if y > 0 else UP) if y else None

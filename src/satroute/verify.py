@@ -22,8 +22,8 @@ own arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import analytic_greedy as greedy
 from . import analytic_scpr as scpr
@@ -34,11 +34,8 @@ from .grid_topology import GridSpec, NodeCoord
 from .special_functions import beta_fn, reg_inc_beta
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}" + (f"  ({self.detail})" if self.detail else "")

@@ -15,6 +15,9 @@ only ``verify.py`` calls are exempt, since its checks pass their own points.
 
 The Monte Carlo engine is what the closed forms are checked against, so
 ``simulator.py`` imports none of them.
+
+Records are named tuples, so no module imports ``dataclasses``: that import
+loads inspect, ast, dis and tokenize, about a third of a command's start-up.
 """
 
 import ast
@@ -197,12 +200,21 @@ def test_no_required_parameter_production_fixes():
     assert set(ALLOWED_FIXED) <= fixed  # a stale entry would hide nothing and mislead
 
 
-def test_simulator_imports_no_closed_form():
-    tree = ast.parse((PACKAGE / "simulator.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
+def imported(path: Path) -> set[str]:
+    """The modules and the names a source file imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
+            names |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
-            imported |= {node.module or "", *(alias.name for alias in node.names)}
-    assert not [name for name in imported if name.rpartition(".")[2].startswith("analytic_")]
+            names |= {node.module or "", *(alias.name for alias in node.names)}
+    return names
+
+
+def test_simulator_imports_no_closed_form():
+    assert not [name for name in imported(PACKAGE / "simulator.py")
+                if name.rpartition(".")[2].startswith("analytic_")]
+
+
+def test_no_module_imports_dataclasses():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if "dataclasses" in imported(path)] == []

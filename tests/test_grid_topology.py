@@ -73,6 +73,22 @@ def test_spec_rejects_tiny_grids():
         GridSpec(2, 5)
     with pytest.raises(ValueError):
         GridSpec(5, 2)
+    with pytest.raises(ValueError):
+        GridSpec(n_per_plane=5, m_planes=2)
+
+
+def test_spec_is_immutable():
+    spec = GridSpec(5, 4)
+    with pytest.raises(AttributeError):
+        spec.m_planes = 5
+
+
+def test_equal_specs_share_one_table():
+    before = grid.neighbor_id_table.cache_info()
+    table = grid.neighbor_id_table(GridSpec(100, 100))
+    assert grid.neighbor_id_table(GridSpec(100, 100)) is table
+    after = grid.neighbor_id_table.cache_info()
+    assert after.currsize - before.currsize <= 1 and after.hits > before.hits
 
 
 def test_coordinate_ranges():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,37 @@ def test_from_p_mu_rejects_degenerate(p, mu):
 def test_negative_memory_rejected():
     with pytest.raises(ValueError):
         ld.LinkParams(0.6, 0.6, 0.5, -0.2)
+
+
+@pytest.mark.parametrize("args", [
+    (0.1, 0.2, 0.5, 0.7),  # p should be 2/3
+    (0.1, 0.2, 2.0 / 3.0, 0.5),  # mu should be 0.7
+    (0.0, 0.2, 1.0, 0.8),  # epsilon1 outside (0, 1]
+])
+def test_inconsistent_params_rejected(args):
+    with pytest.raises(ValueError):
+        ld.LinkParams(*args)
+    with pytest.raises(ValueError):
+        ld.LinkParams(**dict(zip(("epsilon1", "epsilon2", "p", "mu"), args)))
+
+
+def test_params_are_immutable_and_print_as_before():
+    params = ld.from_p_mu(0.9, 0.5)
+    with pytest.raises(AttributeError):
+        params.p = 0.5
+    assert repr(params) == "LinkParams(epsilon1=0.04999999999999999, epsilon2=0.45, p=0.9, mu=0.5)"
+
+
+@pytest.mark.parametrize("p, mu", [(0.3, ld.MU_MAX), (0.9, 0.5), (0.05, 0.99)])
+@pytest.mark.parametrize("k", [1, 10, 1000])
+def test_recovery_prob_matches_mpmath(p, mu, k):
+    """p01(k) = p (1 - mu^k) keeps its relative accuracy near static links,
+    where 1 - mu^k cancels in floating point."""
+    params = ld.from_p_mu(p, mu)
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(params.p) * (1 - mpmath.mpf(params.mu) ** k)
+        rel = abs((ld.transition_prob(params, False, k) - exact) / exact)
+    assert rel <= 1e-15
 
 
 def test_one_step_transition_matches_rates():

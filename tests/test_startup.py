@@ -7,6 +7,8 @@ imports is compiled from source too, so ``import satroute`` loads no
 submodule and each command loads only its own.  Each case runs in a fresh
 interpreter, so a top-level import that comes back (``import numpy``
 anywhere in the package, ``from . import verify`` in ``cli.py``) fails here.
+So does a record written as a dataclass: that import loads inspect, ast, dis
+and tokenize, about a third of a command's start-up.
 """
 
 import importlib
@@ -25,6 +27,7 @@ SRC = Path(satroute.__file__).resolve().parents[1]
 
 CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import satroute
 argv = json.loads(sys.argv[1])
 out, rc = io.StringIO(), None
@@ -33,7 +36,8 @@ if argv:
     with contextlib.redirect_stdout(out):
         rc = main(argv)
 print(json.dumps({"numpy": "numpy" in sys.modules, "rc": rc, "out": out.getvalue(),
-                  "modules": sorted(m for m in sys.modules if m.startswith("satroute"))}))
+                  "modules": sorted(m for m in sys.modules if m.startswith("satroute")),
+                  "added": sorted(set(sys.modules) - before)}))
 """
 
 
@@ -70,22 +74,29 @@ GREEDY = {"analytic_greedy", "special_functions"}
 ALL = {*CORE, *GREEDY, "analytic_scpr", "comparison", "optimal_policies", "verify"}
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ([], set()),
-    (["simulate", "--policy", "scpr", "--trials", "1", "--seed", "0"], CORE),
-    (["simulate", "--policy", "gr", "--trials", "1", "--seed", "0"], CORE),
-    (["analytic", "--policy", "scpr"], CORE | {"analytic_scpr"}),
-    (["analytic", "--policy", "gr", "--buffered", "true"], CORE | GREEDY),
+# Standard-library modules a command need not load: dataclasses loads the
+# next four, and only sweep writes a CSV.  numpy may load any but csv.
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+
+
+@pytest.mark.parametrize("argv, loaded, allowed", [
+    ([], set(), set()),
+    (["simulate", "--policy", "scpr", "--trials", "1", "--seed", "0"], CORE, set()),
+    (["simulate", "--policy", "gr", "--trials", "1", "--seed", "0"], CORE, set()),
+    (["analytic", "--policy", "scpr"], CORE | {"analytic_scpr"}, set()),
+    (["analytic", "--policy", "gr", "--buffered", "true"], CORE | GREEDY, set()),
     (["sweep", "--sweep", "x", "--values", "1", "--policy", "scpr", "--trials", "1"],
-     CORE | {"analytic_scpr"}),
-    (["crossover", "--metric", "throughput"], CORE | GREEDY | {"analytic_scpr", "comparison"}),
-    (["verify", "crossover"], ALL),
+     CORE | {"analytic_scpr"}, {"csv"}),
+    (["crossover", "--metric", "throughput"], CORE | GREEDY | {"analytic_scpr", "comparison"}, set()),
+    (["verify", "crossover"], ALL, HEAVY - {"csv"}),
 ], ids=["import", "simulate-scpr", "simulate-gr", "analytic-scpr", "analytic-gr-buffered",
         "sweep-scpr", "crossover-throughput", "verify-crossover"])
-def test_command_loads_only_its_modules(argv, loaded):
+def test_command_loads_only_its_modules(argv, loaded, allowed):
     reply = run_fresh(argv)
     assert reply["rc"] == (0 if argv else None)
     assert reply["modules"] == sorted({"satroute", *(f"satroute.{name}" for name in loaded)})
+    # Compared as what the run added: the interpreter's own start-up may load some already.
+    assert HEAVY & set(reply["added"]) <= allowed
 
 
 # The names `satroute` exports, by defining module.
