@@ -22,8 +22,8 @@ _EXPORTS = {
     "link_dynamics": ("LinkParams", "from_p_mu", "transition_prob"),
     "optimal_policies": ("ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"),
-    "simulator": ("Estimate", "TrialOutcome", "estimate", "run_gr_trial", "run_scpr_trial",
-                  "run_stylized_scpr_path"),
+    "simulator": ("Estimate", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
+                  "run_scpr_trial", "run_stylized_scpr_path"),
     "special_functions": ("beta_fn", "binom", "reg_inc_beta"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

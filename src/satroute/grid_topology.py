@@ -102,6 +102,7 @@ def shortest_connected_hops(
     p: float,
     random,
     snapshot: dict[int, bool],
+    parent: list[int],
 ) -> list[tuple[int, int]] | None:
     """BFS over links that are ON in a lazily drawn t = 0 snapshot; None if unreachable.
 
@@ -116,61 +117,75 @@ def shortest_connected_hops(
     need.  Every hop of a found route was drawn ON, so on a found route it
     receives only the OFF draws.  On a None return it receives every draw:
     the OFF draws, and the search tree's links as ON.
+
+    ``parent`` is the caller's search buffer, one entry per node index
+    (length ``spec.n_nodes``), so that repeated searches allocate nothing.
+    It must be all -1 on entry, and it is all -1 again on every return: the
+    search records in it the id of the link that reached each node it
+    visits, and resets each entry it set.
     """
     if src_id == dst_id:
         return []
     nbr = neighbor_id_table(spec)
-    parent = {src_id: -1}  # node index -> id of the link that reached it
+    parent[src_id] = -2  # visited, reached by no link
     queue = [src_id]
     append = queue.append
     for nid in queue:  # the list grows while it is read: a FIFO without pops
         lid = nid * 4
         left, down, right, up = nbr[nid]
-        if left not in parent:
+        if parent[left] == -1:
             if random() < p:
                 parent[left] = lid
                 if left == dst_id:
-                    return _tree_hops(parent, left, src_id)
+                    return _tree_hops(parent, left, queue)
                 append(left)
             else:
                 snapshot[lid] = False
-        if down not in parent:
+        if parent[down] == -1:
             if random() < p:
                 parent[down] = lid + 1
                 if down == dst_id:
-                    return _tree_hops(parent, down, src_id)
+                    return _tree_hops(parent, down, queue)
                 append(down)
             else:
                 snapshot[lid + 1] = False
-        if right not in parent:
+        if parent[right] == -1:
             if random() < p:
                 parent[right] = lid + 2
                 if right == dst_id:
-                    return _tree_hops(parent, right, src_id)
+                    return _tree_hops(parent, right, queue)
                 append(right)
             else:
                 snapshot[lid + 2] = False
-        if up not in parent:
+        if parent[up] == -1:
             if random() < p:
                 parent[up] = lid + 3
                 if up == dst_id:
-                    return _tree_hops(parent, up, src_id)
+                    return _tree_hops(parent, up, queue)
                 append(up)
             else:
                 snapshot[lid + 3] = False
-    del parent[src_id]
-    snapshot.update(dict.fromkeys(parent.values(), True))  # the tree's links were drawn ON
+    parent[src_id] = -1
+    for nid in queue[1:]:
+        snapshot[parent[nid]] = True  # the tree's links were drawn ON
+        parent[nid] = -1
     return None
 
 
-def _tree_hops(parent: dict[int, int], nid: int, src_id: int) -> list[tuple[int, int]]:
-    """The hop list from src_id to nid along the search tree's parent links."""
+def _tree_hops(parent: list[int], dst_id: int, queue: list[int]) -> list[tuple[int, int]]:
+    """The hop list from the search's source, ``queue[0]``, to dst_id along
+    the search tree's parent links; then resets every entry the search set."""
+    src_id = queue[0]
     hops = []
+    nid = dst_id
     while nid != src_id:
         lid = parent[nid]
         nid = lid >> 2
         hops.append((nid, lid & 3))
     hops.reverse()
+    parent[dst_id] = -1
+    for nid in queue:
+        parent[nid] = -1
     return hops
 
 

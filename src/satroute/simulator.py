@@ -6,6 +6,10 @@ trial draws its t = 0 snapshot inside the BFS, which keeps only what the
 route may still read: the OFF draws, plus the search tree's ON links when no
 path exists.  Every hop of a found route was drawn ON.  The trial advances
 each link it traverses through the k-step transition kernel in one draw.
+An SCPR estimate computes once, in one ScprRun, what its trials share: the
+source's and the origin's node ids, a wait's recovery probability, a memo
+of the kernel from ON by slot, and the BFS's parent buffer, which every
+search leaves all -1, so that a trial allocates no search state.
 A GR trial owns a lazily evaluated NetworkState, which serves GR only.  The
 state computes the one-step kernel once per trial: a GR wait re-observes its
 links one slot apart, so nearly every re-observation uses it.  A wait on OFF
@@ -83,15 +87,37 @@ class NetworkState:
         return on
 
 
+class ScprRun:
+    """What the SCPR trials of one ``(spec, params, src)`` share, computed once.
+
+    The normalized ``src``, its node index ``src_id`` and the origin's
+    ``dst_id``; ``q`` = P(ON at t+1 | OFF at t), which a buffered wait draws
+    against; ``on_prob``, a memo of ``transition_prob(params, True, t)`` by
+    slot t; and ``parent``, the search buffer of
+    ``grid_topology.shortest_connected_hops``, all -1 between trials.  Trials
+    of any t_c and regime may share one run, one trial at a time.
+    """
+
+    __slots__ = ("src", "src_id", "dst_id", "q", "on_prob", "parent")
+
+    def __init__(self, spec: GridSpec, params: LinkParams, src: NodeCoord):
+        self.src = grid.normalize(spec, src)
+        self.src_id = grid.node_index(spec, self.src)
+        self.dst_id = grid.node_index(spec, ORIGIN)
+        self.q = transition_prob(params, False, 1)
+        self.on_prob: dict[int, float] = {}
+        self.parent = [-1] * spec.n_nodes
+
+
 def run_scpr_trial(
     spec: GridSpec,
     params: LinkParams,
-    src: NodeCoord,
+    run: ScprRun,
     t_c: int,
     buffered: bool,
     rng,
 ) -> TrialOutcome:
-    """One shortest-connected-path trial toward the origin.
+    """One shortest-connected-path trial from ``run.src`` toward the origin.
 
     The route is fixed from the t = 0 snapshot: BFS over links ON at t = 0,
     falling back to a uniformly random shortest path when no connected path
@@ -103,36 +129,39 @@ def run_scpr_trial(
     is looked up in the snapshot, which then holds every link the search
     drew.  A link with a t = 0 state is advanced by the t-step kernel; one
     the search never examined is a steady-state draw.  The draws are the ones
-    a NetworkState would make for the same observations.
+    a NetworkState would make for the same observations.  ``run.on_prob``
+    keeps the kernel from ON only at slots t < t_c + route length, the ones
+    a route reaches without waiting, so that it stays as short as the
+    longest route however long the waits.
     """
     random = rng.random
     p = params.p
     snapshot: dict[int, bool] = {}
-    hops = grid.shortest_connected_hops(
-        spec,
-        grid.node_index(spec, grid.normalize(spec, src)),
-        grid.node_index(spec, ORIGIN),
-        p,
-        random,
-        snapshot,
-    )
+    hops = grid.shortest_connected_hops(spec, run.src_id, run.dst_id, p, random, snapshot, run.parent)
     found = hops is not None
     if not found:
-        hops = grid.random_shortest_path(spec, src, rng)
-    q = transition_prob(params, False, 1)
+        hops = grid.random_shortest_path(spec, run.src, rng)
+    on_prob = run.on_prob
     t = t_c
     for nid, d in hops:
         on0 = True if found else snapshot.get(nid * 4 + d)
         if on0 is None:
             on = random() < p
-        elif t > 0:
-            on = random() < transition_prob(params, on0, t)
-        else:
+        elif t == 0:
             on = on0
+        elif on0:
+            prob = on_prob.get(t)
+            if prob is None:
+                prob = transition_prob(params, True, t)
+                if t - t_c < len(hops):
+                    on_prob[t] = prob
+            on = random() < prob
+        else:
+            on = random() < transition_prob(params, False, t)
         if not on:
             if not buffered:
                 return TrialOutcome(False, None, len(hops), None)
-            t += _wait_slots(random, q)
+            t += _wait_slots(random, run.q)
         t += 1
     return TrialOutcome(True, t - t_c, len(hops), None)
 
@@ -332,14 +361,15 @@ def estimate(
     if policy == "gr" and tie != DETERMINISTIC and not (isinstance(tie, (int, float)) and 0 <= tie <= 1):
         raise ValueError(f"tie={tie!r}: need a probability in [0, 1] or {DETERMINISTIC!r}")
     key = _mix64(master_seed)
+    streams = (_trial_stream(key, i) for i in range(trials))
+    if policy == "scpr":
+        run = ScprRun(spec, params, src)
+        outcomes = (run_scpr_trial(spec, params, run, t_c, buffered, rng) for rng in streams)
+    else:
+        outcomes = (run_gr_trial(NetworkState(spec, params, rng), src, buffered, tie, rng) for rng in streams)
     total = 0
     total_sq = 0
-    for i in range(trials):
-        rng = _trial_stream(key, i)
-        if policy == "scpr":
-            out = run_scpr_trial(spec, params, src, t_c, buffered, rng)
-        else:
-            out = run_gr_trial(NetworkState(spec, params, rng), src, buffered, tie, rng)
+    for out in outcomes:
         v = out.delay if buffered else int(out.success)
         total += v
         total_sq += v * v

@@ -56,7 +56,9 @@ def connected_hops(spec, link_on, src, dst):
         assert u is not None, "the search drew a link the oracle did not examine"
         return u
 
-    hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.5, replay, {})
+    parent = [-1] * spec.n_nodes
+    hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.5, replay, {}, parent)
+    assert parent == [-1] * spec.n_nodes
     assert next(draws, None) is None, "the search drew fewer links than the oracle examined"
     assert hops == ref
     return hops
@@ -261,7 +263,7 @@ def test_connected_path_draws_each_examined_link_once():
             return draws[-1]
 
         snapshot = {}
-        hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, counted, snapshot)
+        hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, counted, snapshot, [-1] * spec.n_nodes)
         outcomes.add(hops is None)
         replay = iter(draws)
         examined = []
@@ -281,9 +283,12 @@ def test_connected_path_draws_each_examined_link_once():
 def test_bfs_snapshot_matches_oracle_draws():
     """The snapshot holds what the fallback route may read: on a failure the
     oracle's whole lazily drawn snapshot, on a found route only its OFF draws,
-    and never a hop of the route."""
+    and never a hop of the route.  One search buffer serves every search and
+    is all -1 after each, src == dst included."""
     for n, m in ((5, 4), (7, 6), (20, 20)):
         spec = GridSpec(n, m)
+        unvisited = [-1] * spec.n_nodes
+        parent = list(unvisited)
         # given past the seam: (M//2 + 1, 1) wraps to the far side of the x axis
         dst = grid.normalize(spec, NodeCoord(m // 2 + 1, 1))
         (dst_id,) = ids(spec, dst)
@@ -301,8 +306,9 @@ def test_bfs_snapshot_matches_oracle_draws():
                 ref = oracle_connected_hops(spec, lazily_drawn, src_id, dst_id)
                 rng = random.Random(seed)
                 snapshot = {}
-                hops = grid.shortest_connected_hops(spec, src_id, dst_id, p, rng.random, snapshot)
+                hops = grid.shortest_connected_hops(spec, src_id, dst_id, p, rng.random, snapshot, parent)
                 assert hops == ref
+                assert parent == unvisited
                 assert rng.getstate() == ref_rng.getstate()
                 if hops is None:
                     failed += 1

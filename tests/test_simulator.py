@@ -56,21 +56,23 @@ def test_network_state_near_static_links_persist():
 
 def test_scpr_trial_certain_links():
     spec = GridSpec(30, 30)
+    run = sim.ScprRun(spec, NEAR_ONE, NodeCoord(4, 3))
     for i in range(25):
         rng = trial_rng(5, i)
-        out = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, False, rng)
+        out = sim.run_scpr_trial(spec, NEAR_ONE, run, 2, False, rng)
         assert out.success and out.delay == 7 and out.path_len == 7
         rng2 = trial_rng(6, i)
-        out2 = sim.run_scpr_trial(spec, NEAR_ONE, NodeCoord(4, 3), 2, True, rng2)
+        out2 = sim.run_scpr_trial(spec, NEAR_ONE, run, 2, True, rng2)
         assert out2.success and out2.delay == 7
 
 
 def test_scpr_buffered_always_succeeds():
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.5, 0.6)
+    run = sim.ScprRun(spec, params, NodeCoord(3, 2))
     for i in range(300):
         rng = trial_rng(7, i)
-        out = sim.run_scpr_trial(spec, params, NodeCoord(3, 2), 4, True, rng)
+        out = sim.run_scpr_trial(spec, params, run, 4, True, rng)
         assert out.success and out.delay >= out.path_len >= 5
 
 
@@ -81,9 +83,10 @@ def test_scpr_bufferless_success_rate_conditioned_on_connected_geodesic():
     t_c, x, y = 2, 2, 2
     target = scpr.scpr_path_success_prob(params, x + y, t_c)
     hits = total = 0
+    run = sim.ScprRun(spec, params, NodeCoord(x, y))
     for i in range(20000):
         rng = trial_rng(8, i)
-        out = sim.run_scpr_trial(spec, params, NodeCoord(x, y), t_c, False, rng)
+        out = sim.run_scpr_trial(spec, params, run, t_c, False, rng)
         if out.path_len == x + y:
             # geodesic-length paths found by the BFS are connected at t=0
             total += 1
@@ -270,6 +273,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
 
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.6, 0.5)
+    run = sim.ScprRun(spec, params, NodeCoord(2, 2))
     means = []
     for seed, trial in ((65, sim.run_scpr_trial), (66, None)):
         delays = []
@@ -278,7 +282,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
             if trial is None:
                 out = oracle_scpr_trial(sim.NetworkState(spec, params, rng), NodeCoord(2, 2), 3, True, rng)
             else:
-                out = trial(spec, params, NodeCoord(2, 2), 3, True, rng)
+                out = trial(spec, params, run, 3, True, rng)
             delays.append(out.delay)
         m = sum(delays) / len(delays)
         means.append((m, sum((d - m) ** 2 for d in delays) / (len(delays) - 1) / len(delays)))
@@ -325,13 +329,14 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.5)
     n = 10**5
+    run = sim.ScprRun(spec, params, NodeCoord(1, 2))
     rates = []
     for seed in (21, 22):
         hits = 0
         for i in range(n):
             rng = trial_rng(seed, i)
             if seed == 21:
-                out = sim.run_scpr_trial(spec, params, NodeCoord(1, 2), 3, False, rng)
+                out = sim.run_scpr_trial(spec, params, run, 3, False, rng)
             else:
                 out = oracle_scpr_trial(SlotwiseNetworkState(spec, params, rng), NodeCoord(1, 2), 3, False, rng)
             hits += out.success
@@ -360,12 +365,50 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
                     src = pick.choice(nodes)
                     rng = trial_rng(31, i)
                     ref_rng = trial_rng(31, i)
-                    out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng)
+                    out = sim.run_scpr_trial(spec, params, sim.ScprRun(spec, params, src), t_c, buffered, rng)
                     ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered, ref_rng)
                     assert out == ref, (p, t_c, buffered, i)
                     assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, i)
                     waits += buffered and out.delay > out.path_len
     assert fallbacks and waits
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (7, 6), (20, 20), (100, 100)])
+def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
+    """One ScprRun serves trial after trial, as in estimate(): each gives the
+    oracle's outcome and leaves the random stream in the oracle's state, and
+    the search buffer is all -1 again after every found route, fallback and
+    zero-hop trial from the origin.  The memo holds transition_prob's floats,
+    and only at slots a route reaches without waiting."""
+    spec = GridSpec(*shape)
+    nodes = [n for n in spec.nodes() if n != grid.ORIGIN and max(abs(n.x), abs(n.y)) <= 6]
+    pick = random.Random(shape[0] * 100 + shape[1] + 1)
+    fallbacks = record_fallbacks(monkeypatch)
+    unvisited = [-1] * spec.n_nodes
+    found = 0
+    for p in (0.3, 0.6, 0.9):
+        params = ld.from_p_mu(p, 0.7)
+        for src in (grid.ORIGIN, *pick.sample(nodes, 3)):
+            run = sim.ScprRun(spec, params, src)
+            i = longest = 0
+            for t_c in (0, 3):
+                for buffered in (False, True):
+                    for _ in range(45):
+                        rng = trial_rng(33, i)
+                        ref_rng = trial_rng(33, i)
+                        before = len(fallbacks)
+                        out = sim.run_scpr_trial(spec, params, run, t_c, buffered, rng)
+                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered,
+                                                ref_rng)
+                        assert out == ref, (p, src, t_c, buffered, i)
+                        assert rng.getstate() == ref_rng.getstate(), (p, src, t_c, buffered, i)
+                        assert run.parent == unvisited, (p, src, t_c, buffered, i)
+                        found += out.path_len > 0 and len(fallbacks) == before
+                        longest = max(longest, out.path_len)
+                        i += 1
+            assert run.on_prob == {t: ld.transition_prob(params, True, t) for t in run.on_prob}
+            assert all(t < 3 + longest for t in run.on_prob)
+    assert fallbacks and found
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 50])
@@ -427,16 +470,18 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["scpr", "gr"])
 def test_estimate_equals_a_loop_over_trial_rng(policy):
-    """estimate() runs trial i of the public trial functions on trial_rng(master_seed, i)."""
+    """estimate() runs trial i of the public trial functions on trial_rng(master_seed, i),
+    all of an SCPR run's trials sharing one ScprRun."""
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.7, 0.9)
     src, t_c, tie, trials, seed = NodeCoord(3, -2), 2, 0.3, 300, 77
     for buffered in (False, True):
+        run = sim.ScprRun(spec, params, src)
         total = total_sq = 0
         for i in range(trials):
             rng = trial_rng(seed, i)
             if policy == "scpr":
-                out = sim.run_scpr_trial(spec, params, src, t_c, buffered, rng)
+                out = sim.run_scpr_trial(spec, params, run, t_c, buffered, rng)
             else:
                 out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
             v = out.delay if buffered else int(out.success)
@@ -487,7 +532,8 @@ HIGH_P = ld.from_p_mu(0.9, 0.99)
 # (policy, grid, params, estimate kwargs, mean, stderr): exact values of the
 # per-trial random streams, so any change to the order of draws shows here.
 # The low-p SCPR case takes the random_shortest_path fallback in 27 of its
-# 300 trials.
+# 300 trials.  The two scpr_*_default_grid cases are the benchmark's point on
+# the default 100x100 grid.
 GOLDEN = {
     "scpr_bufferless": ("scpr", GridSpec(30, 30), HIGH_P,
                         dict(src=NodeCoord(4, 3), buffered=False, t_c=5, trials=400, master_seed=101),
@@ -499,6 +545,14 @@ GOLDEN = {
                                      dict(src=NodeCoord(5, 4), buffered=True, t_c=3, trials=300,
                                           master_seed=103),
                                      79.62, 3.389745635560515),
+    "scpr_bufferless_default_grid": ("scpr", GridSpec(100, 100), HIGH_P,
+                                     dict(src=NodeCoord(5, 5), buffered=False, t_c=5, trials=250,
+                                          master_seed=107),
+                                     0.904, 0.018668961419477187),
+    "scpr_buffered_default_grid": ("scpr", GridSpec(100, 100), HIGH_P,
+                                   dict(src=NodeCoord(5, 5), buffered=True, t_c=5, trials=250,
+                                        master_seed=108),
+                                   25.348, 4.193429023113131),
     "gr_bufferless_u0.5": ("gr", GridSpec(30, 30), HIGH_P,
                            dict(src=NodeCoord(6, 4), buffered=False, tie=0.5,
                                 trials=400, master_seed=104),
