@@ -372,6 +372,8 @@ def cmd_crossover(args) -> int:
     params = links.from_p_mu(args.p, args.mu)
     x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
     _check_distance(x, y)
+    if lo > hi:
+        raise ValueError(f"--tc-min {lo} is above --tc-max {hi}: the search range is empty")
     u = _closed_form_u(args.u, x, y)
     if u is None:
         raise ValueError(NO_CLOSED_FORM)

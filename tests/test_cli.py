@@ -547,6 +547,26 @@ def test_crossover_commands(capsys):
     assert code == 0 and out.strip() == "crossover_tc=none"
 
 
+@pytest.mark.parametrize("mu, tc_max, throughput, delay", [
+    ("0.999", "5000", 386, 318),
+    ("0.999999999", "1000000000", 390231669, 319909008),
+    ("0.5", str(10**20), 0, 1),  # wider than a C ssize_t
+])
+def test_crossover_over_a_wide_range(mu, tc_max, throughput, delay, capsys):
+    """Crossovers far past the default [0, 200]: each search bisects, so a
+    range of 10^9 slots costs at most 32 closed-form evaluations."""
+    for metric, expected in (("throughput", throughput), ("delay", delay)):
+        code, out = run_cli(capsys, "crossover", "--metric", metric, "--mu", mu, "--tc-max", tc_max)
+        assert code == 0 and out == f"crossover_tc={expected}\n"
+
+
+def test_crossover_tc_min_above_tc_max_exits_2(capsys):
+    code = cli.main(["crossover", "--metric", "delay", "--tc-min", "5", "--tc-max", "2"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and "--tc-min 5" in out.err and "--tc-max 2" in out.err
+
+
 POINT_2_6 = ("--p", "0.9", "--mu", "0.99", "--x", "2", "--y", "6")
 
 
@@ -673,7 +693,9 @@ def test_crossover_throughput_axis_source(capsys):
         assert out == f"crossover_tc={expected if expected is not None else 'none'}\n"
     # GR's p^n never reaches SCPR's bound, which exceeds it by a term in mu^t_c
     # at every finite t_c, even where the two products round to the same float
-    for mu, tc_max in (("0.5", "200"), ("0.9", "400")):
+    # and where that term underflows to 0.0 (from about t_c = 160 at mu = 0.01)
+    for mu, tc_max in (("0.5", "200"), ("0.9", "400"), ("0.01", "200"), ("0.001", "200"),
+                       ("0.5", "5000")):
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", mu,
                             "--x", "0", "--y", "2", "--tc-max", tc_max)
         assert code == 0 and out == "crossover_tc=none\n"
