@@ -70,10 +70,14 @@ def _true_false(text: str) -> bool:
 
 
 def _count(text: str) -> int:
-    """--tc, --tc-min, --tc-max: a slot count, an integer >= 0."""
+    """--tc, --tc-min, --tc-max: a slot count, an integer >= 0 that a float holds."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    try:
+        float(n)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"want at most the float range (about 1.8e308), got {text!r}") from None
     return n
 
 

@@ -8,7 +8,9 @@ tail sum
 
 (the probability that a negative binomial with ``a`` required successes of
 probability ``v`` sees at most ``b-1`` failures).  No continued fractions,
-no convergence tuning; the only error is float rounding.
+no convergence tuning; the only error is float rounding.  The coefficients
+C(k+a-1, k) are exact integers rounded once to floats, which is the rounding
+an ``int * float`` product applies to them anyway.
 """
 
 from __future__ import annotations
@@ -63,14 +65,20 @@ def neg_binomial_sum(r: float, a: int, b: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _neg_binomial_coefficients(a: int, b: int) -> tuple[int, ...]:
-    """The exact integers C(k+a-1, k) for k < b, the terms of neg_binomial_sum.
+def _neg_binomial_coefficients(a: int, b: int) -> tuple[float, ...]:
+    """C(k+a-1, k) for k < b as floats, the terms of neg_binomial_sum.
 
+    Each exact integer is rounded once by ``float()``, the same correctly
+    rounded conversion that ``int * float`` applies, so the sum is unchanged
+    (and a coefficient past the float range raises the same OverflowError).
     A Beta check calls the sum for a few (a, b) pairs at many points, so the
     coefficients are built once per pair; the bound keeps a scan over many
-    shapes from holding them all.
+    shapes from holding them all.  The tuple is built from a list, so it is
+    allocated at its final size: ``tuple(<generator>)`` guesses a size and
+    resizes, and each cache miss then leaves a block in another size's free
+    list.
     """
-    return tuple(comb(k + a - 1, k) for k in range(b))
+    return tuple([float(comb(k + a - 1, k)) for k in range(b)])
 
 
 def _check_shape(a: int, b: int) -> None:

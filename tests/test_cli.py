@@ -322,6 +322,29 @@ def test_snapshot_age_that_is_not_a_count_exits_2(argv, capsys):
     assert_usage_error(capsys, argv)
 
 
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--policy", "scpr", "--buffered", "false", "--tc", BEYOND_FLOAT),
+    ("analytic", "--policy", "scpr", "--buffered", "true", "--tc", BEYOND_FLOAT),
+    ("crossover", "--metric", "throughput", "--tc-max", BEYOND_FLOAT),
+    ("crossover", "--metric", "delay", "--tc-max", BEYOND_FLOAT),
+    ("simulate", "--policy", "scpr", "--tc", BEYOND_FLOAT, "--trials", "20"),
+    ("sweep", "--sweep", "tc", "--values", BEYOND_FLOAT, "--trials", "20"),
+])
+def test_snapshot_age_past_the_float_range_exits_2(argv, capsys):
+    """A slot count that float() cannot hold is rejected before any closed form
+    converts it, so the run prints an error: line instead of an OverflowError."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "error:" in out.err and "float range" in out.err
+
+
 def test_scpr_exit_code_does_not_depend_on_u(capsys):
     """SCPR has no tie-break: --u, which it never reads, cannot change the run."""
     for x, code in (("2", 0), ("-2", 2)):
