@@ -22,7 +22,7 @@ _EXPORTS = {
     "link_dynamics": ("LinkParams", "from_p_mu", "transition_prob"),
     "optimal_policies": ("ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"),
-    "simulator": ("Estimate", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
+    "simulator": ("Estimate", "GrRun", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
                   "run_scpr_trial", "run_stylized_scpr_path"),
     "special_functions": ("beta_fn", "binom", "reg_inc_beta"),
 }

@@ -15,6 +15,7 @@ directions) before joining the boundary (one usable direction).
 from __future__ import annotations
 
 import math
+import sys
 
 from .link_dynamics import LinkParams
 from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
@@ -38,7 +39,11 @@ def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     lands on a never-observed node whose links are in steady state.
     """
     bracket = _throughput_bracket(p, x, y, u)  # checks the inputs before p ** (x + y)
-    return p ** (x + y) * bracket
+    scale = p ** (x + y)
+    if scale < sys.float_info.min and p > 0.0:
+        # p^(x+y) is subnormal or 0.0, but the product may be a normal float
+        return math.exp((x + y) * math.log(p) + math.log(bracket))
+    return scale * bracket
 
 
 def _throughput_bracket(p: float, x: int, y: int, u: float) -> float:

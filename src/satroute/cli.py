@@ -45,6 +45,10 @@ SWEEP_VALUES = {
     "x": list(range(1, 21)),
 }
 
+# --grid's largest N*M: an SCPR run allocates about 145 bytes of search tables
+# per node before its first trial, so this is about 1.5 GB.
+MAX_NODES = 10**7
+
 # verify.SUITES by name, sorted: written out so that parsing need not load verify.
 VERIFY_SUITES = ("analytic", "crossover", "intermediate", "optimal", "ordering", "simulation")
 
@@ -106,11 +110,15 @@ def _scale(text: str) -> float:
 
 
 def _grid(text: str) -> GridSpec:
+    """--grid: NxM with N, M >= 3 and at most MAX_NODES nodes."""
     try:
         n, m = (int(part) for part in text.lower().split("x"))
-        return GridSpec(n, m)
+        spec = GridSpec(n, m)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"want NxM with N, M >= 3, got {text!r}") from exc
+    if spec.n_nodes > MAX_NODES:
+        raise argparse.ArgumentTypeError(f"want at most {MAX_NODES} nodes (N*M), got {text!r}")
+    return spec
 
 
 # Every option but --config, by dest; each subcommand names the ones it reads.

@@ -10,11 +10,15 @@ An SCPR estimate computes once, in one ScprRun, what its trials share: the
 source's and the origin's node ids, a wait's recovery probability, a memo
 of the kernel from ON by slot, and the BFS's parent buffer, which every
 search leaves all -1, so that a trial allocates no search state.
-A GR trial owns a lazily evaluated NetworkState, which serves GR only.  The
-state computes the one-step kernel once per trial: a GR wait re-observes its
-links one slot apart, so nearly every re-observation uses it.  A wait on OFF
-links is drawn slot by slot for its first ``WAIT_SLOTWISE`` slots and then
-jumps in one draw, so waits near static links finish.
+A GR estimate likewise computes once, in one GrRun, the source's node id,
+the link direction and node-id step of each axis, and the one-step kernel: a
+GR wait re-observes its links one slot apart, so nearly every re-observation
+uses it.  Each GR trial owns a lazily evaluated NetworkState built on the
+run's kernel, which serves GR only.  A wait on OFF links is drawn slot by
+slot for its first ``WAIT_SLOTWISE`` slots and then jumps in one draw, so
+waits near static links finish.
+An estimate keeps one generator and reseeds it for each trial with that
+trial's seed, in C: the state is that of a new ``random.Random(seed)``.
 Delays are integer slot counts, so estimates aggregate as exact integer
 sums.  numpy is imported only inside run_stylized_scpr_path, the one
 vectorised oracle: loading it is about half of a CLI process's start-up, and
@@ -57,18 +61,20 @@ class NetworkState:
     one draw.  Time must never move backwards for any single link.
 
     ``step_on[s]`` is the one-step kernel P(ON at t+1 | state s at t), with s
-    False (OFF) or True (ON).  It is computed once, and a re-observation one
-    slot later reads it instead of calling ``transition_prob``.
+    False (OFF) or True (ON), and a re-observation one slot later reads it
+    instead of calling ``transition_prob``.  A GR trial passes its run's
+    ``GrRun.step_on``, computed once per run; without it the state computes
+    its own.
     """
 
     __slots__ = ("spec", "params", "rng", "_cache", "step_on")
 
-    def __init__(self, spec: GridSpec, params: LinkParams, rng):
+    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_on: tuple[float, float] | None = None):
         self.spec = spec
         self.params = params
         self.rng = rng
         self._cache: dict[int, tuple[bool, int]] = {}
-        self.step_on = (transition_prob(params, False, 1), transition_prob(params, True, 1))
+        self.step_on = _one_step_kernel(params) if step_on is None else step_on
 
     def link_on_id(self, lid: int, t: int) -> bool:
         cached = self._cache.get(lid)
@@ -85,6 +91,11 @@ class NetworkState:
                 raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
         self._cache[lid] = (on, t)
         return on
+
+
+def _one_step_kernel(params: LinkParams) -> tuple[float, float]:
+    """(P(ON at t+1 | OFF at t), P(ON at t+1 | ON at t))."""
+    return transition_prob(params, False, 1), transition_prob(params, True, 1)
 
 
 class ScprRun:
@@ -183,14 +194,41 @@ def _geometric(random, log_fail: float) -> int:
     return 1 + int(math.log(1.0 - random()) / log_fail)
 
 
+class GrRun:
+    """What the GR trials of one ``(spec, params, src)`` share, computed once.
+
+    The normalized ``src`` and its node index ``src_id``; ``hops``, the
+    moves left along x and along y, (|x|, |y|); for each axis the direction
+    of the link toward the origin (``x_dir``, ``y_dir``) and the change of
+    node index per move (``x_step``, ``y_step``); and ``step_on``, the
+    one-step kernel of ``_one_step_kernel``.  The walk never crosses the wrap
+    seam and never changes the sign of x or y, so a move along y changes the
+    node index by one and a move along x by N (``spec.n_per_plane``), each
+    in the same direction for the whole trial.  Immutable: trials of any
+    regime and tie mode may share one run.
+    """
+
+    __slots__ = ("src", "src_id", "hops", "x_dir", "y_dir", "x_step", "y_step", "step_on")
+
+    def __init__(self, spec: GridSpec, params: LinkParams, src: NodeCoord):
+        self.src = grid.normalize(spec, src)
+        self.src_id = grid.node_index(spec, self.src)
+        x, y = self.src
+        self.hops = (abs(x), abs(y))
+        self.x_dir, self.x_step = (LEFT, -spec.n_per_plane) if x > 0 else (RIGHT, spec.n_per_plane)
+        self.y_dir, self.y_step = (DOWN, -1) if y > 0 else (UP, 1)
+        self.step_on = _one_step_kernel(params)
+
+
 def run_gr_trial(
-    state: NetworkState,
-    src: NodeCoord,
+    spec: GridSpec,
+    params: LinkParams,
+    run: GrRun,
     buffered: bool,
     tie: float | str,
     rng,
 ) -> TrialOutcome:
-    """One greedy-routing trial toward the origin.
+    """One greedy-routing trial from ``run.src`` toward the origin.
 
     At each node only the one or two links that reduce the remaining distance
     are observed, horizontal first.  Both ON: tie-break (vertical with
@@ -199,27 +237,25 @@ def run_gr_trial(
     re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
     jump).  The move count at first boundary contact is recorded.
 
-    The tie mode is decided once per trial.  Every wait slot re-observes its
-    links one slot after the last look, so ``state`` draws them from its
-    one-step kernel.
-
-    The walk never crosses the wrap seam, so a vertical move changes the node
-    index by one and a horizontal move by N (``spec.n_per_plane``).
+    The tie mode is decided once per trial.  The trial's NetworkState shares
+    the run's one-step kernel, and every wait slot re-observes its links one
+    slot after the last look, so it draws them from that kernel.  The looks
+    and draws are those of the same trial on a NetworkState of its own
+    (``oracle_gr_trial`` in the tests).
     """
-    spec = state.spec
+    state = NetworkState(spec, params, rng, run.step_on)
     link_on_id = state.link_on_id
     random = rng.random
     deterministic = tie == DETERMINISTIC
-    n = spec.n_per_plane
-    node = grid.normalize(spec, src)
-    x, y = node
-    nid = grid.node_index(spec, node)
+    x_dir, y_dir, x_step, y_step = run.x_dir, run.y_dir, run.x_step, run.y_step
+    nx, ny = run.hops
+    nid = run.src_id
     t = 0
     moves = 0
-    hit_boundary: int | None = 0 if (x == 0 or y == 0) and (x, y) != (0, 0) else None
-    while x or y:
-        x_lid = nid * 4 + (LEFT if x > 0 else RIGHT) if x else None
-        y_lid = nid * 4 + (DOWN if y > 0 else UP) if y else None
+    hit_boundary: int | None = 0 if (nx == 0) != (ny == 0) else None
+    while nx or ny:
+        x_lid = nid * 4 + x_dir if nx else None
+        y_lid = nid * 4 + y_dir if ny else None
         x_on = x_lid is not None and link_on_id(x_lid, t)
         y_on = y_lid is not None and link_on_id(y_lid, t)
         if not (x_on or y_on):
@@ -235,22 +271,20 @@ def run_gr_trial(
                 t, x_on, y_on = _jump_wait(state, x_lid, y_lid, t, random)
         if x_on and y_on:
             if deterministic:
-                vertical = abs(y) > abs(x) or (abs(y) == abs(x) and random() < 0.5)
+                vertical = ny > nx or (ny == nx and random() < 0.5)
             else:
                 vertical = random() < tie
         else:
             vertical = y_on
         if vertical:
-            s = 1 if y > 0 else -1
-            y -= s
-            nid -= s
+            ny -= 1
+            nid += y_step
         else:
-            s = 1 if x > 0 else -1
-            x -= s
-            nid -= s * n
+            nx -= 1
+            nid += x_step
         t += 1
         moves += 1
-        if hit_boundary is None and (x == 0 or y == 0) and (x, y) != (0, 0):
+        if hit_boundary is None and (nx == 0) != (ny == 0):
             hit_boundary = moves
     return TrialOutcome(True, t, moves, hit_boundary)
 
@@ -316,9 +350,9 @@ def run_stylized_scpr_path(
     return _estimate_from_sums(good, good, trials, seed)
 
 
-def _trial_stream(key: int, index: int) -> random.Random:
-    """Trial ``index``'s independent, replayable stream under ``key`` = ``_mix64(master_seed)``."""
-    return random.Random(_mix64(key ^ _mix64(index + 0x9E3779B97F4A7C15)))
+def _trial_seed(key: int, index: int) -> int:
+    """The seed of trial ``index``'s independent, replayable stream under ``key`` = ``_mix64(master_seed)``."""
+    return _mix64(key ^ _mix64(index + 0x9E3779B97F4A7C15))
 
 
 def _mix64(v: int) -> int:
@@ -361,15 +395,19 @@ def estimate(
     if policy == "gr" and tie != DETERMINISTIC and not (isinstance(tie, (int, float)) and 0 <= tie <= 1):
         raise ValueError(f"tie={tie!r}: need a probability in [0, 1] or {DETERMINISTIC!r}")
     key = _mix64(master_seed)
-    streams = (_trial_stream(key, i) for i in range(trials))
+    rng = random.Random(0)
+    # random.Random(seed) runs the Python-level Random.seed, which for an int
+    # only calls this C seed: reseeding in place gives the same state.
+    reseed = super(random.Random, rng).seed
     if policy == "scpr":
-        run = ScprRun(spec, params, src)
-        outcomes = (run_scpr_trial(spec, params, run, t_c, buffered, rng) for rng in streams)
+        trial, run, args = run_scpr_trial, ScprRun(spec, params, src), (t_c, buffered, rng)
     else:
-        outcomes = (run_gr_trial(NetworkState(spec, params, rng), src, buffered, tie, rng) for rng in streams)
+        trial, run, args = run_gr_trial, GrRun(spec, params, src), (buffered, tie, rng)
     total = 0
     total_sq = 0
-    for out in outcomes:
+    for i in range(trials):
+        reseed(_trial_seed(key, i))
+        out = trial(spec, params, run, *args)
         v = out.delay if buffered else int(out.success)
         total += v
         total_sq += v * v

@@ -17,6 +17,11 @@
   snapshot included, through a NetworkState, with the BFS asking a predicate
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
+* ``oracle_gr_trial``: the GR trial on a NetworkState of its own, which
+  computes its one-step kernel per trial and finds its link ids and moves
+  from the signed coordinates at every step.  The production trial, which
+  reads them from a per-run ``GrRun``, must make the same draws in the same
+  order.
 * ``mgf_rows`` / ``scalar_mgf_rows``: the SCPR delay-MGF triangle in dual
   numbers, one array expression per row and one scalar cell at a time.  The
   derivative form is exact in law and accurate at moderate mu, where the
@@ -39,10 +44,11 @@ import mpmath
 import numpy as np
 
 from satroute import grid_topology as grid
+from satroute import simulator as sim
 from satroute.analytic_scpr import Dual, mgf_coefficients
-from satroute.grid_topology import ORIGIN, GridSpec, NodeCoord, neighbor_id_table
+from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord, neighbor_id_table
 from satroute.link_dynamics import LinkParams, transition_prob
-from satroute.simulator import NetworkState, TrialOutcome, _mix64, _trial_stream
+from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _mix64, _trial_seed
 from satroute.special_functions import reg_inc_beta
 
 DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # (L, D, R, U)
@@ -169,7 +175,7 @@ def oracle_connected_hops(spec: GridSpec, link_on_id, src_id: int, dst_id: int):
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
     """Trial ``index``'s stream in ``simulator.estimate(master_seed=...)``."""
-    return _trial_stream(_mix64(master_seed), index)
+    return random.Random(_trial_seed(_mix64(master_seed), index))
 
 
 def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: bool, rng) -> TrialOutcome:
@@ -200,6 +206,79 @@ def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: b
             t += 1
         t += 1
     return TrialOutcome(True, t - t_c, len(hops), None)
+
+
+def oracle_gr_trial(
+    state: NetworkState,
+    src: NodeCoord,
+    buffered: bool,
+    tie: float | str,
+    rng,
+) -> TrialOutcome:
+    """One greedy-routing trial toward the origin.
+
+    At each node only the one or two links that reduce the remaining distance
+    are observed, horizontal first.  Both ON: tie-break (vertical with
+    probability ``tie``, or the deterministic farther-dimension rule).  One
+    ON: forced.  None ON: bufferless drops, buffered waits one slot and
+    re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
+    jump).  The move count at first boundary contact is recorded.
+
+    The tie mode is decided once per trial.  Every wait slot re-observes its
+    links one slot after the last look, so ``state`` draws them from its
+    one-step kernel.  ``sim.WAIT_SLOTWISE`` and ``sim._jump_wait`` are read
+    at call time, so a test that patches them patches both trials.
+
+    The walk never crosses the wrap seam, so a vertical move changes the node
+    index by one and a horizontal move by N (``spec.n_per_plane``).
+    """
+    spec = state.spec
+    link_on_id = state.link_on_id
+    random = rng.random
+    deterministic = tie == DETERMINISTIC
+    n = spec.n_per_plane
+    node = grid.normalize(spec, src)
+    x, y = node
+    nid = grid.node_index(spec, node)
+    t = 0
+    moves = 0
+    hit_boundary: int | None = 0 if (x == 0 or y == 0) and (x, y) != (0, 0) else None
+    while x or y:
+        x_lid = nid * 4 + (LEFT if x > 0 else RIGHT) if x else None
+        y_lid = nid * 4 + (DOWN if y > 0 else UP) if y else None
+        x_on = x_lid is not None and link_on_id(x_lid, t)
+        y_on = y_lid is not None and link_on_id(y_lid, t)
+        if not (x_on or y_on):
+            if not buffered:
+                return TrialOutcome(False, None, moves, hit_boundary)
+            for _ in range(sim.WAIT_SLOTWISE):
+                t += 1
+                x_on = x_lid is not None and link_on_id(x_lid, t)
+                y_on = y_lid is not None and link_on_id(y_lid, t)
+                if x_on or y_on:
+                    break
+            else:
+                t, x_on, y_on = sim._jump_wait(state, x_lid, y_lid, t, random)
+        if x_on and y_on:
+            if deterministic:
+                vertical = abs(y) > abs(x) or (abs(y) == abs(x) and random() < 0.5)
+            else:
+                vertical = random() < tie
+        else:
+            vertical = y_on
+        if vertical:
+            s = 1 if y > 0 else -1
+            y -= s
+            nid -= s
+        else:
+            s = 1 if x > 0 else -1
+            x -= s
+            nid -= s * n
+        t += 1
+        moves += 1
+        if hit_boundary is None and (x == 0 or y == 0) and (x, y) != (0, 0):
+            hit_boundary = moves
+    return TrialOutcome(True, t, moves, hit_boundary)
 
 
 def scalar_mgf_rows(params: LinkParams, t_c: int, depth: int) -> list[list[Dual]]:

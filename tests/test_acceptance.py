@@ -116,10 +116,10 @@ def test_criterion_09_memoryless_optimality():
     params = ld.from_p_mu(0.6, 0.0)
     total = total_sq = 0
     trials = 10**5
+    run = sim.GrRun(spec, params, NodeCoord(3, 4))
     for i in range(trials):
         rng = trial_rng(44_000, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(3, 4), True, sim.DETERMINISTIC, rng)
+        out = sim.run_gr_trial(spec, params, run, True, sim.DETERMINISTIC, rng)
         total += out.delay
         total_sq += out.delay * out.delay
     mean = total / trials

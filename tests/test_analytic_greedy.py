@@ -31,6 +31,23 @@ def test_throughput_matches_dp_on_subgrid():
                     )
 
 
+@pytest.mark.parametrize("x", [300, 400])
+def test_throughput_where_p_to_the_distance_is_not_normal(x):
+    """At p = 0.3, p^(x+y) is subnormal at x = y = 300 and 0.0 at 400, while
+    the throughput is a normal float (about 1.6e-177 and 4.6e-236)."""
+    assert greedy.gr_throughput(0.3, x, x, 0.5) == pytest.approx(dp_throughput(0.3, x, x, 0.5), rel=1e-12, abs=0)
+    assert greedy.gr_throughput(0.0, x, x, 0.5) == 0.0
+
+
+def test_throughput_is_the_plain_product_where_p_to_the_distance_is_normal():
+    """At throughput_dp_error's 768 points the result is p^(x+y) * bracket, bit for bit."""
+    for p in (0.3, 0.6, 0.9):
+        for x in range(1, 9):
+            for y in range(1, 9):
+                for u in (0.2, 0.5, 0.8, y / (x + y)):
+                    assert greedy.gr_throughput(p, x, y, u) == p ** (x + y) * greedy._throughput_bracket(p, x, y, u)
+
+
 def test_throughput_boundary_ties_regular():
     # u = 0 and u = 1 are fine in the sum form; the DP is the referee
     for u in (0.0, 1.0):

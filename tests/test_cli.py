@@ -345,6 +345,21 @@ def test_snapshot_age_past_the_float_range_exits_2(argv, capsys):
     assert "error:" in out.err and "float range" in out.err
 
 
+def test_grid_past_max_nodes_exits_2(capsys):
+    """--grid is bounded by its node count when parsed, before any table is built."""
+    parser = cli._build_parser()[0]
+    command = ["simulate", "--policy", "scpr", "--grid"]
+    assert cli.MAX_NODES == 10**7
+    assert parser.parse_args([*command, "3162x3162"]).grid.n_nodes == 3162 * 3162 <= cli.MAX_NODES
+    for grid in ("3163x3163", "10000x10000", "3x3333334"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*command, grid])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error:" in out.err and "at most 10000000 nodes" in out.err
+
+
 def test_scpr_exit_code_does_not_depend_on_u(capsys):
     """SCPR has no tie-break: --u, which it never reads, cannot change the run."""
     for x, code in (("2", 0), ("-2", 2)):

@@ -113,10 +113,10 @@ def test_buffered_deterministic_greedy_matches_fixed_point():
     params = ld.from_p_mu(p, 0.0)
     total = total_sq = 0
     n = 20000
+    run = sim.GrRun(spec, params, NodeCoord(3, 4))
     for i in range(n):
         rng = trial_rng(31, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(3, 4), True, sim.DETERMINISTIC, rng)
+        out = sim.run_gr_trial(spec, params, run, True, sim.DETERMINISTIC, rng)
         total += out.delay
         total_sq += out.delay * out.delay
     mean = total / n

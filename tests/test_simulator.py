@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_scpr_trial, trial_rng
+from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_gr_trial, oracle_scpr_trial, trial_rng
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
@@ -97,10 +97,10 @@ def test_scpr_bufferless_success_rate_conditioned_on_connected_geodesic():
 
 def test_gr_trial_certain_links():
     spec = GridSpec(30, 30)
+    run = sim.GrRun(spec, NEAR_ONE, NodeCoord(5, 2))
     for i in range(25):
         rng = trial_rng(9, i)
-        state = sim.NetworkState(spec, NEAR_ONE, rng)
-        out = sim.run_gr_trial(state, NodeCoord(5, 2), False, 0.5, rng)
+        out = sim.run_gr_trial(spec, NEAR_ONE, run, False, 0.5, rng)
         assert out.success and out.delay == 7 and out.path_len == 7
         assert out.hit_boundary_at is not None and 2 <= out.hit_boundary_at <= 6
 
@@ -108,11 +108,11 @@ def test_gr_trial_certain_links():
 def test_gr_bufferless_success_takes_exactly_distance_moves():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.7, 0.3)
+    run = sim.GrRun(spec, params, NodeCoord(3, 4))
     succ = 0
     for i in range(2000):
         rng = trial_rng(10, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(3, 4), False, 0.4, rng)
+        out = sim.run_gr_trial(spec, params, run, False, 0.4, rng)
         if out.success:
             succ += 1
             assert out.path_len == 7 and out.delay == 7
@@ -124,20 +124,20 @@ def test_gr_bufferless_success_takes_exactly_distance_moves():
 def test_gr_buffered_always_succeeds_and_is_slower():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.5, 0.4)
+    run = sim.GrRun(spec, params, NodeCoord(2, 3))
     for i in range(300):
         rng = trial_rng(11, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(2, 3), True, 0.5, rng)
+        out = sim.run_gr_trial(spec, params, run, True, 0.5, rng)
         assert out.success and out.path_len == 5 and out.delay >= 5
 
 
 def test_gr_deterministic_tie_break_runs():
     spec = GridSpec(20, 20)
     params = ld.from_p_mu(0.6, 0.0)
+    run = sim.GrRun(spec, params, NodeCoord(4, 4))
     for i in range(200):
         rng = trial_rng(12, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(4, 4), True, sim.DETERMINISTIC, rng)
+        out = sim.run_gr_trial(spec, params, run, True, sim.DETERMINISTIC, rng)
         assert out.success and out.path_len == 8
 
 
@@ -145,8 +145,7 @@ def test_gr_negative_quadrant_sources():
     spec = GridSpec(20, 20)
     for src in (NodeCoord(-5, 2), NodeCoord(5, -2), NodeCoord(-3, -3), NodeCoord(0, -4)):
         rng = trial_rng(13, hash(src) & 0xFFFF)
-        state = sim.NetworkState(spec, NEAR_ONE, rng)
-        out = sim.run_gr_trial(state, src, False, 0.5, rng)
+        out = sim.run_gr_trial(spec, NEAR_ONE, sim.GrRun(spec, NEAR_ONE, src), False, 0.5, rng)
         assert out.success and out.delay == abs(src.x) + abs(src.y)
 
 
@@ -164,10 +163,10 @@ def test_gr_boundary_hit_distribution_bufferless_tilted():
     tilted = {k: v / norm for k, v in tilted.items()}
     counts = dict.fromkeys(base, 0)
     reached = 0
+    run = sim.GrRun(spec, params, NodeCoord(x, y))
     for i in range(30000):
         rng = trial_rng(14, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(x, y), False, u, rng)
+        out = sim.run_gr_trial(spec, params, run, False, u, rng)
         if out.hit_boundary_at is not None:
             reached += 1
             counts[out.hit_boundary_at] += 1
@@ -184,10 +183,10 @@ def test_gr_boundary_hit_distribution_buffered():
     pmf = greedy.min_tau_pmf(x, y, greedy.w_from_u(params, u))
     counts = dict.fromkeys(pmf, 0)
     n = 30000
+    run = sim.GrRun(spec, params, NodeCoord(x, y))
     for i in range(n):
         rng = trial_rng(15, i)
-        state = sim.NetworkState(spec, params, rng)
-        out = sim.run_gr_trial(state, NodeCoord(x, y), True, u, rng)
+        out = sim.run_gr_trial(spec, params, run, True, u, rng)
         counts[out.hit_boundary_at] += 1
     chi2 = sum((counts[k] - n * pmf[k]) ** 2 / (n * pmf[k]) for k in pmf)
     assert chi2 < CHI2_999[len(pmf) - 1]
@@ -259,9 +258,10 @@ def test_wait_jump_keeps_the_law(monkeypatch):
     counts = dict.fromkeys(pmf, 0)
     n = 20000
     total = total_sq = 0
+    run = sim.GrRun(spec, params, NodeCoord(x, y))
     for i in range(n):
         rng = trial_rng(64, i)
-        out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), NodeCoord(x, y), True, u, rng)
+        out = sim.run_gr_trial(spec, params, run, True, u, rng)
         counts[out.hit_boundary_at] += 1
         total += out.delay
         total_sq += out.delay**2
@@ -437,17 +437,37 @@ def test_link_on_id_matches_kernel_oracle(k):
 
 @pytest.mark.parametrize("shape", [(5, 4), (7, 6), (100, 100)])
 def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
-    """Trial by trial, the production GR trial gives the outcome of one whose
-    links call ``transition_prob`` at every re-observation, and leaves its
-    random stream in the same state.  Sources lie in every quadrant and on
-    the axes (within 6 hops on the large grid); the near-static chain makes
-    waits outlast WAIT_SLOTWISE and jump."""
+    """Trial by trial, the production GR trial gives the outcome of
+    ``oracle_gr_trial`` on a NetworkState and on one whose links call
+    ``transition_prob`` at every re-observation, and leaves its random stream
+    in the same state, after looking at the same link ids at the same slots.
+    One GrRun per source serves both regimes and every tie mode.  Sources lie
+    in every quadrant and on the axes (within 6 hops on the large grid); the
+    near-static chain makes waits outlast WAIT_SLOTWISE and jump, on one link
+    and on a pair, in the production trial and in the oracle on either
+    state."""
     spec = GridSpec(*shape)
     nodes = [n for n in spec.nodes() if n != grid.ORIGIN and max(abs(n.x), abs(n.y)) <= 6]
     pick = random.Random(shape[0] * 100 + shape[1])
-    jumps = []
+    jumps = set()
+    side = None
     jump_wait = sim._jump_wait
-    monkeypatch.setattr(sim, "_jump_wait", lambda *a: jumps.append(a[0]) or jump_wait(*a))
+
+    def record_jump(state, x_lid, y_lid, t, random):
+        jumps.add((side, x_lid is not None and y_lid is not None))
+        return jump_wait(state, x_lid, y_lid, t, random)
+
+    monkeypatch.setattr(sim, "_jump_wait", record_jump)
+    looks = []
+
+    def record_looks(link_on_id):
+        def recorded(state, lid, t):
+            looks.append((lid, t))
+            return link_on_id(state, lid, t)
+        return recorded
+
+    for state_cls in (sim.NetworkState, KernelNetworkState):
+        monkeypatch.setattr(state_cls, "link_on_id", record_looks(state_cls.link_on_id))
     chains = [(p, mu, 12) for p in (0.3, 0.6, 0.9) for mu in (0.0, 0.7, 0.99)] + [(0.3, 1 - 1e-7, 2)]
     waits = 0
     for p, mu, trials in chains:
@@ -455,41 +475,64 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
         for buffered in (False, True):
             for i in range(trials):
                 src = pick.choice(nodes)
+                run = sim.GrRun(spec, params, src)
                 shape_u = abs(src.y) / (abs(src.x) + abs(src.y))
                 for tie in (0.5, shape_u, sim.DETERMINISTIC):
                     rng = trial_rng(32, i)
-                    ref_rng = trial_rng(32, i)
-                    out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
-                    ref = sim.run_gr_trial(KernelNetworkState(spec, params, ref_rng), src, buffered, tie,
-                                           ref_rng)
-                    assert out == ref, (p, mu, buffered, src, tie)
-                    assert rng.getstate() == ref_rng.getstate(), (p, mu, buffered, src, tie)
+                    side = "production"
+                    looks.clear()
+                    out = sim.run_gr_trial(spec, params, run, buffered, tie, rng)
+                    out_looks = looks[:]
+                    for side in (sim.NetworkState, KernelNetworkState):
+                        ref_rng = trial_rng(32, i)
+                        looks.clear()
+                        ref = oracle_gr_trial(side(spec, params, ref_rng), src, buffered, tie, ref_rng)
+                        assert out == ref, (side, p, mu, buffered, src, tie)
+                        assert rng.getstate() == ref_rng.getstate(), (side, p, mu, buffered, src, tie)
+                        assert looks == out_looks, (side, p, mu, buffered, src, tie)
                     waits += buffered and out.delay > out.path_len
-    assert waits and {type(state) for state in jumps} == {sim.NetworkState, KernelNetworkState}
+    assert waits
+    assert jumps == {(side, pair) for side in ("production", sim.NetworkState, KernelNetworkState)
+                     for pair in (False, True)}
 
 
 @pytest.mark.parametrize("policy", ["scpr", "gr"])
 def test_estimate_equals_a_loop_over_trial_rng(policy):
     """estimate() runs trial i of the public trial functions on trial_rng(master_seed, i),
-    all of an SCPR run's trials sharing one ScprRun."""
+    all of a run's trials sharing one ScprRun or GrRun."""
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.7, 0.9)
     src, t_c, tie, trials, seed = NodeCoord(3, -2), 2, 0.3, 300, 77
     for buffered in (False, True):
-        run = sim.ScprRun(spec, params, src)
+        run = (sim.ScprRun if policy == "scpr" else sim.GrRun)(spec, params, src)
         total = total_sq = 0
         for i in range(trials):
             rng = trial_rng(seed, i)
             if policy == "scpr":
                 out = sim.run_scpr_trial(spec, params, run, t_c, buffered, rng)
             else:
-                out = sim.run_gr_trial(sim.NetworkState(spec, params, rng), src, buffered, tie, rng)
+                out = sim.run_gr_trial(spec, params, run, buffered, tie, rng)
             v = out.delay if buffered else int(out.success)
             total += v
             total_sq += v * v
         est = sim.estimate(spec, params, policy, src=src, buffered=buffered, t_c=t_c,
                            tie=tie if policy == "gr" else None, trials=trials, master_seed=seed)
         assert est == sim._estimate_from_sums(total, total_sq, trials, seed)
+
+
+def test_gr_estimate_computes_the_kernel_once_per_run(monkeypatch):
+    """A GR estimate's transition_prob calls do not grow with its trials: its
+    GrRun computes the one-step kernel, and every trial's NetworkState reads it."""
+    calls = []
+    kernel = sim.transition_prob
+    monkeypatch.setattr(sim, "transition_prob", lambda *a: calls.append(a) or kernel(*a))
+    counts = []
+    for trials in (10, 300):
+        calls.clear()
+        sim.estimate(GridSpec(20, 20), ld.from_p_mu(0.5, 0.7), "gr", src=NodeCoord(3, -4), buffered=True,
+                     tie=0.5, trials=trials, master_seed=5)
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def test_estimate_deterministic_across_thread_counts():
@@ -533,7 +576,10 @@ HIGH_P = ld.from_p_mu(0.9, 0.99)
 # per-trial random streams, so any change to the order of draws shows here.
 # The low-p SCPR case takes the random_shortest_path fallback in 27 of its
 # 300 trials.  The two scpr_*_default_grid cases are the benchmark's point on
-# the default 100x100 grid.
+# the default 100x100 grid.  The GR wait jumps: from the axis source at MU_MAX
+# 21 single-link waits jump; from the interior source near static links 9 pair
+# waits and 29 single-link waits do.  gr_far_heaviest_row is the benchmark
+# gr_far workload's x = y = 20 row.
 GOLDEN = {
     "scpr_bufferless": ("scpr", GridSpec(30, 30), HIGH_P,
                         dict(src=NodeCoord(4, 3), buffered=False, t_c=5, trials=400, master_seed=101),
@@ -565,6 +611,18 @@ GOLDEN = {
                                   dict(src=NodeCoord(-5, 7), buffered=True, tie=sim.DETERMINISTIC,
                                        trials=400, master_seed=106),
                                   31.1, 3.003548444447894),
+    "gr_buffered_axis_single_jumps": ("gr", GridSpec(20, 20), ld.from_p_mu(0.9, ld.MU_MAX),
+                                      dict(src=NodeCoord(0, 3), buffered=True, tie=0.5,
+                                           trials=60, master_seed=109),
+                                      407226932.51666665, 106515235.76222718),
+    "gr_buffered_interior_pair_jumps": ("gr", GridSpec(20, 20), ld.from_p_mu(0.3, 1 - 1e-7),
+                                        dict(src=NodeCoord(1, 1), buffered=True, tie=0.5,
+                                             trials=40, master_seed=110),
+                                        26135730.65, 3785569.7402412277),
+    "gr_far_heaviest_row": ("gr", GridSpec(100, 100), HIGH_P,
+                            dict(src=NodeCoord(20, 20), buffered=True, tie=0.5,
+                                 trials=400, master_seed=111),
+                            111.2625, 5.582101632087361),
 }
 
 

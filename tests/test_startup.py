@@ -110,7 +110,7 @@ EXPORTS = {
     "link_dynamics": ["LinkParams", "from_p_mu", "transition_prob"],
     "optimal_policies": ["ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"],
-    "simulator": ["Estimate", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
+    "simulator": ["Estimate", "GrRun", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
                   "run_scpr_trial", "run_stylized_scpr_path"],
     "special_functions": ["beta_fn", "binom", "reg_inc_beta"],
 }
@@ -127,7 +127,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_api_is_complete_and_unknown_names_raise():
-    assert len(EXPORTED) == 33
+    assert len(EXPORTED) == 34
     star = {}
     exec("from satroute import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(name for _, name in EXPORTED)
