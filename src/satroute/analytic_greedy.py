@@ -109,21 +109,28 @@ def min_tau_pmf(x: int, y: int, w: float) -> dict[int, float]:
 def expected_min_tau(x: int, y: int, w: float) -> float:
     """E[min(tau_x, tau_y)] in closed form.
 
-    For y >= x >= 1 and 0 < w < 1:
+    For x, y >= 1 and 0 < w < 1:
 
         x/wbar - w^(y-1) wbar^(x-1) / B(y, x) + (y/w - x/wbar) I_w(y, x).
 
-    x > y is handled by the symmetry swap (x, y, w) -> (y, x, 1-w).  Note the
-    final factor is I_w(y, x): writing it with arguments (x, y) disagrees
-    with the direct sum over the pmf for every x != y.
+    Note the final factor is I_w(y, x): writing it with arguments (x, y)
+    disagrees with the direct sum over the pmf for every x != y.
+
+    I_w(y, x) is P(tau_y < tau_x), and the last term cancels x/wbar when it
+    is near 1.  So where the walk is expected to exhaust its vertical
+    distance first (y/w < x/wbar; on the diagonal, where w > 1/2) the form
+    is evaluated in the mirrored walk (x, y, w) -> (y, x, wbar), which has
+    the same mean.  wbar = 1 - w is formed once, and it is exact where
+    w > 1/2, so the smaller of w and wbar is always exact: never
+    1 - (1 - w).
     """
-    if x > y:
-        return expected_min_tau(y, x, 1.0 - w)
-    if x < 1:
+    if x < 1 or y < 1:
         raise ValueError("need x, y >= 1")
     if not 0.0 < w < 1.0:
         raise ValueError(f"w={w}: need 0 < w < 1")
     wb = 1.0 - w
+    if y * wb < x * w:
+        x, y, w, wb = y, x, wb, w
     return (
         x / wb
         - (w ** (y - 1)) * (wb ** (x - 1)) / beta_fn(y, x)

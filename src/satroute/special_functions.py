@@ -8,9 +8,12 @@ tail sum
 
 (the probability that a negative binomial with ``a`` required successes of
 probability ``v`` sees at most ``b-1`` failures).  No continued fractions,
-no convergence tuning; the only error is float rounding.  The coefficients
-C(k+a-1, k) are exact integers rounded once to floats, which is the rounding
-an ``int * float`` product applies to them anyway.
+no convergence tuning; the only error is float rounding.  Every term is
+positive, so the sum keeps its relative accuracy where I_v is tiny (while
+v^a is a normal float), and I_v(a, 1), ..., I_v(a, n) are its partial sums:
+``reg_inc_beta_row`` returns them in one pass.  The coefficients
+C(k+a-1, k) are exact integers rounded once to floats, which is the
+rounding an ``int * float`` product applies to them anyway.
 """
 
 from __future__ import annotations
@@ -39,19 +42,39 @@ def beta_fn(a: int, b: int) -> float:
 def reg_inc_beta(v: float, a: int, b: int) -> float:
     """Regularized incomplete beta I_v(a, b) for integer a, b >= 1.
 
-    For v < 1/2 the complement identity I_v(a,b) = 1 - I_{1-v}(b,a) is used so
-    the direct sum always runs on the better-conditioned side.
+    The sum v^a sum_{k<b} C(k+a-1, k) (1-v)^k has positive terms only, so the
+    result keeps its relative accuracy wherever v^a is a normal float, and it
+    is exact at v = 0 and v = 1.  (The complement 1 - I_{1-v}(b, a) keeps only absolute
+    accuracy: for I_{1e-6}(30, 4) = 5.5e-177 it gives 2.2e-16, a rounding
+    residue.)  Where v^a is subnormal or 0.0 only absolute accuracy is
+    left: I_{0.2}(460, 400) = 9.81e-105 reads 9.77e-105.
     """
     _check_shape(a, b)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
-    if v == 0.0:
-        return 0.0
-    if v == 1.0:
-        return 1.0
-    if v < 0.5:
-        return 1.0 - min((1.0 - v) ** b * neg_binomial_sum(v, b, a), 1.0)
     return min(v**a * neg_binomial_sum(1.0 - v, a, b), 1.0)
+
+
+def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
+    """[I_v(a, b) for b = 1..n], each equal to ``reg_inc_beta(v, a, b)``.
+
+    The values are the partial sums of one series, so the row costs one
+    evaluation of I_v(a, n).  The loop is neg_binomial_sum's, with the same
+    coefficients and the same order of operations.
+    """
+    _check_shape(a, n)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"v={v}: need 0 <= v <= 1")
+    scale = v**a
+    r = 1.0 - v
+    row = []
+    total = 0.0
+    weight = 1.0  # r^k
+    for coefficient in _neg_binomial_coefficients(a, n):
+        total += coefficient * weight
+        weight *= r
+        row.append(min(scale * total, 1.0))
+    return row
 
 
 def neg_binomial_sum(r: float, a: int, b: int) -> float:

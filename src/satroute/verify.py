@@ -31,7 +31,7 @@ from . import comparison, simulator
 from . import link_dynamics as links
 from . import optimal_policies as optimal
 from .grid_topology import GridSpec, NodeCoord
-from .special_functions import beta_fn, reg_inc_beta
+from .special_functions import beta_fn, reg_inc_beta, reg_inc_beta_row
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
@@ -121,11 +121,14 @@ def throughput_dp_error() -> float:
 
 def hitting_time_error() -> tuple[float, bool]:
     """(worst |expected_min_tau - direct sum| over 1 <= x <= y <= 12 and
-    w = 0.1..0.9, whether E[min](1, 1, 0.5) == 1 exactly)."""
+    w in 0.1..0.9, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9, whether E[min](1, 1, 0.5)
+    == 1 exactly).  Near w = 0 or 1 the closed form cancels terms of size
+    y/w or x/wbar down to a result below x + y."""
+    ws = [i / 10 for i in range(1, 10)] + [1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9]
     worst = 0.0
     for x in range(1, 13):
         for y in range(x, 13):
-            for w in [i / 10 for i in range(1, 10)]:
+            for w in ws:
                 worst = max(worst, abs(greedy.expected_min_tau(x, y, w) - expected_min_tau_direct(x, y, w)))
     return worst, greedy.expected_min_tau(1, 1, 0.5) == 1.0
 
@@ -134,24 +137,25 @@ def beta_identity_errors() -> tuple[float, float]:
     """(worst complement error, worst Pascal error) of reg_inc_beta.
 
     Over a, b in 1..30 and v = i/100: |I_v(a,b) + I_{1-v}(b,a) - 1| and, for
-    a, b >= 2, |I_v(a,b) - v I_v(a-1,b) - (1-v) I_v(a,b-1)|.  Each row I_v(a,b)
-    over the 101 points is evaluated once; it serves both identities, is the
-    next b's I_v(a,b-1) and the next a's I_v(a-1,b).  (a, b) stay the outer
-    loops: with v outermost, the 900 shapes would thrash the coefficient cache.
+    a, b >= 2, |I_v(a,b) - v I_v(a-1,b) - (1-v) I_v(a,b-1)|.  At each point
+    the values I_v(a, 1..30) come from one row evaluation, equal to
+    reg_inc_beta's value by value; the row serves both identities and is the
+    next a's I_v(a-1, b).  The complement term stays pointwise, so each
+    identity still compares two independent evaluations.
     """
     points = [i / 100 for i in range(0, 101)]
+    shapes = range(1, 31)
     worst_sym = worst_pascal = 0.0
-    above: list[list[float]] = []  # the rows I_v(a-1, b) for b = 1..30
-    for a in range(1, 31):
-        rows: list[list[float]] = []  # the rows I_v(a, b) so far; the last is I_v(a, b-1)
-        for b in range(1, 31):
-            row = [reg_inc_beta(v, a, b) for v in points]
+    above: list[list[float]] = []  # at each point, the row I_v(a-1, b) for b = 1..30
+    for a in shapes:
+        rows = [reg_inc_beta_row(v, a, 30) for v in points]  # rows[i][b-1] = I_v(a, b) at points[i]
+        for b in shapes:
             for i, v in enumerate(points):
-                worst_sym = max(worst_sym, abs(row[i] + reg_inc_beta(1 - v, b, a) - 1.0))
+                value = rows[i][b - 1]
+                worst_sym = max(worst_sym, abs(value + reg_inc_beta(1 - v, b, a) - 1.0))
                 if a >= 2 and b >= 2:
-                    rec = v * above[b - 1][i] + (1 - v) * rows[-1][i]
-                    worst_pascal = max(worst_pascal, abs(row[i] - rec))
-            rows.append(row)
+                    rec = v * above[i][b - 1] + (1 - v) * rows[i][b - 2]
+                    worst_pascal = max(worst_pascal, abs(value - rec))
         above = rows
     return worst_sym, worst_pascal
 

@@ -31,6 +31,9 @@
 * ``pointwise_beta_identities``: the Beta complement and Pascal errors with
   every term evaluated at its own point, which ``verify``'s row-at-a-time
   check must match exactly.
+* ``exact_reg_inc_beta`` / ``exact_expected_min_tau``: I_v(a, b) and
+  E[min(tau_x, tau_y)] as exact rationals at the given float inputs, the
+  reference for relative accuracy where v or w nears 0 or 1.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from typing import Iterator
 
 import mpmath
@@ -357,3 +361,26 @@ def pointwise_beta_identities() -> tuple[float, float]:
                     rec = v * reg_inc_beta(v, a - 1, b) + (1 - v) * reg_inc_beta(v, a, b - 1)
                     worst_pascal = max(worst_pascal, abs(reg_inc_beta(v, a, b) - rec))
     return worst_sym, worst_pascal
+
+
+def exact_reg_inc_beta(v: float, a: int, b: int) -> Fraction:
+    """I_v(a, b) = v^a sum_{k<b} C(k+a-1, k) (1-v)^k in exact rationals."""
+    v = Fraction(v)
+    return v**a * sum(math.comb(k + a - 1, k) * (1 - v) ** k for k in range(b))
+
+
+def exact_expected_min_tau(x: int, y: int, w: float) -> Fraction:
+    """E[min(tau_x, tau_y)] as the exact rational sum of k P(min = k).
+
+    P(tau_x = k) = C(k-1, x-1) w^(k-x) wbar^x, and symmetrically for tau_y;
+    the two events are disjoint.
+    """
+    w = Fraction(w)
+    wb = 1 - w
+    total = Fraction(0)
+    for k in range(min(x, y), x + y):
+        if k >= x:
+            total += k * math.comb(k - 1, x - 1) * w ** (k - x) * wb**x
+        if k >= y:
+            total += k * math.comb(k - 1, y - 1) * w**y * wb ** (k - y)
+    return total

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,8 @@ from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import verify
 from satroute.verify import dp_throughput, expected_min_tau_direct
+
+from oracles import exact_expected_min_tau
 
 
 def test_throughput_hand_value():
@@ -167,6 +170,28 @@ def test_expected_min_tau_matches_direct_sum():
                 assert closed == pytest.approx(direct, abs=1e-9)
                 # symmetry swap covers x > y
                 assert greedy.expected_min_tau(y, x, 1 - w) == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("w", (1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9))
+def test_expected_min_tau_relative_accuracy_near_a_certain_walk(w):
+    """The closed form cancels terms of size y/w or x/wbar down to a result
+    below x + y.  Formed as 1 - (1 - w) through a swap, the small probability
+    carried a relative error of about 1e-7 into that cancellation: the worst
+    relative error over this grid was 1.9e-7 at w = 1e-9 and 1.1e-6 at
+    w = 1 - 1e-9."""
+    worst = max(abs(Fraction(greedy.expected_min_tau(x, y, w)) / exact_expected_min_tau(x, y, w) - 1)
+                for x in range(1, 31, 3) for y in range(1, 31, 2))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("x, y, w", [(200, 1, 0.3), (1, 200, 0.7), (150, 3, 0.2), (300, 2, 0.3)])
+def test_expected_min_tau_takes_the_orientation_without_cancellation(x, y, w):
+    """From (200, 1) at w = 0.3 the vertical move nearly always comes first,
+    so I_w(y, x) is near 1 and the form's last term cancels x/wbar.  The
+    mirrored walk has I near 0.  Mirrored by w > 1/2 alone, these points read
+    1.1e-14 to 4.5e-14 off."""
+    exact = exact_expected_min_tau(x, y, w)
+    assert abs(Fraction(greedy.expected_min_tau(x, y, w)) / exact - 1) <= 1e-15
 
 
 def test_expected_min_tau_stirling_floor_at_diagonal_bias():

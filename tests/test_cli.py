@@ -10,6 +10,8 @@ from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import link_dynamics as ld
 
+from oracles import exact_expected_min_tau
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -58,6 +60,19 @@ def test_buffered_gr_rows_take_the_walk_of_u(x, y, u, tie, capsys):
     rows = {claim: value for _, claim, value in (line.split() for line in out.splitlines())}
     assert rows["eq23"] == repr(greedy.gr_delay_exact_component(params, x, y, w))
     assert rows["eqEK"] == repr(greedy.expected_min_tau(x, y, w))
+
+
+def test_eqek_row_keeps_its_relative_accuracy_near_a_certain_walk(capsys):
+    """At p = 1 - 1e-12 and u = 1e-9 the walk's w is about 1e-9; eqEK printed
+    10.000001907348633 there, 1.9e-7 off the exact 10.00000001001."""
+    params = ld.from_p_mu(0.999999999999, 0.99)
+    w = greedy.w_from_u(params, 1e-9)
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--buffered", "true", "--p", "0.999999999999",
+                        "--u", "1e-9", "--x", "10", "--y", "9")
+    assert code == 0
+    rows = {claim: float(value) for _, claim, value in (line.split() for line in out.splitlines())}
+    assert rows["eqEK"] == pytest.approx(float(exact_expected_min_tau(10, 9, w)), rel=1e-14)
+    assert rows["eqEK"] == pytest.approx(10.00000001001, rel=1e-12)
 
 
 def test_buffered_gr_exact_row_matches_the_monte_carlo_off_the_diagonal(capsys):
@@ -820,8 +835,8 @@ GOLDEN_STDOUT = {
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
         'x,3,scpr,buffered,delay,analytic,11.334992107338495,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
-        'x,3,gr,buffered,delay,analytic,30.753649117233667,,,,eq23\n'
-        'x,3,gr,buffered,delay,analytic,3.9716518321961365,,,,eqEK\n'
+        'x,3,gr,buffered,delay,analytic,30.753649117233657,,,,eq23\n'
+        'x,3,gr,buffered,delay,analytic,3.9716518321961374,,,,eqEK\n'
         'x,3,gr,buffered,delay,mc,26.46,8.523782335684226,50,6631279983548901972,\n'
     ),
     ("analytic", "--policy", "gr", "--u", "0.3"): (
