@@ -45,8 +45,9 @@ SWEEP_VALUES = {
     "x": list(range(1, 21)),
 }
 
-# --grid's largest N*M: an SCPR run allocates about 145 bytes of search tables
-# per node before its first trial, so this is about 1.5 GB.
+# --grid's largest N*M.  An SCPR run allocates two pointer lists per node (the
+# unbuilt neighbor table and the search's parent buffer, 16 bytes per node, so
+# 160 MB here), plus about 105 bytes per node of the planes its searches reach.
 MAX_NODES = 10**7
 
 # verify.SUITES by name, sorted: written out so that parsing need not load verify.
@@ -54,7 +55,11 @@ VERIFY_SUITES = ("analytic", "crossover", "intermediate", "optimal", "ordering",
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _shared_parser(argv[0] if argv else None).parse_args(argv)
+    except _FullParserPrints:
+        args = _build_parser()[0].parse_args(argv)  # prints the help or the usage error, and exits
     if args.config:
         # A parser of its own: the file's defaults must not reach later calls.
         parser, commands = _build_parser()
@@ -71,6 +76,14 @@ def _true_false(text: str) -> bool:
     if text not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"want true or false, got {text!r}")
     return text == "true"
+
+
+def _workers(text: str) -> int:
+    """--threads: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return n
 
 
 def _count(text: str) -> int:
@@ -136,9 +149,9 @@ OPTIONS = {
                            "(farther axis; Monte Carlo only from an interior source)")),
     "trials": ("--trials", dict(type=int, default=2000)),
     "seed": ("--seed", dict(type=int, default=2024)),
-    "threads": ("--threads", dict(type=int, default=1,
-                                  help="accepted and ignored: trials run in one thread, and the "
-                                       "output is the same for any value")),
+    "threads": ("--threads", dict(type=_workers, default=1,
+                                  help="an integer >= 1, accepted and ignored: trials run in one "
+                                       "thread, and the output is the same for any value")),
     "out": ("--out", dict(help="CSV output path")),
     "sweep": ("--sweep", dict(choices=["mu", "tc", "x"])),
     "values": ("--values", dict(help="comma-separated grid override")),
@@ -150,13 +163,36 @@ OPTIONS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(prog="satroute", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+class _FullParserPrints(Exception):
+    """Help or a usage error met by a one-subcommand parser, whose usage line
+    would name that subcommand alone."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises ``_FullParserPrints`` where argparse would print a usage error or help."""
+
+    def error(self, message=None):
+        raise _FullParserPrints
+
+    print_help = error  # called as print_help(file) by -h
+
+
+def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name: every subcommand's, or
+    only ``command``'s (none for a name that is no subcommand's).
+
+    A one-subcommand parser parses that subcommand's command lines as the
+    full parser does.  It leaves help and usage errors to the full parser,
+    by raising ``_FullParserPrints``, so that they read as before.
+    """
+    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
+    parser = parser_class(prog="satroute", description=__doc__,
+                          formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, summary, dests, required=()):
+        if command not in (None, name):
+            return None
         sp = sub.add_parser(name, help=summary)
         for dest in dests:
             flag, kwargs = OPTIONS[dest]
@@ -176,19 +212,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add("crossover", cmd_crossover, "smallest t_c where greedy routing wins",
         ["p", "mu", "x", "y", "u", "metric", "tc_min", "tc_max"], required=["metric"])
     sp = add("verify", cmd_verify, "run verification suites", ["scale"])
-    sp.add_argument("suite", nargs="?", default="all", choices=[*VERIFY_SUITES, "all"])
+    if sp is not None:
+        sp.add_argument("suite", nargs="?", default="all", choices=[*VERIFY_SUITES, "all"])
 
     return parser, sub.choices
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses for every call without --config.
+@functools.lru_cache(maxsize=8)
+def _shared_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for every call without --config whose first
+    argument is ``command``.
 
-    Parsing leaves a parser unchanged, so one built per process serves any
-    number of calls.
+    A cold start builds the flags of the one subcommand it runs.  Parsing
+    leaves a parser unchanged, so one built per process and subcommand
+    serves any number of calls.
     """
-    return _build_parser()[0]
+    return _build_parser(command)[0]
 
 
 def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, path: str) -> None:

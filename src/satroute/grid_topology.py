@@ -78,21 +78,46 @@ def coord_table(spec: GridSpec) -> tuple[NodeCoord, ...]:
 
 
 @lru_cache(maxsize=None)
-def neighbor_id_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
-    """For each node index, its four neighbor indexes in (L, D, R, U) order.
+def neighbor_id_table(spec: GridSpec) -> list[tuple[int, int, int, int] | None]:
+    """For each node index, its four neighbor indexes in (L, D, R, U) order,
+    or None for a row not yet built.
 
-    The tuples share one int object per node id, which halves the table's
-    memory against four fresh ints per node.
+    The table starts empty, one pointer per node: a search builds the rows
+    of each plane it reaches (``_plane_rows``) and no others, so a run on a
+    large grid pays for the planes its searches visit.
     """
-    n, m = spec.n_per_plane, spec.m_planes
-    ids = list(range(spec.n_nodes))
-    planes = [ids[xi * n:(xi + 1) * n] for xi in range(m)]  # node ids of plane xi, by yi
-    table = []
-    for xi, here in enumerate(planes):
-        left, right = planes[(xi - 1) % m], planes[(xi + 1) % m]
-        down, up = here[-1:] + here[:-1], here[1:] + here[:1]  # the plane rotated by one
-        table.extend(zip(left, down, right, up))
-    return tuple(table)
+    return [None] * spec.n_nodes
+
+
+def _plane_rows(spec: GridSpec, nbr: list, nid: int) -> tuple[int, int, int, int]:
+    """Build the rows of node ``nid``'s plane in ``nbr``; return ``nid``'s row."""
+    n = spec.n_per_plane
+    lo = nid - nid % n
+    here = _plane_ids(nbr, n, lo)
+    down, up = here[-1:] + here[:-1], here[1:] + here[:1]  # the plane rotated by one
+    left, right = _plane_ids(nbr, n, (lo - n) % len(nbr)), _plane_ids(nbr, n, (lo + n) % len(nbr))
+    nbr[lo:lo + n] = zip(left, down, right, up)
+    return nbr[nid]
+
+
+def _plane_ids(nbr: list, n: int, lo: int) -> list[int]:
+    """The node ids lo, ..., lo + n - 1 of one plane, by yi.
+
+    Where built rows hold them, the ids are those rows' int objects, so that
+    the table keeps one int per node id, as a table built at once does: the
+    plane's own rows hold them as up neighbors, the plane before's as right
+    neighbors and the plane after's as left neighbors.
+    """
+    if nbr[lo] is not None:
+        ups = [row[UP] for row in nbr[lo:lo + n]]
+        return ups[-1:] + ups[:-1]
+    before = (lo - n) % len(nbr)
+    if nbr[before] is not None:
+        return [row[RIGHT] for row in nbr[before:before + n]]
+    after = (lo + n) % len(nbr)
+    if nbr[after] is not None:
+        return [row[LEFT] for row in nbr[after:after + n]]
+    return list(range(lo, lo + n))
 
 
 def shortest_connected_hops(
@@ -122,7 +147,9 @@ def shortest_connected_hops(
     (length ``spec.n_nodes``), so that repeated searches allocate nothing.
     It must be all -1 on entry, and it is all -1 again on every return: the
     search records in it the id of the link that reached each node it
-    visits, and resets each entry it set.
+    visits, and resets each entry it set.  The search builds the
+    ``neighbor_id_table`` rows of each plane it reaches that no earlier
+    search reached.
     """
     if src_id == dst_id:
         return []
@@ -132,7 +159,10 @@ def shortest_connected_hops(
     append = queue.append
     for nid in queue:  # the list grows while it is read: a FIFO without pops
         lid = nid * 4
-        left, down, right, up = nbr[nid]
+        try:
+            left, down, right, up = nbr[nid]
+        except TypeError:  # None: the first visit to this node's plane
+            left, down, right, up = _plane_rows(spec, nbr, nid)
         if parent[left] == -1:
             if random() < p:
                 parent[left] = lid
@@ -212,7 +242,7 @@ def random_shortest_path(spec: GridSpec, src: NodeCoord, rng) -> list[tuple[int,
             d = ydir
             b -= 1
         hops.append((nid, d))
-        nid = nbr[nid][d]
+        nid = (nbr[nid] or _plane_rows(spec, nbr, nid))[d]
     return hops
 
 

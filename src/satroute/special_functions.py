@@ -9,8 +9,9 @@ tail sum
 (the probability that a negative binomial with ``a`` required successes of
 probability ``v`` sees at most ``b-1`` failures).  No continued fractions,
 no convergence tuning; the only error is float rounding.  Every term is
-positive, so the sum keeps its relative accuracy where I_v is tiny (while
-v^a is a normal float), and I_v(a, 1), ..., I_v(a, n) are its partial sums:
+positive, so the sum keeps its relative accuracy where I_v is tiny (where
+v^a is subnormal or underflows, the product is taken in logs), and
+I_v(a, 1), ..., I_v(a, n) are its partial sums:
 ``reg_inc_beta_row`` returns them in one pass.  The coefficients
 C(k+a-1, k) are exact integers rounded once to floats, which is the
 rounding an ``int * float`` product applies to them anyway.
@@ -18,8 +19,11 @@ rounding an ``int * float`` product applies to them anyway.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from math import comb
+from math import comb, exp, log
+
+MIN_NORMAL = sys.float_info.min  # below it v^a has lost relative precision
 
 
 def binom(n: int, k: int) -> float:
@@ -43,16 +47,20 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     """Regularized incomplete beta I_v(a, b) for integer a, b >= 1.
 
     The sum v^a sum_{k<b} C(k+a-1, k) (1-v)^k has positive terms only, so the
-    result keeps its relative accuracy wherever v^a is a normal float, and it
-    is exact at v = 0 and v = 1.  (The complement 1 - I_{1-v}(b, a) keeps only absolute
-    accuracy: for I_{1e-6}(30, 4) = 5.5e-177 it gives 2.2e-16, a rounding
-    residue.)  Where v^a is subnormal or 0.0 only absolute accuracy is
-    left: I_{0.2}(460, 400) = 9.81e-105 reads 9.77e-105.
+    result keeps its relative accuracy, and it is exact at v = 0 and v = 1.
+    (The complement 1 - I_{1-v}(b, a) keeps only absolute accuracy: for
+    I_{1e-6}(30, 4) = 5.5e-177 it gives 2.2e-16, a rounding residue.)  Where
+    v^a is subnormal or 0.0 but v > 0, the product is exp(a log v + log sum):
+    I_{0.2}(460, 400) = 9.81e-105, with v^a subnormal, would read 9.77e-105
+    as a product.
     """
     _check_shape(a, b)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
-    return min(v**a * neg_binomial_sum(1.0 - v, a, b), 1.0)
+    scale = v**a
+    if scale < MIN_NORMAL and v > 0.0:
+        return min(exp(a * log(v) + log(neg_binomial_sum(1.0 - v, a, b))), 1.0)
+    return min(scale * neg_binomial_sum(1.0 - v, a, b), 1.0)
 
 
 def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
@@ -60,12 +68,15 @@ def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
 
     The values are the partial sums of one series, so the row costs one
     evaluation of I_v(a, n).  The loop is neg_binomial_sum's, with the same
-    coefficients and the same order of operations.
+    coefficients and the same order of operations.  Where v^a is subnormal
+    or 0.0 the row is reg_inc_beta's values taken one at a time.
     """
     _check_shape(a, n)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
     scale = v**a
+    if scale < MIN_NORMAL and v > 0.0:
+        return [reg_inc_beta(v, a, b) for b in range(1, n + 1)]
     r = 1.0 - v
     row = []
     total = 0.0

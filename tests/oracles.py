@@ -2,6 +2,8 @@
 
 * ``step`` / ``neighbors``: torus neighbours by coordinate arithmetic, which
   the node-id table ``grid_topology.neighbor_id_table`` must match.
+* ``reference_neighbor_table``: every row of that table, built at once from
+  the node ids of each plane; each row a search builds must equal its own.
 * ``sample_next`` / ``sample_k_steps``: one-slot and one-draw k-slot link
   sampling, straight from the Markov chain's definition and its kernel.
 * ``SlotwiseNetworkState``: a NetworkState that evolves every re-observed
@@ -42,6 +44,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import mpmath
@@ -50,7 +53,7 @@ import numpy as np
 from satroute import grid_topology as grid
 from satroute import simulator as sim
 from satroute.analytic_scpr import Dual, mgf_coefficients
-from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord, neighbor_id_table
+from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _mix64, _trial_seed
 from satroute.special_functions import reg_inc_beta
@@ -66,6 +69,20 @@ def step(spec: GridSpec, node: NodeCoord, direction: int) -> NodeCoord:
 def neighbors(spec: GridSpec, node: NodeCoord) -> tuple[NodeCoord, NodeCoord, NodeCoord, NodeCoord]:
     """The four torus neighbors in (left, down, right, up) order."""
     return tuple(step(spec, node, d) for d in range(4))  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=None)
+def reference_neighbor_table(spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """For each node index, its four neighbor indexes in (L, D, R, U) order."""
+    n, m = spec.n_per_plane, spec.m_planes
+    ids = list(range(spec.n_nodes))
+    planes = [ids[xi * n:(xi + 1) * n] for xi in range(m)]  # node ids of plane xi, by yi
+    table = []
+    for xi, here in enumerate(planes):
+        left, right = planes[(xi - 1) % m], planes[(xi + 1) % m]
+        down, up = here[-1:] + here[:-1], here[1:] + here[:1]  # the plane rotated by one
+        table.extend(zip(left, down, right, up))
+    return tuple(table)
 
 
 def sample_next(params: LinkParams, on: bool, rng) -> bool:
@@ -127,7 +144,7 @@ class KernelNetworkState(NetworkState):
 
 def validate_hops(spec: GridSpec, hops, src_id: int, dst_id: int) -> None:
     """Raise ValueError unless ``hops`` is a simple chain from src_id to dst_id."""
-    nbr = neighbor_id_table(spec)
+    nbr = reference_neighbor_table(spec)
     node = src_id
     seen = {src_id}
     for i, (tail, direction) in enumerate(hops):
@@ -152,7 +169,7 @@ def oracle_connected_hops(spec: GridSpec, link_on_id, src_id: int, dst_id: int):
     """
     if src_id == dst_id:
         return []
-    nbr = neighbor_id_table(spec)
+    nbr = reference_neighbor_table(spec)
     visited = bytearray(spec.n_nodes)
     visited[src_id] = 1
     parent = [-1] * spec.n_nodes  # packed as tail_id * 4 + direction

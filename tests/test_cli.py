@@ -519,22 +519,54 @@ def test_claim2_at_the_edge_of_the_domain(argv, expected, rel, capsys):
     assert float(value) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
-def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+def test_parser_is_built_once_per_subcommand(tmp_path, capsys, monkeypatch):
     builds = []
     build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_build_parser", lambda *command: builds.append(command) or build(*command))
     cli._shared_parser.cache_clear()
     argv = ["analytic", "--policy", "gr", "--u", "0.3"]
     for _ in range(3):
         assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[tuple(argv)])
-    assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "0.3")[0] == 0
-    assert len(builds) == 1
-    # a --config run builds a parser of its own for the file's defaults
+    assert builds == [("analytic",)]
+    for _ in range(2):
+        assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "0.3")[0] == 0
+    assert builds == [("analytic",), ("crossover",)]
+    # a --config run builds a full parser of its own for the file's defaults
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=0.5\n")
     assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
     assert run_cli(capsys, *argv)[0] == 0
-    assert len(builds) == 2
+    assert builds == [("analytic",), ("crossover",), ()]
+    # and so does a usage error, which the full parser reports
+    assert_usage_error(capsys, ["analytic", "--policy", "flooding"])
+    assert builds == [("analytic",), ("crossover",), (), ()]
+
+
+def test_one_subcommand_parser_reads_as_the_full_parser(capsys):
+    """A parser with one subcommand's flags gives the full parser's namespace
+    for that subcommand's command lines, and ``main`` prints the full
+    parser's help, usage errors and exit codes for any command line."""
+    full, commands = cli._build_parser()
+    for argv in [
+        ["analytic", "--policy", "gr", "--buffered", "true", "--u", "0.3", "--x", "2"],
+        ["simulate", "--policy", "scpr", "--grid", "20x30", "--threads", "3"],
+        ["sweep", "--sweep", "tc", "--values", "1,2", "--out", "f.csv"],
+        ["crossover", "--metric", "delay", "--tc-max", "7"],
+        ["verify", "ordering", "--scale", "0.5"],
+    ]:
+        assert vars(cli._build_parser(argv[0])[0].parse_args(argv)) == vars(full.parse_args(argv))
+    for argv in [["-h"], [], ["flooding"], *([name, "-h"] for name in commands),
+                 ["simulate", "--policy", "gr", "--bogus"], ["simulate", "--threads", "0", "--policy", "gr"],
+                 ["analytic", "--policy", "flooding"], ["sweep", "--values", "1"], ["verify", "nothing"]]:
+        with pytest.raises(SystemExit) as expected:
+            full.parse_args(argv)
+        reference = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == expected.value.code and capsys.readouterr() == reference
+        if argv:
+            with pytest.raises(cli._FullParserPrints):
+                cli._build_parser(argv[0])[0].parse_args(argv)
 
 
 def test_config_defaults_do_not_reach_a_later_call(tmp_path, capsys):
@@ -571,6 +603,22 @@ def test_readme_flag_table_matches_the_parser():
     parsed = {name: {flag for action in sp._actions for flag in action.option_strings} - {"-h", "--help"}
               for name, sp in commands.items()}
     assert table == parsed
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1.5", "many"])
+def test_threads_below_one_exits_2(tmp_path, capsys, value):
+    """--threads takes an integer >= 1, as a flag and as a config line; the
+    config line is checked under a subcommand without the flag too."""
+    argv = ["simulate", "--policy", "gr", "--trials", "2"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads={value}\n")
+    for call in ([*argv, "--threads", value], [*argv, "--config", str(cfg)],
+                 ["analytic", "--policy", "gr", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(call)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and "error:" in out.err and "threads" in out.err
+    assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
 
 
 @pytest.mark.parametrize("text, code", [("abc", 2), ("1.5", 2), ("0", 0), ("1", 0), ("auto", 0),

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from oracles import neighbors, oracle_connected_hops, step, validate_hops
+from oracles import neighbors, oracle_connected_hops, reference_neighbor_table, step, validate_hops
 from satroute import grid_topology as grid
 from satroute.grid_topology import GridSpec, NodeCoord
 
@@ -115,17 +115,87 @@ def test_neighbors_wrap():
     assert nb[grid.UP] == NodeCoord(2, -2)  # y wraps 2 -> -2 on a width-5 axis
 
 
-@pytest.mark.parametrize("n,m", [(3, 3), (4, 7), (7, 4), (5, 6), (100, 100), (99, 101)])
+SHAPES = [(3, 3), (4, 7), (7, 4), (5, 6), (100, 100), (99, 101)]
+
+
+@pytest.fixture
+def empty_tables():
+    """Every grid's neighbor rows start unbuilt, and none the test built outlives it."""
+    grid.neighbor_id_table.cache_clear()
+    yield
+    grid.neighbor_id_table.cache_clear()
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
 def test_id_tables_match_coordinate_functions(n, m):
     spec = GridSpec(n, m)
     coords = grid.coord_table(spec)
-    nbr = grid.neighbor_id_table(spec)
+    nbr = reference_neighbor_table(spec)
     assert len(coords) == len(nbr) == spec.n_nodes == len(set(coords))
     for nid, node in enumerate(coords):
         assert type(node) is NodeCoord
         assert grid.normalize(spec, node) == node
         assert grid.node_index(spec, node) == nid
         assert nbr[nid] == tuple(grid.node_index(spec, nb) for nb in neighbors(spec, node))
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_every_built_row_equals_the_reference_row(n, m, empty_tables):
+    """Searches build the rows of whole planes, the planes they reach, and
+    each built row is the reference row; building every plane gives the
+    reference table."""
+    spec = GridSpec(n, m)
+    ref = reference_neighbor_table(spec)
+    nbr = grid.neighbor_id_table(spec)
+    assert nbr == [None] * spec.n_nodes
+    rng = random.Random(n * 1000 + m)
+    parent = [-1] * spec.n_nodes
+    for _ in range(10):
+        src_id, dst_id = rng.randrange(spec.n_nodes), rng.randrange(spec.n_nodes)
+        snapshot = {}
+        hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.6, rng.random, snapshot, parent)
+        # the search expanded the source, each hop's tail and each drawn link's tail
+        expanded = {tail for tail, _ in hops or []} | {lid >> 2 for lid in snapshot}
+        expanded |= {src_id} if src_id != dst_id else set()
+        built = [nid for nid, row in enumerate(nbr) if row is not None]
+        planes = {nid // n for nid in built}
+        assert {nid // n for nid in expanded} <= planes and len(built) == n * len(planes)
+        assert all(nbr[nid] == ref[nid] for nid in built)
+        # one int object per node id, as in a table built at once
+        ints = [nid for row in nbr if row is not None for nid in row]
+        assert len({id(nid) for nid in ints}) == len(set(ints))
+    order = list(range(m))
+    rng.shuffle(order)
+    nbr = grid.neighbor_id_table.__wrapped__(spec)
+    for xi in order:
+        grid._plane_rows(spec, nbr, xi * n + rng.randrange(n))
+    assert tuple(nbr) == ref
+    assert len({id(nid) for row in nbr for nid in row}) == spec.n_nodes
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_searches_on_unbuilt_rows_return_the_full_tables_routes(n, m, empty_tables, monkeypatch):
+    """The random fallback path and the snapshot BFS, each run first on rows
+    not yet built, return the hop lists, draws and snapshots they return on
+    the whole reference table."""
+    spec = GridSpec(n, m)
+    coords = grid.coord_table(spec)
+
+    def routes():
+        rng = random.Random(n * 1000 + m)
+        parent = [-1] * spec.n_nodes
+        out = []
+        for _ in range(15):
+            path = grid.random_shortest_path(spec, coords[rng.randrange(spec.n_nodes)], rng)
+            snapshot = {}
+            src_id, dst_id = rng.randrange(spec.n_nodes), rng.randrange(spec.n_nodes)
+            hops = grid.shortest_connected_hops(spec, src_id, dst_id, 0.55, rng.random, snapshot, parent)
+            out.append((path, hops, snapshot, rng.random()))
+        return out
+
+    unbuilt = routes()
+    monkeypatch.setattr(grid, "neighbor_id_table", lambda spec: list(reference_neighbor_table(spec)))
+    assert routes() == unbuilt
 
 
 def test_neighbors_distinct_on_minimum_grid():

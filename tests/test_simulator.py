@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -631,6 +632,23 @@ def test_estimate_golden_random_stream(case):
     policy, spec, params, kwargs, mean, stderr = GOLDEN[case]
     est = sim.estimate(spec, params, policy, **kwargs)
     assert est == sim.Estimate(mean, stderr, kwargs["trials"], kwargs["master_seed"])
+
+
+def test_scpr_estimate_on_a_large_grid_allocates_for_the_planes_it_reaches():
+    """The neighbor rows of a 1000x1000 grid start unbuilt: the run allocates
+    two pointer lists per node (16 MB) and the rows its searches reach, not
+    the 138 MB of a whole table."""
+    spec = GridSpec(1000, 1000)
+    grid.neighbor_id_table.cache_clear()
+    tracemalloc.start()
+    try:
+        sim.estimate(spec, ld.from_p_mu(0.9, 0.99), "scpr", src=NodeCoord(5, 5), buffered=False,
+                     t_c=5, trials=20, master_seed=2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        grid.neighbor_id_table.cache_clear()
+    assert peak < 40e6
 
 
 def test_estimate_rejects_bad_arguments():

@@ -205,3 +205,18 @@ def test_relative_accuracy_against_exact_rationals(v):
     worst = max(abs(Fraction(reg_inc_beta(v, a, b)) / exact_reg_inc_beta(v, a, b) - 1)
                 for a in range(1, 31, 3) for b in range(1, 31, 3))
     assert worst <= 1e-14
+
+
+# (v, a, b) where v^a is subnormal or underflows to 0.0
+TINY_SCALE = [(0.2, 460, 400), (0.01, 200, 200), (0.3, 600, 10)]
+
+
+@pytest.mark.parametrize("v, a, b", TINY_SCALE)
+def test_relative_accuracy_where_v_to_the_a_is_not_a_normal_float(v, a, b):
+    """The product is taken in logs there.  As a plain product
+    I_0.2(460, 400) = 9.81e-105 read 4.3e-3 off, I_0.01(200, 200) = 7.04e-283
+    read 0.0 and I_0.3(600, 10) read 3.4e-12 off.  The row takes each of its
+    partial sums the same way."""
+    assert v**a < sys.float_info.min
+    assert abs(Fraction(reg_inc_beta(v, a, b)) / exact_reg_inc_beta(v, a, b) - 1) <= 1e-12
+    assert reg_inc_beta_row(v, a, b) == [reg_inc_beta(v, a, k) for k in range(1, b + 1)]
