@@ -44,7 +44,7 @@ from .link_dynamics import LinkParams, transition_prob
 # Dual and mgf_coefficients (A, B of G = 1 - H in derivative form) serve only
 # verify.dual_derivative_error, which `verify analytic` and criterion 5 share.
 # Replacing that check renames a verify line that the benchmark's closed_forms
-# reference pins, so they go with the next benchmark revision (ROADMAP item 8).
+# reference pins, so they go with the next benchmark revision (ROADMAP item 16).
 class Dual:
     """Minimal forward-mode dual number: value + first derivative (floats or arrays)."""
 

@@ -50,20 +50,20 @@ SWEEP_VALUES = {
 # 160 MB here), plus about 105 bytes per node of the planes its searches reach.
 MAX_NODES = 10**7
 
+# The subcommands, in the order the help lists them.
+COMMANDS = ("analytic", "simulate", "sweep", "crossover", "verify")
+
 # verify.SUITES by name, sorted: written out so that parsing need not load verify.
 VERIFY_SUITES = ("analytic", "crossover", "intermediate", "optimal", "ordering", "simulation")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _shared_parser(argv[0] if argv else None).parse_args(argv)
-    except _FullParserPrints:
-        args = _build_parser()[0].parse_args(argv)  # prints the help or the usage error, and exits
+    args = _shared_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     if args.config:
         # A parser of its own: the file's defaults must not reach later calls.
-        parser, commands = _build_parser()
-        _load_config(commands, args.command, args.config)
+        parser, commands = _build_parser(args.command)
+        _load_config(commands[args.command], args.config)
         args = parser.parse_args(argv)
     try:
         return args.handler(args)
@@ -163,32 +163,20 @@ OPTIONS = {
 }
 
 
-class _FullParserPrints(Exception):
-    """Help or a usage error met by a one-subcommand parser, whose usage line
-    would name that subcommand alone."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """Raises ``_FullParserPrints`` where argparse would print a usage error or help."""
-
-    def error(self, message=None):
-        raise _FullParserPrints
-
-    print_help = error  # called as print_help(file) by -h
-
-
-def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name: every subcommand's, or
-    only ``command``'s (none for a name that is no subcommand's).
+def _build_parser(command: str | None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name: every subcommand's when
+    ``command`` is None, else ``command``'s alone.
 
     A one-subcommand parser parses that subcommand's command lines as the
-    full parser does.  It leaves help and usage errors to the full parser,
-    by raising ``_FullParserPrints``, so that they read as before.
+    full parser does and prints the same help and usage errors: its metavar
+    names every subcommand in the usage line.  The full parser keeps
+    argparse's own metavar, so that its errors still name the argument
+    "command".
     """
-    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
-    parser = parser_class(prog="satroute", description=__doc__,
-                          formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = argparse.ArgumentParser(prog="satroute", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
     def add(name, handler, summary, dests, required=()):
         if command not in (None, name):
@@ -220,18 +208,20 @@ def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, 
 
 @functools.lru_cache(maxsize=8)
 def _shared_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser ``main`` reuses for every call without --config whose first
-    argument is ``command``.
+    """The parser ``main`` reuses for every call without --config: the one
+    for subcommand ``command``, or the full parser for ``command`` None.
 
-    A cold start builds the flags of the one subcommand it runs.  Parsing
+    A cold start builds the flags of the one subcommand its first argument
+    names; any other first argument (``-h``, none, a typo) gets the full
+    parser, whose help and usage errors list every subcommand.  Parsing
     leaves a parser unchanged, so one built per process and subcommand
     serves any number of calls.
     """
     return _build_parser(command)[0]
 
 
-def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, path: str) -> None:
-    """Make the file's key=value lines the defaults of ``command``'s flags.
+def _load_config(sp: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's key=value lines the defaults of subcommand parser ``sp``'s flags.
 
     A key may be the dest of any subcommand's flag, so one file serves every
     subcommand; the keys of other subcommands are ignored.  A key that no
@@ -239,7 +229,6 @@ def _load_config(commands: dict[str, argparse.ArgumentParser], command: str, pat
     choices, exits 2 under every subcommand, even where a flag on the command
     line overrides it.
     """
-    sp = commands[command]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [raw.strip() for raw in fh]

@@ -63,18 +63,17 @@ class NetworkState:
     ``step_on[s]`` is the one-step kernel P(ON at t+1 | state s at t), with s
     False (OFF) or True (ON), and a re-observation one slot later reads it
     instead of calling ``transition_prob``.  A GR trial passes its run's
-    ``GrRun.step_on``, computed once per run; without it the state computes
-    its own.
+    ``GrRun.step_on``, computed once per run.
     """
 
     __slots__ = ("spec", "params", "rng", "_cache", "step_on")
 
-    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_on: tuple[float, float] | None = None):
+    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_on: tuple[float, float]):
         self.spec = spec
         self.params = params
         self.rng = rng
         self._cache: dict[int, tuple[bool, int]] = {}
-        self.step_on = _one_step_kernel(params) if step_on is None else step_on
+        self.step_on = step_on
 
     def link_on_id(self, lid: int, t: int) -> bool:
         cached = self._cache.get(lid)

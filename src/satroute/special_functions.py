@@ -69,18 +69,23 @@ def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
     The values are the partial sums of one series, so the row costs one
     evaluation of I_v(a, n).  The loop is neg_binomial_sum's, with the same
     coefficients and the same order of operations.  Where v^a is subnormal
-    or 0.0 the row is reg_inc_beta's values taken one at a time.
+    or 0.0 each partial sum is scaled as reg_inc_beta scales it, in logs.
     """
     _check_shape(a, n)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
     scale = v**a
-    if scale < MIN_NORMAL and v > 0.0:
-        return [reg_inc_beta(v, a, b) for b in range(1, n + 1)]
     r = 1.0 - v
     row = []
     total = 0.0
     weight = 1.0  # r^k
+    if scale < MIN_NORMAL and v > 0.0:
+        log_scale = a * log(v)
+        for coefficient in _neg_binomial_coefficients(a, n):
+            total += coefficient * weight
+            weight *= r
+            row.append(min(exp(log_scale + log(total)), 1.0))
+        return row
     for coefficient in _neg_binomial_coefficients(a, n):
         total += coefficient * weight
         weight *= r

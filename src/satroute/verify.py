@@ -396,7 +396,7 @@ def suite_intermediate() -> list[CheckResult]:
     ]
 
 
-def suite_simulation(scale: float = 1.0) -> list[CheckResult]:
+def suite_simulation(scale: float) -> list[CheckResult]:
     """Monte Carlo agreement checks (slower; ``scale`` shrinks trial counts)."""
     n_big = max(1000, int(10**6 * scale))
     n_net = max(200, int(2000 * scale))
@@ -417,7 +417,7 @@ def suite_simulation(scale: float = 1.0) -> list[CheckResult]:
     ]
 
 
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "analytic": suite_analytic,
     "crossover": suite_crossover,
     "ordering": suite_ordering,

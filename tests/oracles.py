@@ -19,9 +19,9 @@
   snapshot included, through a NetworkState, with the BFS asking a predicate
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
-* ``oracle_gr_trial``: the GR trial on a NetworkState of its own, which
-  computes its one-step kernel per trial and finds its link ids and moves
-  from the signed coordinates at every step.  The production trial, which
+* ``oracle_gr_trial``: the GR trial on a NetworkState of its own, built
+  with a one-step kernel computed per trial, which finds its link ids and
+  moves from the signed coordinates at every step.  The production trial, which
   reads them from a per-run ``GrRun``, must make the same draws in the same
   order.
 * ``mgf_rows`` / ``scalar_mgf_rows``: the SCPR delay-MGF triangle in dual

@@ -182,7 +182,7 @@ def test_config_keys_reach_every_subcommand(tmp_path, capsys):
 def test_config_scale_reaches_simulation_suite(tmp_path, capsys, monkeypatch):
     scales = []
 
-    def recorder(scale=1.0):
+    def recorder(scale):
         scales.append(scale)
         return [verify.CheckResult("recorded", True)]
 
@@ -362,7 +362,7 @@ def test_snapshot_age_past_the_float_range_exits_2(argv, capsys):
 
 def test_grid_past_max_nodes_exits_2(capsys):
     """--grid is bounded by its node count when parsed, before any table is built."""
-    parser = cli._build_parser()[0]
+    parser = cli._build_parser(None)[0]
     command = ["simulate", "--policy", "scpr", "--grid"]
     assert cli.MAX_NODES == 10**7
     assert parser.parse_args([*command, "3162x3162"]).grid.n_nodes == 3162 * 3162 <= cli.MAX_NODES
@@ -522,31 +522,43 @@ def test_claim2_at_the_edge_of_the_domain(argv, expected, rel, capsys):
 def test_parser_is_built_once_per_subcommand(tmp_path, capsys, monkeypatch):
     builds = []
     build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda *command: builds.append(command) or build(*command))
+    monkeypatch.setattr(cli, "_build_parser", lambda command: builds.append(command) or build(command))
     cli._shared_parser.cache_clear()
     argv = ["analytic", "--policy", "gr", "--u", "0.3"]
     for _ in range(3):
         assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[tuple(argv)])
-    assert builds == [("analytic",)]
+    assert builds == ["analytic"]
     for _ in range(2):
         assert run_cli(capsys, "crossover", "--metric", "throughput", "--u", "0.3")[0] == 0
-    assert builds == [("analytic",), ("crossover",)]
-    # a --config run builds a full parser of its own for the file's defaults
+    assert builds == ["analytic", "crossover"]
+    # a --config run builds its subcommand's parser anew for the file's defaults
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=0.5\n")
     assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
     assert run_cli(capsys, *argv)[0] == 0
-    assert builds == [("analytic",), ("crossover",), ()]
-    # and so does a usage error, which the full parser reports
+    assert builds == ["analytic", "crossover", "analytic"]
+    # a usage error is printed by the parser already built
     assert_usage_error(capsys, ["analytic", "--policy", "flooding"])
-    assert builds == [("analytic",), ("crossover",), (), ()]
+    assert builds == ["analytic", "crossover", "analytic"]
 
 
-def test_one_subcommand_parser_reads_as_the_full_parser(capsys):
+def test_commands_name_the_full_parsers_subcommands():
+    assert cli.COMMANDS == tuple(cli._build_parser(None)[1])
+
+
+def outcome(capsys, call, *args):
+    """(exit code, stdout, stderr) of ``call(*args)``, which exits."""
+    with pytest.raises(SystemExit) as exc:
+        call(*args)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_one_subcommand_parser_reads_as_the_full_parser(tmp_path, capsys):
     """A parser with one subcommand's flags gives the full parser's namespace
-    for that subcommand's command lines, and ``main`` prints the full
-    parser's help, usage errors and exit codes for any command line."""
-    full, commands = cli._build_parser()
+    for that subcommand's command lines, and prints its help, usage errors,
+    --config errors and exit codes; ``main`` prints them too."""
+    full, commands = cli._build_parser(None)
     for argv in [
         ["analytic", "--policy", "gr", "--buffered", "true", "--u", "0.3", "--x", "2"],
         ["simulate", "--policy", "scpr", "--grid", "20x30", "--threads", "3"],
@@ -555,18 +567,26 @@ def test_one_subcommand_parser_reads_as_the_full_parser(capsys):
         ["verify", "ordering", "--scale", "0.5"],
     ]:
         assert vars(cli._build_parser(argv[0])[0].parse_args(argv)) == vars(full.parse_args(argv))
-    for argv in [["-h"], [], ["flooding"], *([name, "-h"] for name in commands),
+    for argv in [*([name, "-h"] for name in commands), *([name, "--bogus"] for name in commands),
                  ["simulate", "--policy", "gr", "--bogus"], ["simulate", "--threads", "0", "--policy", "gr"],
-                 ["analytic", "--policy", "flooding"], ["sweep", "--values", "1"], ["verify", "nothing"]]:
-        with pytest.raises(SystemExit) as expected:
-            full.parse_args(argv)
-        reference = capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == expected.value.code and capsys.readouterr() == reference
-        if argv:
-            with pytest.raises(cli._FullParserPrints):
-                cli._build_parser(argv[0])[0].parse_args(argv)
+                 ["analytic", "--policy", "flooding"], ["analytic", "--policy", "gr", "extra"],
+                 ["sweep", "--values", "1"], ["verify", "nothing"]]:
+        reference = outcome(capsys, full.parse_args, argv)
+        assert outcome(capsys, cli._build_parser(argv[0])[0].parse_args, argv) == reference
+        assert outcome(capsys, cli.main, argv) == reference
+    for argv in [["-h"], [], ["flooding"], ["--", "analytic"]]:
+        assert outcome(capsys, cli.main, argv) == outcome(capsys, full.parse_args, argv)
+    assert outcome(capsys, cli.main, ["flooding"])[2].endswith(
+        "satroute: error: argument command: invalid choice: 'flooding' "
+        "(choose from 'analytic', 'simulate', 'sweep', 'crossover', 'verify')\n")
+    unknown, bad_value = tmp_path / "unknown.cfg", tmp_path / "bad.cfg"
+    unknown.write_text("flooding=1\n")
+    bad_value.write_text("p=high\n")
+    for name in commands:
+        for path in (unknown, bad_value, tmp_path / "missing.cfg"):
+            reference = outcome(capsys, cli._load_config, cli._build_parser(None)[1][name], str(path))
+            assert outcome(capsys, cli._load_config, cli._build_parser(name)[1][name], str(path)) == reference
+            assert reference[0] == 2 and str(path) in reference[2]
 
 
 def test_config_defaults_do_not_reach_a_later_call(tmp_path, capsys):
@@ -599,7 +619,7 @@ def test_readme_flag_table_matches_the_parser():
             for name, mark in zip(header[2:], row[2:]):
                 if mark:
                     table[name].add(row[0].strip("`").split()[0])
-    _, commands = cli._build_parser()
+    _, commands = cli._build_parser(None)
     parsed = {name: {flag for action in sp._actions for flag in action.option_strings} - {"-h", "--help"}
               for name, sp in commands.items()}
     assert table == parsed
@@ -723,7 +743,7 @@ def test_claim4_never_below_eq23(capsys):
     assert below == []
 
 
-# ROADMAP item 11's domain-edge table, its --u slice: every command that takes
+# ROADMAP item 15(b)'s domain-edge table, its --u slice: every command that takes
 # --u, at axis, diagonal and off-diagonal sources, in both regimes.
 EDGE_COMMANDS = {
     "analytic": ("analytic", "--policy", "gr"),

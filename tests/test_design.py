@@ -8,10 +8,12 @@ deliberate oracle in ``tests/oracles.py``).
 
 Likewise every defaulted parameter of a ``src/`` function or method, private
 ones included, must be set by some ``src/`` call outside its own body: a
-value that only tests set is a constant of the module.  And a required
-parameter that every ``src/`` call sets to the same constant (a literal, or an
-UPPER_CASE name such as ``ORIGIN``) is a constant of the callee; callees that
-only ``verify.py`` calls are exempt, since its checks pass their own points.
+value that only tests set is a constant of the module.  Nor may every such
+call set it: a default that only tests use makes the parameter required.
+And a required parameter that every ``src/`` call sets to the same constant
+(a literal, or an UPPER_CASE name such as ``ORIGIN``) is a constant of the
+callee; callees that only ``verify.py`` calls are exempt, since its checks
+pass their own points.
 
 The Monte Carlo engine is what the closed forms are checked against, so
 ``simulator.py`` imports none of them.
@@ -40,6 +42,9 @@ ALLOWED_PARAMETERS = {
     "simulator.estimate.threads": "the engine rule of ROADMAP.md pins "
                                   "test_estimate_deterministic_across_thread_counts, which sets it",
 }
+
+# Defaulted parameters that every src/ call sets, each kept on purpose, with its reason.
+ALLOWED_OVERRIDDEN: dict[str, str] = {}
 
 # Required parameters that every src/ call sets to one constant, each kept on purpose, with its reason.
 ALLOWED_FIXED = {
@@ -155,6 +160,26 @@ def test_no_parameter_only_tests_set():
                 unset.add(qualname)
     assert unset - set(ALLOWED_PARAMETERS) == set()
     assert set(ALLOWED_PARAMETERS) <= unset  # a stale entry would hide nothing and mislead
+
+
+def test_no_default_every_src_call_overrides():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [node for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    callee = {id(call): getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls}
+    defined = Counter(node.name for _, tree in trees for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    overridden = set()
+    for module, tree in trees:
+        for qualname, name, node, param, position, defaulted in parameters(module, tree):
+            if not defaulted or defined[name] > 1:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            sites = [call for call in calls if callee[id(call)] == name and id(call) not in own]
+            if sites and all(argument(call, param, position) is not None for call in sites):
+                overridden.add(qualname)
+    assert overridden - set(ALLOWED_OVERRIDDEN) == set()
+    assert set(ALLOWED_OVERRIDDEN) <= overridden  # a stale entry would hide nothing and mislead
 
 
 def argument(call: ast.Call, name: str, position):

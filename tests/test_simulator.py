@@ -32,8 +32,9 @@ def record_fallbacks(monkeypatch):
 
 def test_network_state_rejects_backward_queries():
     spec = GridSpec(5, 5)
+    params = ld.from_p_mu(0.5, 0.5)
     for state_cls in (sim.NetworkState, SlotwiseNetworkState, KernelNetworkState):
-        state = state_cls(spec, ld.from_p_mu(0.5, 0.5), random.Random(0))
+        state = state_cls(spec, params, random.Random(0), sim._one_step_kernel(params))
         state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 5)
         with pytest.raises(ValueError):
             state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 3)
@@ -41,7 +42,8 @@ def test_network_state_rejects_backward_queries():
 
 def test_network_state_same_slot_is_stable():
     spec = GridSpec(5, 5)
-    state = sim.NetworkState(spec, ld.from_p_mu(0.5, 0.9), random.Random(1))
+    params = ld.from_p_mu(0.5, 0.9)
+    state = sim.NetworkState(spec, params, random.Random(1), sim._one_step_kernel(params))
     first = state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4)
     for _ in range(5):
         assert state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4) == first
@@ -50,7 +52,7 @@ def test_network_state_same_slot_is_stable():
 def test_network_state_near_static_links_persist():
     params = ld.from_p_mu(0.5, 0.99999)
     spec = GridSpec(5, 5)
-    state = sim.NetworkState(spec, params, random.Random(2))
+    state = sim.NetworkState(spec, params, random.Random(2), sim._one_step_kernel(params))
     first = state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 0)
     assert state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 3) == first  # flip odds ~1.5e-5
 
@@ -274,6 +276,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
 
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.6, 0.5)
+    step_on = sim._one_step_kernel(params)
     run = sim.ScprRun(spec, params, NodeCoord(2, 2))
     means = []
     for seed, trial in ((65, sim.run_scpr_trial), (66, None)):
@@ -281,7 +284,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
         for i in range(10000):
             rng = trial_rng(seed, i)
             if trial is None:
-                out = oracle_scpr_trial(sim.NetworkState(spec, params, rng), NodeCoord(2, 2), 3, True, rng)
+                out = oracle_scpr_trial(sim.NetworkState(spec, params, rng, step_on), NodeCoord(2, 2), 3, True, rng)
             else:
                 out = trial(spec, params, run, 3, True, rng)
             delays.append(out.delay)
@@ -329,6 +332,7 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
     k-step jumps and slot-by-slot evolution of every observed link."""
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.5)
+    step_on = sim._one_step_kernel(params)
     n = 10**5
     run = sim.ScprRun(spec, params, NodeCoord(1, 2))
     rates = []
@@ -339,7 +343,8 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
             if seed == 21:
                 out = sim.run_scpr_trial(spec, params, run, 3, False, rng)
             else:
-                out = oracle_scpr_trial(SlotwiseNetworkState(spec, params, rng), NodeCoord(1, 2), 3, False, rng)
+                state = SlotwiseNetworkState(spec, params, rng, step_on)
+                out = oracle_scpr_trial(state, NodeCoord(1, 2), 3, False, rng)
             hits += out.success
         rates.append(hits / n)
     pooled = sum(rates) / 2
@@ -360,6 +365,7 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
     waits = 0
     for p in (0.3, 0.6, 0.9):
         params = ld.from_p_mu(p, 0.7)
+        step_on = sim._one_step_kernel(params)
         for t_c in (0, 3):
             for buffered in (False, True):
                 for i in range(40):
@@ -367,7 +373,8 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
                     rng = trial_rng(31, i)
                     ref_rng = trial_rng(31, i)
                     out = sim.run_scpr_trial(spec, params, sim.ScprRun(spec, params, src), t_c, buffered, rng)
-                    ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered, ref_rng)
+                    state = sim.NetworkState(spec, params, ref_rng, step_on)
+                    ref = oracle_scpr_trial(state, src, t_c, buffered, ref_rng)
                     assert out == ref, (p, t_c, buffered, i)
                     assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, i)
                     waits += buffered and out.delay > out.path_len
@@ -389,6 +396,7 @@ def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
     found = 0
     for p in (0.3, 0.6, 0.9):
         params = ld.from_p_mu(p, 0.7)
+        step_on = sim._one_step_kernel(params)
         for src in (grid.ORIGIN, *pick.sample(nodes, 3)):
             run = sim.ScprRun(spec, params, src)
             i = longest = 0
@@ -399,7 +407,7 @@ def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
                         ref_rng = trial_rng(33, i)
                         before = len(fallbacks)
                         out = sim.run_scpr_trial(spec, params, run, t_c, buffered, rng)
-                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng), src, t_c, buffered,
+                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng, step_on), src, t_c, buffered,
                                                 ref_rng)
                         assert out == ref, (p, src, t_c, buffered, i)
                         assert rng.getstate() == ref_rng.getstate(), (p, src, t_c, buffered, i)
@@ -420,10 +428,11 @@ def test_link_on_id_matches_kernel_oracle(k):
     of the one-step kernel and on k >= 2."""
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.7)
+    step_on = sim._one_step_kernel(params)
     lid = link_id(spec, NodeCoord(1, 1), grid.LEFT)
     seen = set()
     for seed in range(200):
-        state, ref = (cls(spec, params, random.Random(seed)) for cls in (sim.NetworkState, KernelNetworkState))
+        state, ref = (cls(spec, params, random.Random(seed), step_on) for cls in (sim.NetworkState, KernelNetworkState))
         first = state.link_on_id(lid, 3)
         assert ref.link_on_id(lid, 3) == first
         before = state.rng.getstate()
@@ -487,7 +496,8 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
                     for side in (sim.NetworkState, KernelNetworkState):
                         ref_rng = trial_rng(32, i)
                         looks.clear()
-                        ref = oracle_gr_trial(side(spec, params, ref_rng), src, buffered, tie, ref_rng)
+                        state = side(spec, params, ref_rng, sim._one_step_kernel(params))
+                        ref = oracle_gr_trial(state, src, buffered, tie, ref_rng)
                         assert out == ref, (side, p, mu, buffered, src, tie)
                         assert rng.getstate() == ref_rng.getstate(), (side, p, mu, buffered, src, tie)
                         assert looks == out_looks, (side, p, mu, buffered, src, tie)
