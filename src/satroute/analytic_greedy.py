@@ -2,7 +2,7 @@
 
 Bufferless throughput from any source (x, y >= 0), the boundary-hit time
 machinery for the buffered walk, the exact buffered mean-delay component,
-and its closed-form upper bound.
+and its closed-form upper bound; ``gr_walk``, their recursion for any tie rule.
 
 Conventions used throughout: u is the probability of moving vertically when
 both toward-destination links are usable; w is the unconditional per-move
@@ -18,7 +18,8 @@ import math
 import sys
 
 from .link_dynamics import LinkParams
-from .special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta
+from .simulator import DETERMINISTIC
+from .special_functions import beta_fn, binom, log_neg_binomial_terms, log_sum_exp, neg_binomial_sum, reg_inc_beta
 
 
 def gr_throughput(p: float, x: int, y: int, u: float) -> float:
@@ -40,14 +41,31 @@ def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     """
     bracket = _throughput_bracket(p, x, y, u)  # checks the inputs before p ** (x + y)
     scale = p ** (x + y)
-    if scale < sys.float_info.min and p > 0.0:
-        # p^(x+y) is subnormal or 0.0, but the product may be a normal float
-        return math.exp((x + y) * math.log(p) + math.log(bracket))
+    if scale < sys.float_info.min and p > 0.0 or bracket == math.inf:
+        # p^(x+y) is subnormal or 0.0, or the bracket passes the float range,
+        # but the product may be a normal float
+        return math.exp((x + y) * math.log(p) + log_throughput_bracket(p, x, y, u))
     return scale * bracket
 
 
+def log_throughput_bracket(p: float, x: int, y: int, u: float) -> float:
+    """log(gr_throughput / p^(x+y)), the log of the bracket above.
+
+    Where a coefficient or a sum of the bracket passes the float range (x + y
+    past about 1030), its terms are added in logs, each from its exact
+    integer coefficient.
+    """
+    bracket = _throughput_bracket(p, x, y, u)
+    if bracket < math.inf:
+        return math.log(bracket)
+    f1, f2 = 1.0 - u * p, 1.0 - (1.0 - u) * p
+    return log_sum_exp([a * math.log(f) + t for a, b, f, r in ((x, y, f1, f2), (y, x, f2, f1)) if f > 0.0
+                        for t in log_neg_binomial_terms(r, a, b)])
+
+
 def _throughput_bracket(p: float, x: int, y: int, u: float) -> float:
-    """gr_throughput / p^(x+y): the bracket above, exactly 1.0 from an axis source."""
+    """gr_throughput / p^(x+y): the bracket above, exactly 1.0 from an axis
+    source, and inf where it passes the float range."""
     if x < 0 or y < 0:
         raise ValueError(f"x={x}, y={y}: need x, y >= 0")
     _check_prob("p", p)
@@ -55,8 +73,11 @@ def _throughput_bracket(p: float, x: int, y: int, u: float) -> float:
         return 1.0
     _check_prob("u", u)
     ub = 1.0 - u
-    s1 = neg_binomial_sum(1.0 - ub * p, x, y)
-    s2 = neg_binomial_sum(1.0 - u * p, y, x)
+    try:
+        s1 = neg_binomial_sum(1.0 - ub * p, x, y)
+        s2 = neg_binomial_sum(1.0 - u * p, y, x)
+    except OverflowError:
+        return math.inf
     return (1.0 - u * p) ** x * s1 + (1.0 - ub * p) ** y * s2
 
 
@@ -131,11 +152,12 @@ def expected_min_tau(x: int, y: int, w: float) -> float:
     wb = 1.0 - w
     if y * wb < x * w:
         x, y, w, wb = y, x, wb, w
-    return (
-        x / wb
-        - (w ** (y - 1)) * (wb ** (x - 1)) / beta_fn(y, x)
-        + (y / w - x / wb) * reg_inc_beta(w, y, x)
-    )
+    try:
+        density = (w ** (y - 1)) * (wb ** (x - 1)) / beta_fn(y, x)
+    except OverflowError:  # 1/B(y, x) = (x+y-1) C(x+y-2, y-1) passes the float range: one exponent
+        density = math.exp((y - 1) * math.log(w) + (x - 1) * math.log(wb)
+                           + math.log((x + y - 1) * math.comb(x + y - 2, y - 1)))
+    return x / wb - density + (y / w - x / wb) * reg_inc_beta(w, y, x)
 
 
 def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float) -> float:
@@ -146,15 +168,50 @@ def gr_delay_exact_component(params: LinkParams, x: int, y: int, w: float) -> fl
     spends E[min(tau_x, tau_y)] moves in the interior out of x + y total.
     A source with x == 0 or y == 0 is all-boundary, whatever w.
     """
-    p, e2 = params.p, params.epsilon2
     if x < 0 or y < 0:
         raise ValueError("need x, y >= 0")
-    boundary_extra = (1.0 - p) / e2
     if x == 0 or y == 0:
-        return (x + y) * (1.0 + boundary_extra)
+        return (x + y) * (1.0 + (1.0 - params.p) / params.epsilon2)
+    return gr_delay_of_interior_moves(params, x, y, expected_min_tau(x, y, w))
+
+
+def gr_delay_of_interior_moves(params: LinkParams, x: int, y: int, interior: float) -> float:
+    """The split above for a walk that makes ``interior`` of its x + y moves in the interior."""
+    p, e2 = params.p, params.epsilon2
     interior_extra = (1.0 - p) ** 2 / (2.0 * e2 - e2 * e2)
-    e_min = expected_min_tau(x, y, w)
-    return (x + y) + interior_extra * e_min + boundary_extra * (x + y - e_min)
+    boundary_extra = (1.0 - p) / e2
+    return (x + y) + interior_extra * interior + boundary_extra * (x + y - interior)
+
+
+def gr_walk(params: LinkParams, x: int, y: int, tie: float | str) -> tuple[float, float]:
+    """(expected interior moves, delivery probability) of GR's walk from (x, y)
+    under the Monte Carlo's tie rule: a float u, or DETERMINISTIC, the farther
+    axis with a fair coin at a = b.  Fresh links at each node give, with d the
+    rule's vertical probability at remaining (a, b), 0 and p^(a+b) on the axes:
+
+        I(a,b) = 1 + v I(a,b-1) + (1-v) I(a-1,b),  v = w_from_u(params, d)
+        T(a,b) = p^2 [d T(a,b-1) + (1-d) T(a-1,b)] + p(1-p) [T(a,b-1) + T(a-1,b)]
+
+    For a coin I is eqEK and T claim3, here with positive terms only and T not
+    as a bracket times p^(x+y).  O(x y) pure Python, rows along the shorter axis.
+    """
+    if x < 0 or y < 0:
+        raise ValueError(f"x={x}, y={y}: need x, y >= 0")
+    p = params.p
+    rule = (0.0, 0.5, 1.0) if tie == DETERMINISTIC else (tie,) * 3  # d at b < a, b == a, b > a
+    if y > x:  # mirrored, a vertical move is a horizontal one
+        x, y, rule = y, x, [1.0 - d for d in reversed(rule)]
+    steps = [(v, 1.0 - v, p * (p * d + 1.0 - p), p * (1.0 - p * d)) for d in rule for v in [w_from_u(params, d)]]
+    moves = [0.0] * (y + 1)  # I(a - 1, b), overwritten with I(a, b) as b rises
+    delivered = [p**b for b in range(y + 1)]  # T likewise
+    for a in range(1, x + 1):
+        i_left = 0.0
+        t_left = delivered[0] = p**a
+        for b in range(1, y + 1):
+            v, vb, tv, th = steps[(b >= a) + (b > a)]
+            i_left = moves[b] = 1.0 + v * i_left + vb * moves[b]
+            t_left = delivered[b] = tv * t_left + th * delivered[b]
+    return moves[y], delivered[y]
 
 
 def gr_delay_upper_bound(params: LinkParams, x: int, y: int) -> float:

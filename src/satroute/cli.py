@@ -34,7 +34,7 @@ import sys
 from . import link_dynamics as links
 from . import simulator
 from .grid_topology import GridSpec, NodeCoord
-from .simulator import DETERMINISTIC, _mix64
+from .simulator import DETERMINISTIC, mix64
 
 CSV_HEADER = ["param", "value", "policy", "regime", "metric", "kind",
               "estimate", "stderr", "trials", "seed", "claim"]
@@ -146,7 +146,8 @@ OPTIONS = {
     "buffered": ("--buffered", dict(type=_true_false, default="false", metavar="{true,false}")),
     "u": ("--u", dict(type=_tie, default="auto",
                       help="tie-break: float, 'auto' (= y/(x+y)) or 'deterministic' "
-                           "(farther axis; Monte Carlo only from an interior source)")),
+                           "(farther axis; from an interior source its rows come from "
+                           "the exact walk recursion, tagged walk3, walk23 and walkEK)")),
     "trials": ("--trials", dict(type=int, default=2000)),
     "seed": ("--seed", dict(type=int, default=2024)),
     "threads": ("--threads", dict(type=_workers, default=1,
@@ -274,19 +275,6 @@ def _tie_u(u: str | float, x: int, y: int) -> str | float:
     return y / (x + y) if u == "auto" else u
 
 
-def _closed_form_u(u: str | float, x: int, y: int) -> float | None:
-    """The u of the walk GR's closed forms describe for --u, or None where none
-    does: the deterministic farther-axis walk from an interior source.  From an
-    axis source every move is forced, so any u gives that walk."""
-    tie = _tie_u(u, x, y)
-    if tie == DETERMINISTIC:
-        return None if x and y else 0.5
-    return tie
-
-
-NO_CLOSED_FORM = "--u deterministic: no GR closed form describes this walk from an interior source"
-
-
 def _labels(buffered: bool) -> tuple[str, str]:
     """(regime, metric) of a run."""
     return ("buffered", "delay") if buffered else ("bufferless", "throughput")
@@ -294,27 +282,45 @@ def _labels(buffered: bool) -> tuple[str, str]:
 
 def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_arg: str | float):
     """(quantity, claim tag, value) triples for one configuration."""
-    if policy == "scpr":
-        from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
+    if policy == "gr":
+        return _gr_figures(buffered, params, x, y, u_arg)[0]
+    from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
 
-        if buffered:
-            return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_recursion(params, x + y, tc))]
-        return [("scpr_throughput_bound", "claim1", scpr.scpr_path_success_prob(params, x + y, tc))]
+    if buffered:
+        return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_recursion(params, x + y, tc))]
+    return [("scpr_throughput_bound", "claim1", scpr.scpr_path_success_prob(params, x + y, tc))]
+
+
+def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
+    """GR's (quantity, claim tag, value) rows for --u, and the value its crossover
+    compares: the log margin log(T / p^(x+y)) of its delivery probability T, or
+    its mean delay.  The farther-axis walk from an interior source takes gr_walk's
+    recursion; coins and axis sources, where every move is forced, the paper's forms."""
     from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
 
-    u = _closed_form_u(u_arg, x, y)
-    if u is None:
-        return []
+    tie = _tie_u(u_arg, x, y)
+    if tie == DETERMINISTIC and x and y:
+        if x * y > MAX_NODES // 4:  # the x*y of the farthest source any --grid admits
+            raise ValueError(f"x={x}, y={y}: --u deterministic takes x*y <= {MAX_NODES // 4} from an interior source")
+        interior, delivered = greedy.gr_walk(params, x, y, tie)
+        if buffered:
+            delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
+            return [("gr_walk_delay", "walk23", delay), ("gr_walk_interior_moves", "walkEK", interior)], delay
+        if not delivered >= sys.float_info.min:  # its log margin needs a normal float
+            raise ValueError(f"x={x}, y={y}, p={params.p}: GR's delivery probability is below the normal float range")
+        return [("gr_walk_throughput", "walk3", delivered)], math.log(delivered) - (x + y) * math.log(params.p)
+    u = 0.5 if tie == DETERMINISTIC else tie  # from an axis source any u gives the forced walk
     if not buffered:
-        return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, u))]
+        gain = greedy.log_throughput_bracket(params.p, x, y, u)
+        return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, u))], gain
     w = greedy.w_from_u(params, u)  # the walk's vertical move probability
-    exact = ("gr_delay_exact_component", "eq23", greedy.gr_delay_exact_component(params, x, y, w))
-    if x == 0 or y == 0:
-        return [exact]  # claim4 and eqEK describe interior sources only
-    rows = [exact, ("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w))]
-    if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
-        rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
-    return rows
+    delay = greedy.gr_delay_exact_component(params, x, y, w)
+    rows = [("gr_delay_exact_component", "eq23", delay)]
+    if x and y:  # claim4 and eqEK describe interior sources only
+        rows.append(("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)))
+        if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
+            rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
+    return rows, delay
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
@@ -340,10 +346,7 @@ def _write_csv(rows: list[list[str]], path: str | None) -> None:
 def cmd_analytic(args) -> int:
     _check_distance(args.x, args.y)
     params = links.from_p_mu(args.p, args.mu)
-    rows = _analytic_rows(args.policy, args.buffered, params, args.x, args.y, args.tc, args.u)
-    if not rows:
-        raise ValueError(NO_CLOSED_FORM)
-    for name, claim, value in rows:
+    for name, claim, value in _analytic_rows(args.policy, args.buffered, params, args.x, args.y, args.tc, args.u):
         print(f"{name} {claim} {value!r}")
     return 0
 
@@ -396,7 +399,7 @@ def cmd_sweep(args) -> int:
                 rows.append([swept, repr(value), policy, *_labels(args.buffered),
                              "analytic", repr(analytic_value), "", "", "", claim])
             mc_counter += 1
-            est = _estimate(args, params, policy, x, y, tc, _mix64(args.seed ^ _mix64(mc_counter)))
+            est = _estimate(args, params, policy, x, y, tc, mix64(args.seed ^ mix64(mc_counter)))
             rows.append([swept, repr(value), policy, *_labels(args.buffered), "mc", repr(est.mean),
                          repr(est.stderr), str(est.trials), str(est.seed), ""])
     _write_csv(rows, args.out)
@@ -406,7 +409,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    from . import analytic_greedy as greedy
     from . import comparison  # both policies' closed forms; only crossover searches them
 
     params = links.from_p_mu(args.p, args.mu)
@@ -414,13 +416,10 @@ def cmd_crossover(args) -> int:
     _check_distance(x, y)
     if lo > hi:
         raise ValueError(f"--tc-min {lo} is above --tc-max {hi}: the search range is empty")
-    u = _closed_form_u(args.u, x, y)
-    if u is None:
-        raise ValueError(NO_CLOSED_FORM)
-    if args.metric == "throughput":
-        tc = comparison.throughput_crossover_tc(params, x, y, lo, hi, u)
-    else:  # eq23's walk, as in analytic
-        tc = comparison.delay_crossover_tc(params, x, y, lo, hi, greedy.w_from_u(params, u))
+    throughput = args.metric == "throughput"
+    gr = _gr_figures(not throughput, params, x, y, args.u)[1]  # the walk of analytic's rows
+    search = comparison.throughput_crossover_tc if throughput else comparison.delay_crossover_tc
+    tc = search(params, x, y, lo, hi, gr)
     print(f"crossover_tc={tc if tc is not None else 'none'}")
     return 0
 

@@ -1,9 +1,10 @@
 """Analytic policy comparison: who wins at a given snapshot staleness, and the smallest
 staleness at which greedy routing takes over.
 
-Both crossover searches compare greedy routing's exact analytic value against the
-centralized side conservatively, i.e. greedy is declared the winner only when it beats a
-figure that favors the centralized policy:
+Greedy routing's side does not depend on the staleness, so the caller computes it once: the
+log margin log(T / p^(x+y)) of its delivery probability T, or its mean delay.  Both searches
+compare it against the centralized side conservatively, i.e. greedy is declared the winner
+only when it beats a figure that favors the centralized policy:
 
 * throughput: greedy's exact delivery probability must reach the centralized *upper* bound;
 * delay: greedy's exact mean delay must drop below the centralized recursion evaluated one
@@ -15,47 +16,45 @@ from __future__ import annotations
 
 import math
 
-from .analytic_greedy import _throughput_bracket, gr_delay_exact_component
 from .analytic_scpr import scpr_delay_recursion
 from .link_dynamics import LinkParams
 
 
-def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, u: float) -> bool:
-    """Whether GR's delivery probability g reaches SCPR's bound prod_{i<x+y} p11(t_c+i).
+def gr_beats_scpr_throughput(params: LinkParams, x: int, y: int, t_c: int, gain: float) -> bool:
+    """Whether GR's delivery probability p^(x+y) e^gain reaches SCPR's bound prod_{i<x+y} p11(t_c+i).
 
-    With p11(k) = p (1 + (1-p)/p mu^k) and g = p^(x+y) times a bracket (1 from an axis source),
-    log(bracket) is compared with the excess sum_i log1p((1-p)/p mu^(t_c+i)), > 0 for mu > 0
-    even once it underflows.  The excess never rises with t_c: each term shrinks by mu <= 1 - 1e-9
-    a slot, far more than a rounding step, and pow, log1p and + all round monotonically.
+    With p11(k) = p (1 + (1-p)/p mu^k), the log margin ``gain`` is compared with the excess
+    sum_i log1p((1-p)/p mu^(t_c+i)), > 0 for mu > 0 even once it underflows.  The excess never
+    rises with t_c: each term shrinks by mu <= 1 - 1e-9 a slot, far more than a rounding step,
+    and pow, log1p and + all round monotonically.
     """
     if x + y < 1 or t_c < 0:
         raise ValueError(f"x={x}, y={y}, t_c={t_c}: need x + y >= 1 and t_c >= 0")
     p, mu = params.p, params.mu
     bound_excess = sum(math.log1p((1.0 - p) / p * mu ** (t_c + i)) for i in range(x + y))
-    gain = math.log(_throughput_bracket(p, x, y, u))
     return gain > bound_excess if mu > 0.0 else gain >= bound_excess
 
 
-def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int, w: float) -> bool:
-    """Whether GR's mean delay under walk w is at most SCPR's recursion at depth x+y-1.
+def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int, delay: float) -> bool:
+    """Whether GR's mean delay ``delay`` is at most SCPR's recursion at depth x+y-1.
 
     Claim 2's E[S_L] never falls as t_c grows: couple two ages with one uniform and one wait
     per hop.  p11 falls with age when mu >= 0 and an OFF hop's wait is Geometric(e2) whenever
     it starts, so at the larger age each hop is reached no earlier and found OFF no less often.
     """
-    return gr_delay_exact_component(params, x, y, w) <= scpr_delay_recursion(params, x + y - 1, t_c)
+    return delay <= scpr_delay_recursion(params, x + y - 1, t_c)
 
 
 def throughput_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                            u: float) -> int | None:
-    """Smallest t_c in range where greedy delivery under tie-break u reaches the SCPR bound."""
-    return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, u), t_c_min, t_c_max)
+                            gain: float) -> int | None:
+    """Smallest t_c in range where greedy delivery, of log margin ``gain``, reaches the SCPR bound."""
+    return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, gain), t_c_min, t_c_max)
 
 
 def delay_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                       w: float) -> int | None:
-    """Smallest t_c in range where greedy mean delay under walk w beats the SCPR recursion."""
-    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, w), t_c_min, t_c_max)
+                       delay: float) -> int | None:
+    """Smallest t_c in range where greedy mean delay ``delay`` beats the SCPR recursion."""
+    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, delay), t_c_min, t_c_max)
 
 
 def _first_true(pred, lo: int, hi: int) -> int | None:

@@ -350,12 +350,12 @@ def run_stylized_scpr_path(
 
 
 def _trial_seed(key: int, index: int) -> int:
-    """The seed of trial ``index``'s independent, replayable stream under ``key`` = ``_mix64(master_seed)``."""
-    return _mix64(key ^ _mix64(index + 0x9E3779B97F4A7C15))
+    """The seed of trial ``index``'s independent, replayable stream under ``key`` = ``mix64(master_seed)``."""
+    return mix64(key ^ mix64(index + 0x9E3779B97F4A7C15))
 
 
-def _mix64(v: int) -> int:
-    # splitmix64 finalizer
+def mix64(v: int) -> int:
+    """splitmix64's finalizer: the 64-bit hash behind every trial's and sweep row's seed."""
     v = (v + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -393,7 +393,7 @@ def estimate(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "gr" and tie != DETERMINISTIC and not (isinstance(tie, (int, float)) and 0 <= tie <= 1):
         raise ValueError(f"tie={tie!r}: need a probability in [0, 1] or {DETERMINISTIC!r}")
-    key = _mix64(master_seed)
+    key = mix64(master_seed)
     rng = random.Random(0)
     # random.Random(seed) runs the Python-level Random.seed, which for an int
     # only calls this C seed: reseeding in place gives the same state.

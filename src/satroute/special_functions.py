@@ -14,14 +14,17 @@ v^a is subnormal or underflows, the product is taken in logs), and
 I_v(a, 1), ..., I_v(a, n) are its partial sums:
 ``reg_inc_beta_row`` returns them in one pass.  The coefficients
 C(k+a-1, k) are exact integers rounded once to floats, which is the
-rounding an ``int * float`` product applies to them anyway.
+rounding an ``int * float`` product applies to them anyway.  Where a
+coefficient or the sum passes the float range (a + b past about 1030),
+``reg_inc_beta`` adds the terms' logs instead, each taken from its exact
+integer coefficient.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from math import comb, exp, log
+from math import comb, exp, fsum, inf, log
 
 MIN_NORMAL = sys.float_info.min  # below it v^a has lost relative precision
 
@@ -58,9 +61,13 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
     scale = v**a
+    try:
+        total = neg_binomial_sum(1.0 - v, a, b)
+    except OverflowError:
+        return 0.0 if v == 0.0 else min(exp(a * log(v) + log_sum_exp(log_neg_binomial_terms(1.0 - v, a, b))), 1.0)
     if scale < MIN_NORMAL and v > 0.0:
-        return min(exp(a * log(v) + log(neg_binomial_sum(1.0 - v, a, b))), 1.0)
-    return min(scale * neg_binomial_sum(1.0 - v, a, b), 1.0)
+        return min(exp(a * log(v) + log(total)), 1.0)
+    return min(scale * total, 1.0)
 
 
 def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
@@ -94,13 +101,43 @@ def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
 
 
 def neg_binomial_sum(r: float, a: int, b: int) -> float:
-    """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum."""
+    """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum.
+
+    Raises OverflowError where a coefficient or the sum passes the float
+    range; ``log_neg_binomial_terms`` serves those shapes.
+    """
     total = 0.0
     weight = 1.0  # r^k
     for coefficient in _neg_binomial_coefficients(a, b):
         total += coefficient * weight
         weight *= r
+    if total == inf:
+        raise OverflowError(f"a={a}, b={b}, r={r}: the sum passes the float range")
     return total
+
+
+def log_neg_binomial_terms(r: float, a: int, b: int) -> list[float]:
+    """[log(C(k+a-1, k) r^k) for k < b], the logs of neg_binomial_sum's terms.
+
+    Finite at any shape: each coefficient is an exact integer, C(k+a, k+1) =
+    C(k+a-1, k) (k+a) / (k+1), whose log Python takes without converting it
+    to a float.  At r = 0 only the k = 0 term, 1, is left.
+    """
+    if r == 0.0:
+        return [0.0]
+    log_r = log(r)
+    logs = []
+    coefficient = 1
+    for k in range(b):
+        logs.append(log(coefficient) + k * log_r)
+        coefficient = coefficient * (k + a) // (k + 1)
+    return logs
+
+
+def log_sum_exp(logs: list[float]) -> float:
+    """log(sum(exp(t) for t in logs)), summed relative to the largest term."""
+    top = max(logs)
+    return top + log(fsum([exp(t - top) for t in logs]))
 
 
 @lru_cache(maxsize=256)

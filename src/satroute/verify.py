@@ -4,8 +4,8 @@ analytic formulas, Monte Carlo agreement checks, and optimality checks.
 Every oracle here is written from the defining process or definition, never
 from the closed form it validates:
 
-* ``dp_throughput``: lattice dynamic program over the four per-node routing
-  cases (both links ON / one ON / none).
+* ``analytic_greedy.gr_walk``: the lattice recursion over the four per-node
+  routing cases (both links ON / one ON / none), here under a coin tie-break.
 * ``expected_min_tau_direct``: sum of k * P(min = k) over the hitting-time pmf.
 * ``quadrature_reg_inc_beta``: adaptive Simpson integration of the beta
   density.
@@ -43,31 +43,6 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 
 # ---------------------------------------------------------------------------
 # independent oracles
-
-
-def dp_throughput(p: float, x: int, y: int, u: float) -> float:
-    """Greedy bufferless delivery probability by dynamic programming.
-
-    T(0,0) = 1; boundary rows multiply by p per forced hop; in the interior
-    both toward-links are fresh Bernoulli(p): both ON (p^2) applies the
-    tie-break, exactly one ON moves that way, both OFF drops.
-    """
-    table: dict[tuple[int, int], float] = {}
-    for a in range(x + 1):
-        for b in range(y + 1):
-            if a == 0 and b == 0:
-                table[a, b] = 1.0
-            elif a == 0:
-                table[a, b] = p * table[a, b - 1]
-            elif b == 0:
-                table[a, b] = p * table[a - 1, b]
-            else:
-                table[a, b] = (
-                    p * p * (u * table[a, b - 1] + (1.0 - u) * table[a - 1, b])
-                    + p * (1.0 - p) * table[a, b - 1]
-                    + (1.0 - p) * p * table[a - 1, b]
-                )
-    return table[x, y]
 
 
 def expected_min_tau_direct(x: int, y: int, w: float) -> float:
@@ -108,14 +83,16 @@ TORUS = GridSpec(100, 100)
 
 
 def throughput_dp_error() -> float:
-    """Worst |gr_throughput - dp_throughput| over p in (0.3, 0.6, 0.9),
-    x, y in 1..8 and u in (0.2, 0.5, 0.8, y/(x+y)): 768 points."""
+    """Worst |gr_throughput - gr_walk's delivery probability| over p in
+    (0.3, 0.6, 0.9), x, y in 1..8 and u in (0.2, 0.5, 0.8, y/(x+y)): 768
+    points.  The bufferless walk has no memory, so any mu serves."""
     worst = 0.0
     for p in (0.3, 0.6, 0.9):
+        params = links.from_p_mu(p, 0.0)
         for x in range(1, 9):
             for y in range(1, 9):
                 for u in (0.2, 0.5, 0.8, y / (x + y)):
-                    worst = max(worst, abs(greedy.gr_throughput(p, x, y, u) - dp_throughput(p, x, y, u)))
+                    worst = max(worst, abs(greedy.gr_throughput(p, x, y, u) - greedy.gr_walk(params, x, y, u)[1]))
     return worst
 
 
@@ -275,8 +252,10 @@ def crossovers() -> tuple[int | None, int | None]:
     """(throughput, delay) crossover t_c over [0, 200] for the source (5, 5)
     at p = 0.9, mu = 0.99, with the fair coin u = 0.5 and the walk w = 0.5."""
     params = links.from_p_mu(0.9, 0.99)
-    return (comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5),
-            comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5))
+    gain = greedy.log_throughput_bracket(0.9, 5, 5, 0.5)
+    delay = greedy.gr_delay_exact_component(params, 5, 5, 0.5)
+    return (comparison.throughput_crossover_tc(params, 5, 5, 0, 200, gain),
+            comparison.delay_crossover_tc(params, 5, 5, 0, 200, delay))
 
 
 def path_ordering_violations() -> dict[tuple[float, float, int], list[tuple]]:

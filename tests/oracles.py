@@ -55,7 +55,7 @@ from satroute import simulator as sim
 from satroute.analytic_scpr import Dual, mgf_coefficients
 from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from satroute.link_dynamics import LinkParams, transition_prob
-from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _mix64, _trial_seed
+from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _trial_seed, mix64
 from satroute.special_functions import reg_inc_beta
 
 DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # (L, D, R, U)
@@ -196,7 +196,7 @@ def oracle_connected_hops(spec: GridSpec, link_on_id, src_id: int, dst_id: int):
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
     """Trial ``index``'s stream in ``simulator.estimate(master_seed=...)``."""
-    return random.Random(_trial_seed(_mix64(master_seed), index))
+    return random.Random(_trial_seed(mix64(master_seed), index))
 
 
 def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: bool, rng) -> TrialOutcome:

@@ -6,9 +6,15 @@ import pytest
 from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import verify
-from satroute.verify import dp_throughput, expected_min_tau_direct
+from satroute.verify import expected_min_tau_direct
 
 from oracles import exact_expected_min_tau
+
+
+def dp_throughput(p, x, y, u):
+    """gr_walk's delivery probability under the coin u: the lattice dynamic
+    program, whose bufferless walk has no memory, so any mu serves."""
+    return greedy.gr_walk(ld.from_p_mu(p, 0.0), x, y, u)[1]
 
 
 def test_throughput_hand_value():
@@ -252,3 +258,125 @@ def test_dispatchers():
             greedy.gr_throughput(0.8, x, y, 0.5)
         with pytest.raises(ValueError):
             greedy.gr_delay_exact_component(params, x, y, 0.5)
+
+
+# gr_walk: the lattice recursion for any tie rule.  Under a coin it is the
+# paper's walk; under DETERMINISTIC it is the farther-axis walk, which the
+# closed forms do not describe.
+DETERMINISTIC = "deterministic"
+
+
+def walk_delay(params, x, y, tie):
+    """Mean buffered delay of gr_walk's walk: the split of gr_delay_exact_component."""
+    return greedy.gr_delay_of_interior_moves(params, x, y, greedy.gr_walk(params, x, y, tie)[0])
+
+
+def test_walk_under_a_coin_equals_claim3_eq23_and_eqek():
+    worst = 0.0
+    for p in (0.3, 0.6, 0.9):
+        for mu in (0.0, 0.5, 0.99):
+            params = ld.from_p_mu(p, mu)
+            for x in range(1, 9):
+                for y in range(1, 9):
+                    for u in (0.2, 0.5, 0.8, y / (x + y)):
+                        interior, delivered = greedy.gr_walk(params, x, y, u)
+                        w = greedy.w_from_u(params, u)
+                        delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
+                        worst = max(worst, abs(delivered / greedy.gr_throughput(p, x, y, u) - 1),
+                                    abs(interior / greedy.expected_min_tau(x, y, w) - 1),
+                                    abs(delay / greedy.gr_delay_exact_component(params, x, y, w) - 1))
+    assert worst <= 1e-12
+
+
+def test_walk_from_an_axis_source_is_forced():
+    params = ld.from_p_mu(0.7, 0.5)
+    for tie in (0.0, 0.3, 1.0, DETERMINISTIC):
+        assert greedy.gr_walk(params, 0, 0, tie) == (0.0, 1.0)
+        for n in range(1, 6):
+            assert greedy.gr_walk(params, n, 0, tie) == greedy.gr_walk(params, 0, n, tie) == (0.0, 0.7**n)
+
+
+def test_farther_axis_walk_is_symmetric():
+    params = ld.from_p_mu(0.6, 0.9)
+    for x, y in ((1, 4), (3, 7), (2, 9)):
+        assert greedy.gr_walk(params, x, y, DETERMINISTIC) == greedy.gr_walk(params, y, x, DETERMINISTIC)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_farther_axis_walk_equals_value_iteration_at_mu_0(n):
+    """At mu = 0 the farther-axis walk is the greedy rule that value iteration
+    certifies optimal, so its delay is the table's D-bar at every source."""
+    from satroute import optimal_policies as optimal
+    from satroute.grid_topology import GridSpec, NodeCoord
+
+    worst = 0.0
+    for p in (0.3, 0.6, 0.9):
+        table = optimal.value_iterate_delay(GridSpec(n, n), p)
+        params = ld.from_p_mu(p, 0.0)
+        for x in range(n // 2 + 1):
+            for y in range(n // 2 + 1):
+                delay = walk_delay(params, x, y, DETERMINISTIC) if x + y else 0.0
+                worst = max(worst, abs(delay - table.d_bar_at(NodeCoord(x, y))))
+    assert worst <= 1e-9
+
+
+def test_farther_axis_walk_dominates_every_coin():
+    """Its delivery probability is at least, and its mean delay at most, those
+    of every coin walk's closed forms, claim3 and eq23."""
+    excess = 0.0
+    for p in (0.3, 0.6, 0.9):
+        for mu in (0.0, 0.5, 0.9, 0.99):
+            params = ld.from_p_mu(p, mu)
+            for x in range(1, 13):
+                for y in range(1, 13):
+                    interior, delivered = greedy.gr_walk(params, x, y, DETERMINISTIC)
+                    delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
+                    for u in (i / 10 for i in range(11)):
+                        coin_delay = greedy.gr_delay_exact_component(params, x, y, greedy.w_from_u(params, u))
+                        excess = max(excess, greedy.gr_throughput(p, x, y, u) / delivered - 1, delay / coin_delay - 1)
+    assert excess <= 1e-12
+
+
+# (p, mu, x, y, buffered).  The buffered point at mu = 0.99 waits about 100
+# slots a hop, and its delays are too skewed for a 3-sigma gate at this size.
+MC_POINTS = ((0.9, 0.99, 2, 6, False), (0.6, 0.9, 3, 7, False), (0.9, 0.5, 5, 5, False), (0.3, 0.0, 2, 3, False),
+             (0.9, 0.5, 4, 4, True), (0.9, 0.5, 2, 6, True), (0.6, 0.0, 3, 5, True))
+
+
+@pytest.mark.parametrize("p, mu, x, y, buffered", MC_POINTS)
+def test_farther_axis_walk_matches_the_monte_carlo(p, mu, x, y, buffered):
+    from satroute import simulator
+    from satroute.grid_topology import GridSpec, NodeCoord
+
+    params = ld.from_p_mu(p, mu)
+    est = simulator.estimate(GridSpec(20, 20), params, "gr", src=NodeCoord(x, y), buffered=buffered,
+                             tie=DETERMINISTIC, trials=5000, master_seed=2024)
+    exact = walk_delay(params, x, y, DETERMINISTIC) if buffered else greedy.gr_walk(params, x, y, DETERMINISTIC)[1]
+    assert abs(est.mean - exact) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize("xy", [520, 600])
+@pytest.mark.parametrize("u", [0.5, "auto"])
+def test_coin_closed_forms_past_the_float_range_of_their_coefficients(xy, u):
+    """From x = y = 511 (eqEK's 1/B) and 516 (claim3's and I_v's binomial
+    coefficients) an intermediate passes the float range; the scaled forms
+    still agree with the recursion."""
+    params = ld.from_p_mu(0.9, 0.99)
+    u = xy / (2 * xy) if u == "auto" else u
+    w = greedy.w_from_u(params, u)
+    interior, delivered = greedy.gr_walk(params, xy, xy, u)
+    assert greedy.gr_throughput(0.9, xy, xy, u) == pytest.approx(delivered, rel=1e-11, abs=0)
+    assert greedy.expected_min_tau(xy, xy, w) == pytest.approx(interior, rel=1e-11, abs=0)
+    assert greedy.gr_delay_exact_component(params, xy, xy, w) == pytest.approx(
+        greedy.gr_delay_of_interior_moves(params, xy, xy, interior), rel=1e-11, abs=0)
+
+
+def test_coin_closed_forms_past_the_float_range_off_the_diagonal():
+    """Off the diagonal, and at p = 0.5 from (1000, 1000), where the bracket
+    T / p^(x+y) passes the float range but T, about 4.7e-252, does not."""
+    for p, x, y, u in ((0.6, 700, 400, 0.3), (0.6, 300, 900, 0.9), (0.5, 1000, 1000, 0.5)):
+        params = ld.from_p_mu(p, 0.5)
+        w = greedy.w_from_u(params, u)
+        interior, delivered = greedy.gr_walk(params, x, y, u)
+        assert greedy.gr_throughput(p, x, y, u) == pytest.approx(delivered, rel=1e-11, abs=0)
+        assert greedy.expected_min_tau(x, y, w) == pytest.approx(interior, rel=1e-11, abs=0)

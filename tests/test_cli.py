@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 from pathlib import Path
 
@@ -767,16 +768,12 @@ def run_edge_case(capsys, command, u, x, y, buffered):
 @pytest.mark.parametrize("u", EDGE_U)
 @pytest.mark.parametrize("command", list(EDGE_COMMANDS))
 def test_u_at_the_edge_of_the_domain(command, u, buffered, capsys):
-    """Each case exits 0 with finite numbers, or 2 with an error line: only a
-    GR closed form of the deterministic walk from an interior source is refused."""
+    """Each case exits 0 with finite numbers: every tie rule has GR rows from
+    every source, the deterministic walk's from gr_walk's recursion."""
     for x, y in EDGE_SOURCES:
         code, out, err = run_edge_case(capsys, command, u, x, y, buffered)
-        refused = u == "deterministic" and x and y and command in ("analytic", "crossover")
-        assert code == (2 if refused else 0), (x, y)
-        if refused:
-            assert out == "" and err.startswith("error: ")
-        else:
-            assert out and not re.search(r"nan|inf", out, re.IGNORECASE), (x, y)
+        assert code == 0, (x, y)
+        assert out and not re.search(r"nan|inf", out, re.IGNORECASE), (x, y)
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["bufferless", "buffered"])
@@ -793,6 +790,80 @@ def test_deterministic_keeps_the_axis_rows_and_the_scpr_rows(buffered, capsys):
                 ("eq23" if buffered else "claim3")
 
 
+def run_walk(capsys, *argv):
+    """(exit code, stdout, stderr) of a GR command under --u deterministic."""
+    code = cli.main([*argv, "--u", "deterministic"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def assert_answers(code, out):
+    """Exit 0 with finite numbers, and no analytic row at 0.0."""
+    assert code == 0 and out and not re.search(r"nan|inf", out, re.IGNORECASE), out
+    assert all(float(line.split()[2]) > 0.0 for line in out.splitlines() if not line.startswith("crossover_tc=")), out
+
+
+def assert_refused(code, out, err):
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--metric", "throughput"), 19),
+    (("--metric", "delay"), 14),
+    (("--metric", "throughput", "--mu", "0.999", "--tc-max", "5000"), 224),
+    (("--metric", "delay", "--mu", "0.999", "--tc-max", "5000"), 156),
+], ids=["throughput", "delay", "throughput-mu-0.999", "delay-mu-0.999"])
+def test_crossover_of_the_farther_axis_walk(argv, expected, capsys):
+    """At p = 0.9 and (5, 5) GR's best greedy rule wins at about half the
+    snapshot age of auto's coin (35 and 30 at the defaults)."""
+    code, out, _ = run_walk(capsys, "crossover", *argv)
+    assert code == 0 and out == f"crossover_tc={expected}\n"
+
+
+def test_farther_axis_rows_up_to_their_cap(capsys):
+    """The recursion takes x*y <= MAX_NODES // 4, the x*y of the farthest
+    source any accepted --grid admits; past it the command exits 2 at once."""
+    assert cli.MAX_NODES // 4 == 1250 * 2000
+    code, out, _ = run_walk(capsys, "analytic", "--policy", "gr", "--x", "1250", "--y", "2000")
+    assert_answers(code, out)
+    assert out.startswith("gr_walk_throughput walk3 ")
+    for argv in (("analytic", "--policy", "gr", "--buffered", "true"), ("crossover", "--metric", "delay")):
+        assert_refused(*run_walk(capsys, *argv, "--x", "1250", "--y", "2001"))
+
+
+def test_farther_axis_rows_where_the_delivery_probability_is_tiny(capsys):
+    """At p = 0.3 the walk's T is 3.4e-235 from (400, 400), and below the
+    float range from (600, 600), where only the throughput commands refuse."""
+    code, out, _ = run_walk(capsys, "analytic", "--policy", "gr", "--p", "0.3", "--x", "400", "--y", "400")
+    assert_answers(code, out)
+    # the recursion in 30-digit mpmath
+    assert float(out.split()[2]) == pytest.approx(3.4139891530981489481e-235, rel=1e-9, abs=0)
+    far = ("--p", "0.3", "--x", "600", "--y", "600")
+    for argv in (("analytic", "--policy", "gr"), ("crossover", "--metric", "throughput")):
+        assert_refused(*run_walk(capsys, *argv, *far))
+    for argv in (("analytic", "--policy", "gr", "--buffered", "true"), ("crossover", "--metric", "delay")):
+        assert_answers(*run_walk(capsys, *argv, *far)[:2])
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--policy", "gr", "--buffered", "true", "--x", "511", "--y", "511"),
+    ("analytic", "--policy", "gr", "--x", "516", "--y", "516"),
+    ("crossover", "--metric", "throughput", "--x", "600", "--y", "600"),
+    ("crossover", "--metric", "delay", "--x", "600", "--y", "600"),
+    ("analytic", "--policy", "gr", "--p", "1e-6", "--x", "515", "--y", "515"),
+    ("crossover", "--metric", "throughput", "--p", "1e-6", "--x", "515", "--y", "515"),
+], ids=["eq23-511", "claim3-516", "crossover-throughput-600", "crossover-delay-600", "claim3-bracket-past-range",
+        "crossover-bracket-past-range"])
+def test_coin_rows_past_the_float_range_of_their_coefficients(argv, capsys):
+    """Where a coefficient passes the float range the coin rows still answer,
+    with finite numbers.  At p = 1e-6 from (515, 515) the bracket T / p^(x+y)
+    itself passes it: claim3 read inf there, and the crossover 0."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out and not re.search(r"nan|inf", out, re.IGNORECASE)
+    if argv[-1] == "515":
+        assert out in ("gr_throughput claim3 0.0\n", "crossover_tc=none\n")
+
+
 def test_analytic_gr_axis_source(capsys):
     """An axis source is all boundary: p^n bufferless, eq23 alone buffered."""
     params = ld.from_p_mu(0.9, 0.99)
@@ -807,7 +878,8 @@ def test_analytic_gr_axis_source(capsys):
 def test_crossover_throughput_axis_source(capsys):
     params = ld.from_p_mu(0.9, 0.5)
     for x, y in ((0, 2), (2, 0)):
-        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200, y / (x + y))
+        gain = greedy.log_throughput_bracket(0.9, x, y, y / (x + y))  # 0.0: GR's T is p^(x+y)
+        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200, gain)
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0.5",
                             "--x", str(x), "--y", str(y))
         assert code == 0
@@ -861,17 +933,19 @@ def test_invalid_arguments_exit_2(capsys):
 
 # Exact stdout of short runs: the CSV schema, the float repr of every value
 # and the meaning of --u are part of the CLI's contract.  The deterministic
-# walk from an interior source has no GR closed form: its sweeps print the mc
-# rows alone, and `analytic --policy gr` and `crossover` under it exit 2.
+# walk from an interior source prints gr_walk's rows, tagged walk3, walk23
+# and walkEK, where a coin walk prints claim3, eq23 and eqEK.
 SWEEP_X = ("sweep", "--sweep", "x", "--values", "1,3", "--grid", "20x20", "--trials", "50")
 GOLDEN_STDOUT = {
     (*SWEEP_X, "--buffered", "false", "--u", "deterministic"): (
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
         'x,1,scpr,bufferless,throughput,analytic,0.9892757004796772,,,,claim1\n'
         'x,1,scpr,bufferless,throughput,mc,1.0,0.0,50,10805136638887256990,\n'
+        'x,1,gr,bufferless,throughput,analytic,0.891,,,,walk3\n'
         'x,1,gr,bufferless,throughput,mc,0.94,0.033926691677251195,50,68349201353214159,\n'
         'x,3,scpr,bufferless,throughput,analytic,0.9572907872663518,,,,claim1\n'
         'x,3,scpr,bufferless,throughput,mc,0.88,0.046423076597919784,50,8300601847187466982,\n'
+        'x,3,gr,bufferless,throughput,analytic,0.847648395,,,,walk3\n'
         'x,3,gr,bufferless,throughput,mc,0.82,0.05488392203513871,50,6631279983548901972,\n'
     ),
     (*SWEEP_X, "--buffered", "false", "--u", "0.3"): (
@@ -889,9 +963,13 @@ GOLDEN_STDOUT = {
         'param,value,policy,regime,metric,kind,estimate,stderr,trials,seed,claim\n'
         'x,1,scpr,buffered,delay,analytic,3.221887552946926,,,,claim2\n'
         'x,1,scpr,buffered,delay,mc,2.2,0.08571428571428572,50,10805136638887256990,\n'
+        'x,1,gr,buffered,delay,analytic,13.669177967520495,,,,walk23\n'
+        'x,1,gr,buffered,delay,analytic,1.0,,,,walkEK\n'
         'x,1,gr,buffered,delay,mc,5.82,2.2713279402686215,50,68349201353214159,\n'
         'x,3,scpr,buffered,delay,analytic,11.334992107338495,,,,claim2\n'
         'x,3,scpr,buffered,delay,mc,25.48,9.602008293336667,50,8300601847187466982,\n'
+        'x,3,gr,buffered,delay,analytic,21.0850964437091,,,,walk23\n'
+        'x,3,gr,buffered,delay,analytic,4.887837952539272,,,,walkEK\n'
         'x,3,gr,buffered,delay,mc,29.52,9.10322840243717,50,6631279983548901972,\n'
     ),
     (*SWEEP_X, "--buffered", "true", "--u", "0.3"): (

@@ -2,44 +2,53 @@ import math
 
 import pytest
 
+from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import comparison
 from satroute import link_dynamics as ld
 
 
+def gain(p, x, y, u):
+    """GR's log margin log(T / p^(x+y)) under the coin u, as the CLI computes it."""
+    return greedy.log_throughput_bracket(p, x, y, u)
+
+
 def test_crossovers_at_reference_parameters():
     params = ld.from_p_mu(0.9, 0.99)
-    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5) == 35
-    assert comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5) == 30
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, gain(0.9, 5, 5, 0.5)) == 35
+    assert comparison.delay_crossover_tc(params, 5, 5, 0, 200, greedy.gr_delay_exact_component(params, 5, 5, 0.5)) == 30
 
 
 def test_crossover_is_first_hit():
     params = ld.from_p_mu(0.9, 0.99)
-    tc = comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5)
-    assert comparison.gr_beats_scpr_throughput(params, 5, 5, tc, 0.5)
-    assert not comparison.gr_beats_scpr_throughput(params, 5, 5, tc - 1, 0.5)
-    td = comparison.delay_crossover_tc(params, 5, 5, 0, 200, 0.5)
-    assert comparison.gr_beats_scpr_delay(params, 5, 5, td, 0.5)
-    assert not comparison.gr_beats_scpr_delay(params, 5, 5, td - 1, 0.5)
+    g = gain(0.9, 5, 5, 0.5)
+    tc = comparison.throughput_crossover_tc(params, 5, 5, 0, 200, g)
+    assert comparison.gr_beats_scpr_throughput(params, 5, 5, tc, g)
+    assert not comparison.gr_beats_scpr_throughput(params, 5, 5, tc - 1, g)
+    delay = greedy.gr_delay_exact_component(params, 5, 5, 0.5)
+    td = comparison.delay_crossover_tc(params, 5, 5, 0, 200, delay)
+    assert comparison.gr_beats_scpr_delay(params, 5, 5, td, delay)
+    assert not comparison.gr_beats_scpr_delay(params, 5, 5, td - 1, delay)
 
 
 def test_memoryless_greedy_wins_throughput_immediately():
     # with no memory the snapshot is worthless: the centralized bound drops
     # to the per-hop product while greedy enjoys its two-link advantage
     params = ld.from_p_mu(0.9, 0.0)
-    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, 0.5) == 0
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 200, gain(0.9, 5, 5, 0.5)) == 0
 
 
 def test_crossover_none_when_out_of_range():
     params = ld.from_p_mu(0.9, 0.99)
-    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 10, 0.5) is None
-    assert comparison.delay_crossover_tc(params, 5, 5, 0, 10, 0.5) is None
+    assert comparison.throughput_crossover_tc(params, 5, 5, 0, 10, gain(0.9, 5, 5, 0.5)) is None
+    delay = greedy.gr_delay_exact_component(params, 5, 5, 0.5)
+    assert comparison.delay_crossover_tc(params, 5, 5, 0, 10, delay) is None
 
 
 def test_explicit_tie_break_changes_throughput_crossover():
     params = ld.from_p_mu(0.9, 0.99)
-    skew = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, 0.5)
-    tuned = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, 8 / 10)
+    skew = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, gain(0.9, 2, 8, 0.5))
+    tuned = comparison.throughput_crossover_tc(params, 2, 8, 0, 200, gain(0.9, 2, 8, 8 / 10))
     assert tuned is not None and skew is not None
     assert tuned <= skew  # diagonal steering can only help greedy
 

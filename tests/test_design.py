@@ -18,6 +18,9 @@ pass their own points.
 The Monte Carlo engine is what the closed forms are checked against, so
 ``simulator.py`` imports none of them.
 
+A leading underscore keeps a name to its module: no ``src/`` module imports
+another module's underscore name.  What another module needs is public.
+
 Records are named tuples, so no module imports ``dataclasses``: that import
 loads inspect, ast, dis and tokenize, about a third of a command's start-up.
 """
@@ -243,3 +246,17 @@ def test_simulator_imports_no_closed_form():
 
 def test_no_module_imports_dataclasses():
     assert [path.name for path in sorted(PACKAGE.glob("*.py")) if "dataclasses" in imported(path)] == []
+
+
+def private_imports(path: Path) -> list[str]:
+    """The underscore names a source file imports from ``satroute`` modules."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("satroute")):
+            found += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = {path.stem: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}

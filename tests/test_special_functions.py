@@ -220,3 +220,18 @@ def test_relative_accuracy_where_v_to_the_a_is_not_a_normal_float(v, a, b):
     assert v**a < sys.float_info.min
     assert abs(Fraction(reg_inc_beta(v, a, b)) / exact_reg_inc_beta(v, a, b) - 1) <= 1e-12
     assert reg_inc_beta_row(v, a, b) == [reg_inc_beta(v, a, k) for k in range(1, b + 1)]
+
+
+@pytest.mark.parametrize("v, a, b", [(0.5, 600, 600), (0.45, 520, 530), (0.58, 600, 500), (0.4, 1000, 1500),
+                                     (1e-9, 515, 516), (0.0, 600, 600), (1.0, 600, 600)])
+def test_reg_inc_beta_past_the_float_range_of_its_coefficients(v, a, b):
+    """Where C(k+a-1, k) or the sum passes the float range (at (515, 516)
+    only the sum does), neg_binomial_sum raises and reg_inc_beta adds the
+    terms' logs: relative accuracy still holds."""
+    import mpmath
+
+    with pytest.raises(OverflowError):
+        neg_binomial_sum(1.0 - v, a, b)
+    with mpmath.workdps(40):
+        exact = mpmath.betainc(a, b, 0, v, regularized=True)
+    assert reg_inc_beta(v, a, b) == pytest.approx(float(exact), rel=1e-12, abs=0)
