@@ -4,13 +4,13 @@ Subcommands
     analytic   evaluate the closed-form quantity selected by --policy/--buffered
     simulate   Monte Carlo estimate for one configuration
     sweep      CSV over a grid of one parameter (mu | tc | x), both policies
-    crossover  smallest t_c at which greedy routing beats the centralized policy
+    crossover  smallest t_c >= 0 at which greedy routing wins, or none if it never does
     verify     run named verification suites; exit 1 on any failure
 
 Each subcommand takes only the flags it reads (`satroute <subcommand> -h`
 lists them, README has the table), and every one takes --config.  A config
 file holds key=value lines that set the running subcommand's flags by their
-dest names (tc_min for --tc-min); explicit flags override it.  A key that
+dest names (u for --u); explicit flags override it.  A key that
 only another subcommand takes is ignored.  A key that no subcommand has, or
 a value that the key's flag rejects, exits 2 under every subcommand;
 required flags must still be given as flags.
@@ -87,7 +87,7 @@ def _workers(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """--tc, --tc-min, --tc-max: a slot count, an integer >= 0 that a float holds."""
+    """--tc: a slot count, an integer >= 0 that a float holds."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
@@ -157,8 +157,6 @@ OPTIONS = {
     "sweep": ("--sweep", dict(choices=["mu", "tc", "x"])),
     "values": ("--values", dict(help="comma-separated grid override")),
     "metric": ("--metric", dict(choices=["throughput", "delay"])),
-    "tc_min": ("--tc-min", dict(type=_count, default=0)),
-    "tc_max": ("--tc-max", dict(type=_count, default=200)),
     "scale": ("--scale", dict(type=_scale, default=1.0,
                               help="trial-count multiplier for the simulation suite")),
 }
@@ -199,7 +197,7 @@ def _build_parser(command: str | None) -> tuple[argparse.ArgumentParser, dict[st
     add("sweep", cmd_sweep, "CSV sweep over mu, tc or x (analytic + MC rows)",
         [*monte_carlo, "out", "sweep", "values"], required=["sweep"])
     add("crossover", cmd_crossover, "smallest t_c where greedy routing wins",
-        ["p", "mu", "x", "y", "u", "metric", "tc_min", "tc_max"], required=["metric"])
+        ["p", "mu", "x", "y", "u", "metric"], required=["metric"])
     sp = add("verify", cmd_verify, "run verification suites", ["scale"])
     if sp is not None:
         sp.add_argument("suite", nargs="?", default="all", choices=[*VERIFY_SUITES, "all"])
@@ -281,9 +279,13 @@ def _labels(buffered: bool) -> tuple[str, str]:
 
 
 def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_arg: str | float):
-    """(quantity, claim tag, value) triples for one configuration."""
+    """(quantity, claim tag, value) triples for one configuration.  No GR delivery
+    probability below the normal float range is printed, from either walk."""
     if policy == "gr":
-        return _gr_figures(buffered, params, x, y, u_arg)[0]
+        rows = _gr_figures(buffered, params, x, y, u_arg)[0]
+        if not buffered:
+            _check_delivery(rows[0][2], params, x, y)
+        return rows
     from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
 
     if buffered:
@@ -295,7 +297,8 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
     """GR's (quantity, claim tag, value) rows for --u, and the value its crossover
     compares: the log margin log(T / p^(x+y)) of its delivery probability T, or
     its mean delay.  The farther-axis walk from an interior source takes gr_walk's
-    recursion; coins and axis sources, where every move is forced, the paper's forms."""
+    recursion; coins and axis sources, where every move is forced, the paper's forms.
+    A coin's margin is its bracket's log, also where T is not a normal float; the walk's is log T."""
     from . import analytic_greedy as greedy  # GR's closed forms; SCPR commands never load them
 
     tie = _tie_u(u_arg, x, y)
@@ -306,8 +309,7 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
         if buffered:
             delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
             return [("gr_walk_delay", "walk23", delay), ("gr_walk_interior_moves", "walkEK", interior)], delay
-        if not delivered >= sys.float_info.min:  # its log margin needs a normal float
-            raise ValueError(f"x={x}, y={y}, p={params.p}: GR's delivery probability is below the normal float range")
+        _check_delivery(delivered, params, x, y)
         return [("gr_walk_throughput", "walk3", delivered)], math.log(delivered) - (x + y) * math.log(params.p)
     u = 0.5 if tie == DETERMINISTIC else tie  # from an axis source any u gives the forced walk
     if not buffered:
@@ -321,6 +323,12 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
         if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
             rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
     return rows, delay
+
+
+def _check_delivery(delivered: float, params, x: int, y: int) -> None:
+    """Refuse a GR delivery probability below the normal float range: no value printed, no log taken."""
+    if not delivered >= sys.float_info.min:
+        raise ValueError(f"x={x}, y={y}, p={params.p}: GR's delivery probability is below the normal float range")
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:
@@ -386,22 +394,23 @@ def cmd_sweep(args) -> int:
     all_params = [links.from_p_mu(args.p, value if swept == "mu" else args.mu) for value in values]
     policies = [args.policy] if args.policy else ["scpr", "gr"]
 
-    rows = []
-    mc_counter = 0
+    # every closed-form row is built before the first trial, so a row that is
+    # refused (a GR delivery probability below the normal range) exits 2 at once
+    runs = []
     for value, params in zip(values, all_params):
         tc, x, y = args.tc, args.x, args.y
         if swept == "tc":
             tc = value
         elif swept == "x":
             x = y = value  # distance sweeps keep x == y
-        for policy in policies:
-            for _, claim, analytic_value in _analytic_rows(policy, args.buffered, params, x, y, tc, args.u):
-                rows.append([swept, repr(value), policy, *_labels(args.buffered),
-                             "analytic", repr(analytic_value), "", "", "", claim])
-            mc_counter += 1
-            est = _estimate(args, params, policy, x, y, tc, mix64(args.seed ^ mix64(mc_counter)))
-            rows.append([swept, repr(value), policy, *_labels(args.buffered), "mc", repr(est.mean),
-                         repr(est.stderr), str(est.trials), str(est.seed), ""])
+        runs += [(value, params, policy, x, y, tc, _analytic_rows(policy, args.buffered, params, x, y, tc, args.u))
+                 for policy in policies]
+    rows = []
+    for mc_counter, (value, params, policy, x, y, tc, analytic) in enumerate(runs, 1):
+        labels = [swept, repr(value), policy, *_labels(args.buffered)]
+        rows += [[*labels, "analytic", repr(v), "", "", "", claim] for _, claim, v in analytic]
+        est = _estimate(args, params, policy, x, y, tc, mix64(args.seed ^ mix64(mc_counter)))
+        rows.append([*labels, "mc", repr(est.mean), repr(est.stderr), str(est.trials), str(est.seed), ""])
     _write_csv(rows, args.out)
     if args.out:
         print(f"wrote {args.out} ({len(rows)} rows)")
@@ -412,15 +421,13 @@ def cmd_crossover(args) -> int:
     from . import comparison  # both policies' closed forms; only crossover searches them
 
     params = links.from_p_mu(args.p, args.mu)
-    x, y, lo, hi = args.x, args.y, args.tc_min, args.tc_max
+    x, y = args.x, args.y
     _check_distance(x, y)
-    if lo > hi:
-        raise ValueError(f"--tc-min {lo} is above --tc-max {hi}: the search range is empty")
     throughput = args.metric == "throughput"
     gr = _gr_figures(not throughput, params, x, y, args.u)[1]  # the walk of analytic's rows
     search = comparison.throughput_crossover_tc if throughput else comparison.delay_crossover_tc
-    tc = search(params, x, y, lo, hi, gr)
-    print(f"crossover_tc={tc if tc is not None else 'none'}")
+    tc = search(params, x, y, gr)
+    print(f"crossover_tc={tc if tc is not None else 'none'}")  # none: GR never wins, at any t_c
     return 0
 
 

@@ -1,5 +1,5 @@
 """Analytic policy comparison: who wins at a given snapshot staleness, and the smallest
-staleness at which greedy routing takes over.
+staleness at which greedy routing takes over, searched over every t_c >= 0.
 
 Greedy routing's side does not depend on the staleness, so the caller computes it once: the
 log margin log(T / p^(x+y)) of its delivery probability T, or its mean delay.  Both searches
@@ -45,28 +45,32 @@ def gr_beats_scpr_delay(params: LinkParams, x: int, y: int, t_c: int, delay: flo
     return delay <= scpr_delay_recursion(params, x + y - 1, t_c)
 
 
-def throughput_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                            gain: float) -> int | None:
-    """Smallest t_c in range where greedy delivery, of log margin ``gain``, reaches the SCPR bound."""
-    return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, gain), t_c_min, t_c_max)
+def throughput_crossover_tc(params: LinkParams, x: int, y: int, gain: float) -> int | None:
+    """Smallest t_c >= 0 where greedy delivery, of log margin ``gain``, reaches the SCPR bound."""
+    return _first_true(lambda tc: gr_beats_scpr_throughput(params, x, y, tc, gain))
 
 
-def delay_crossover_tc(params: LinkParams, x: int, y: int, t_c_min: int, t_c_max: int,
-                       delay: float) -> int | None:
-    """Smallest t_c in range where greedy mean delay ``delay`` beats the SCPR recursion."""
-    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, delay), t_c_min, t_c_max)
+def delay_crossover_tc(params: LinkParams, x: int, y: int, delay: float) -> int | None:
+    """Smallest t_c >= 0 where greedy mean delay ``delay`` beats the SCPR recursion."""
+    return _first_true(lambda tc: gr_beats_scpr_delay(params, x, y, tc, delay))
 
 
-def _first_true(pred, lo: int, hi: int) -> int | None:
-    """First t in [lo, hi] with pred(t), or None, for a pred that is False then True in t:
-    probes lo, then hi, then bisects between, at most 2 + ceil(log2(hi - lo)) probes."""
-    if lo > hi:
-        raise ValueError("empty search range")
-    if pred(lo):
-        return lo
-    if lo == hi or not pred(hi):
+# The first power of two at which MU_MAX ** t is 0.0: from there on, for every accepted mu,
+# both predicates equal their t_c -> inf limits (p^(x+y), and d (1 + (1-p)/e2) at depth d).
+HORIZON = 2**40
+
+
+def _first_true(pred) -> int | None:
+    """First t >= 0 with pred(t), or None, for a pred that is False then True in t: probes 0,
+    HORIZON, 1, 2, 4, ... to the first hit t* and bisects the last doubling, <= 3 + 2 ceil(log2 t*)."""
+    if pred(0):
+        return 0
+    if not pred(HORIZON):
         return None
-    while hi - lo > 1:  # pred(lo) fails, pred(hi) holds; bisect's sequences stop at 2**63
+    lo, hi = 0, 1
+    while hi < HORIZON and not pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # pred(lo) fails, pred(hi) holds
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if pred(mid) else (mid, hi)
     return hi

@@ -249,13 +249,13 @@ def gr_delay_bound_excess(points, trials: int, seed: int) -> float:
 
 
 def crossovers() -> tuple[int | None, int | None]:
-    """(throughput, delay) crossover t_c over [0, 200] for the source (5, 5)
+    """(throughput, delay) crossover t_c, over every t_c >= 0, for the source (5, 5)
     at p = 0.9, mu = 0.99, with the fair coin u = 0.5 and the walk w = 0.5."""
     params = links.from_p_mu(0.9, 0.99)
     gain = greedy.log_throughput_bracket(0.9, 5, 5, 0.5)
     delay = greedy.gr_delay_exact_component(params, 5, 5, 0.5)
-    return (comparison.throughput_crossover_tc(params, 5, 5, 0, 200, gain),
-            comparison.delay_crossover_tc(params, 5, 5, 0, 200, delay))
+    return (comparison.throughput_crossover_tc(params, 5, 5, gain),
+            comparison.delay_crossover_tc(params, 5, 5, delay))
 
 
 def path_ordering_violations() -> dict[tuple[float, float, int], list[tuple]]:

@@ -168,16 +168,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_keys_reach_every_subcommand(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("policy=gr\nvalues=2\ntc_max=10\ngrid=20x20\ntrials=50\n")
+    cfg.write_text("policy=gr\nvalues=2\nu=deterministic\ngrid=20x20\ntrials=50\n")
     code, out = run_cli(capsys, "sweep", "--sweep", "x", "--config", str(cfg))
     assert code == 0
     rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
     assert [r[:3] + r[5:6] for r in rows] == [["x", "2", "gr", "analytic"], ["x", "2", "gr", "mc"]]
     assert rows[1][8] == "50"
-    # tc_max, the dest of --tc-max, is crossover's key: sweep ignored it, and
-    # crossover ignores values
+    # u reaches crossover too (14 under the farther-axis walk, 30 under auto's
+    # coin), and crossover ignores policy, values, grid and trials
     code, out = run_cli(capsys, "crossover", "--metric", "delay", "--config", str(cfg))
-    assert code == 0 and out.strip() == "crossover_tc=none"
+    assert code == 0 and out.strip() == "crossover_tc=14"
 
 
 def test_config_scale_reaches_simulation_suite(tmp_path, capsys, monkeypatch):
@@ -281,7 +281,8 @@ REMOVED_FLAGS = [
        ("--out", "unused.csv"))),
     *(("crossover", "--metric", "throughput", flag, value) for flag, value in
       (("--tc", "99"), ("--grid", "20x20"), ("--policy", "scpr"), ("--buffered", "true"),
-       ("--trials", "7"), ("--seed", "1"), ("--threads", "1"), ("--out", "unused.csv"))),
+       ("--trials", "7"), ("--seed", "1"), ("--threads", "1"), ("--out", "unused.csv"),
+       ("--tc-min", "0"), ("--tc-max", "5"))),
     ("simulate", "--policy", "scpr", "--out", "unused.csv"),
 ]
 
@@ -296,8 +297,9 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
                                      ("sweep", "--sweep", "x", "--values", "1", "--trials", "5"),
                                      ("crossover", "--metric", "delay"),
                                      ("verify", "crossover")], ids=lambda command: command[0])
+# tc_max names no flag, so tc_max=-1 exits 2 as an unknown key
 @pytest.mark.parametrize("line", ["grid=10y10", "scale=abc", "scale=inf", "tc_max=-1",
-                                  "metric=speed"])
+                                  "metric=speed", "tc=-1"])
 def test_config_value_its_flag_rejects_exits_2_under_every_subcommand(tmp_path, capsys,
                                                                       command, line):
     """Also where the running subcommand does not take the key's flag."""
@@ -331,8 +333,8 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
     ("simulate", "--policy", "scpr", "--buffered", "true", "--tc", "-4", "--trials", "20"),
     ("analytic", "--policy", "scpr", "--tc", "1.5"),
     ("sweep", "--sweep", "x", "--values", "1", "--tc", "-1"),
-    ("crossover", "--metric", "delay", "--tc-min", "-1"),
-    ("crossover", "--metric", "delay", "--tc-max", "-10"),
+    ("simulate", "--policy", "gr", "--tc", "2.0", "--trials", "20"),
+    ("analytic", "--policy", "scpr", "--buffered", "true", "--tc", "-2"),
 ])
 def test_snapshot_age_that_is_not_a_count_exits_2(argv, capsys):
     assert_usage_error(capsys, argv)
@@ -344,8 +346,8 @@ BEYOND_FLOAT = "1" + "0" * 400
 @pytest.mark.parametrize("argv", [
     ("analytic", "--policy", "scpr", "--buffered", "false", "--tc", BEYOND_FLOAT),
     ("analytic", "--policy", "scpr", "--buffered", "true", "--tc", BEYOND_FLOAT),
-    ("crossover", "--metric", "throughput", "--tc-max", BEYOND_FLOAT),
-    ("crossover", "--metric", "delay", "--tc-max", BEYOND_FLOAT),
+    ("simulate", "--policy", "gr", "--tc", BEYOND_FLOAT, "--trials", "20"),
+    ("sweep", "--sweep", "x", "--values", "1", "--tc", BEYOND_FLOAT, "--trials", "20"),
     ("simulate", "--policy", "scpr", "--tc", BEYOND_FLOAT, "--trials", "20"),
     ("sweep", "--sweep", "tc", "--values", BEYOND_FLOAT, "--trials", "20"),
 ])
@@ -564,7 +566,7 @@ def test_one_subcommand_parser_reads_as_the_full_parser(tmp_path, capsys):
         ["analytic", "--policy", "gr", "--buffered", "true", "--u", "0.3", "--x", "2"],
         ["simulate", "--policy", "scpr", "--grid", "20x30", "--threads", "3"],
         ["sweep", "--sweep", "tc", "--values", "1,2", "--out", "f.csv"],
-        ["crossover", "--metric", "delay", "--tc-max", "7"],
+        ["crossover", "--metric", "delay", "--mu", "0.5"],
         ["verify", "ordering", "--scale", "0.5"],
     ]:
         assert vars(cli._build_parser(argv[0])[0].parse_args(argv)) == vars(full.parse_args(argv))
@@ -663,30 +665,35 @@ def test_crossover_commands(capsys):
     code, out = run_cli(capsys, "crossover", "--metric", "delay",
                         "--p", "0.9", "--mu", "0.99", "--x", "5", "--y", "5")
     assert code == 0 and out.strip() == "crossover_tc=30"
+    # with no memory SCPR's delay is the same at every t_c >= 1, and below GR's
     code, out = run_cli(capsys, "crossover", "--metric", "delay",
-                        "--p", "0.9", "--mu", "0.99", "--x", "5", "--y", "5",
-                        "--tc-min", "0", "--tc-max", "10")
+                        "--p", "0.9", "--mu", "0", "--x", "5", "--y", "5")
     assert code == 0 and out.strip() == "crossover_tc=none"
 
 
-@pytest.mark.parametrize("mu, tc_max, throughput, delay", [
-    ("0.999", "5000", 386, 318),
-    ("0.999999999", "1000000000", 390231669, 319909008),
-    ("0.5", str(10**20), 0, 1),  # wider than a C ssize_t
-])
-def test_crossover_over_a_wide_range(mu, tc_max, throughput, delay, capsys):
-    """Crossovers far past the default [0, 200]: each search bisects, so a
-    range of 10^9 slots costs at most 32 closed-form evaluations."""
-    for metric, expected in (("throughput", throughput), ("delay", delay)):
-        code, out = run_cli(capsys, "crossover", "--metric", metric, "--mu", mu, "--tc-max", tc_max)
-        assert code == 0 and out == f"crossover_tc={expected}\n"
+# mu: crossover t_c under auto's coin (throughput, delay) and the farther-axis walk
+WHOLE_AXIS = {
+    "0.5": (0, 1, 0, 0),
+    "0.99": (35, 30, 19, 14),
+    "0.999": (386, 318, 224, 156),
+    "0.9999": (3898, 3197, 2274, 1585),
+    "0.99999": (39019, 31989, 22779, 15869),
+    "0.999999999": (390231669, 319909008, 227826516, 158712085),  # MU_MAX
+}
 
 
-def test_crossover_tc_min_above_tc_max_exits_2(capsys):
-    code = cli.main(["crossover", "--metric", "delay", "--tc-min", "5", "--tc-max", "2"])
-    out = capsys.readouterr()
-    assert code == 2 and out.out == ""
-    assert out.err.startswith("error: ") and "--tc-min 5" in out.err and "--tc-max 2" in out.err
+@pytest.mark.parametrize("mu, auto_throughput, auto_delay, walk_throughput, walk_delay",
+                         [(mu, *row) for mu, row in WHOLE_AXIS.items()], ids=list(WHOLE_AXIS))
+def test_crossover_over_the_whole_axis(mu, auto_throughput, auto_delay, walk_throughput, walk_delay,
+                                       capsys):
+    """Crossovers at p = 0.9 and (5, 5), under auto's coin and the farther-axis
+    walk, with no range to give: the search gallops from t_c = 1 and bisects
+    the last doubling, so a first win at 3.9e8 slots costs 60 evaluations."""
+    for u, throughput, delay in (("auto", auto_throughput, auto_delay),
+                                 ("deterministic", walk_throughput, walk_delay)):
+        for metric, expected in (("throughput", throughput), ("delay", delay)):
+            code, out = run_cli(capsys, "crossover", "--metric", metric, "--mu", mu, "--u", u)
+            assert code == 0 and out == f"crossover_tc={expected}\n"
 
 
 POINT_2_6 = ("--p", "0.9", "--mu", "0.99", "--x", "2", "--y", "6")
@@ -810,8 +817,8 @@ def assert_refused(code, out, err):
 @pytest.mark.parametrize("argv, expected", [
     (("--metric", "throughput"), 19),
     (("--metric", "delay"), 14),
-    (("--metric", "throughput", "--mu", "0.999", "--tc-max", "5000"), 224),
-    (("--metric", "delay", "--mu", "0.999", "--tc-max", "5000"), 156),
+    (("--metric", "throughput", "--mu", "0.999"), 224),
+    (("--metric", "delay", "--mu", "0.999"), 156),
 ], ids=["throughput", "delay", "throughput-mu-0.999", "delay-mu-0.999"])
 def test_crossover_of_the_farther_axis_walk(argv, expected, capsys):
     """At p = 0.9 and (5, 5) GR's best greedy rule wins at about half the
@@ -845,6 +852,37 @@ def test_farther_axis_rows_where_the_delivery_probability_is_tiny(capsys):
         assert_answers(*run_walk(capsys, *argv, *far)[:2])
 
 
+@pytest.mark.parametrize("p, x", [("0.01", "100"), ("0.3", "600"), ("1e-6", "515")])
+@pytest.mark.parametrize("u", ["auto", "deterministic"])
+def test_no_delivery_probability_below_the_normal_float_range_is_printed(p, x, u, tmp_path, capsys,
+                                                                          monkeypatch):
+    """One rule for both walks: where GR's T is below the normal float range,
+    analytic and sweep exit 2 with an error: line, and a sweep does so before
+    its first trial and writes no file.  The coin's crossover still answers
+    from its bracket's log; the walk's margin is log T, so its crossover is
+    refused too."""
+    point = ("--p", p, "--x", x, "--y", x, "--u", u)
+    out_csv = tmp_path / "rows.csv"
+    trials = []
+    monkeypatch.setattr(simulator, "estimate", lambda *args, **kwargs: trials.append(args))
+    for argv in (("analytic", "--policy", "gr", *point),
+                 ("sweep", "--sweep", "x", "--values", f"1,{x}", "--policy", "gr", "--grid", "1201x1201",
+                  "--trials", "1", "--out", str(out_csv), *point)):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert_refused(code, out, err)
+        assert "GR's delivery probability is below the normal float range" in err
+    assert not out_csv.exists() and trials == []
+    code, out = run_cli(capsys, "crossover", "--metric", "throughput", *point)
+    if u == "auto":
+        assert code == 0 and re.fullmatch(r"crossover_tc=\d+\n", out)
+    else:
+        assert code == 2 and out == ""
+    # a normal T is still printed, however small
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", "--p", "0.3", "--x", "400", "--y", "400")
+    assert code == 0 and out == "gr_throughput claim3 4.57868096920308e-236\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("analytic", "--policy", "gr", "--buffered", "true", "--x", "511", "--y", "511"),
     ("analytic", "--policy", "gr", "--x", "516", "--y", "516"),
@@ -857,11 +895,18 @@ def test_farther_axis_rows_where_the_delivery_probability_is_tiny(capsys):
 def test_coin_rows_past_the_float_range_of_their_coefficients(argv, capsys):
     """Where a coefficient passes the float range the coin rows still answer,
     with finite numbers.  At p = 1e-6 from (515, 515) the bracket T / p^(x+y)
-    itself passes it: claim3 read inf there, and the crossover 0."""
-    code, out = run_cli(capsys, *argv)
+    itself passes it: claim3 read inf there, and the crossover 0.  There T is
+    below the normal float range, so claim3 is refused, while the crossover
+    answers from the bracket's log."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    if argv[:3] == ("analytic", "--policy", "gr") and argv[-1] == "515":
+        assert_refused(code, out, err)
+        assert "below the normal float range" in err
+        return
     assert code == 0 and out and not re.search(r"nan|inf", out, re.IGNORECASE)
     if argv[-1] == "515":
-        assert out in ("gr_throughput claim3 0.0\n", "crossover_tc=none\n")
+        assert out == "crossover_tc=1045\n"
 
 
 def test_analytic_gr_axis_source(capsys):
@@ -879,7 +924,7 @@ def test_crossover_throughput_axis_source(capsys):
     params = ld.from_p_mu(0.9, 0.5)
     for x, y in ((0, 2), (2, 0)):
         gain = greedy.log_throughput_bracket(0.9, x, y, y / (x + y))  # 0.0: GR's T is p^(x+y)
-        expected = comparison.throughput_crossover_tc(params, x, y, 0, 200, gain)
+        expected = comparison.throughput_crossover_tc(params, x, y, gain)
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0.5",
                             "--x", str(x), "--y", str(y))
         assert code == 0
@@ -887,10 +932,9 @@ def test_crossover_throughput_axis_source(capsys):
     # GR's p^n never reaches SCPR's bound, which exceeds it by a term in mu^t_c
     # at every finite t_c, even where the two products round to the same float
     # and where that term underflows to 0.0 (from about t_c = 160 at mu = 0.01)
-    for mu, tc_max in (("0.5", "200"), ("0.9", "400"), ("0.01", "200"), ("0.001", "200"),
-                       ("0.5", "5000")):
+    for mu in ("0.5", "0.9", "0.01", "0.001", str(ld.MU_MAX)):
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", mu,
-                            "--x", "0", "--y", "2", "--tc-max", tc_max)
+                            "--x", "0", "--y", "2")
         assert code == 0 and out == "crossover_tc=none\n"
     # with no memory the snapshot helps only at t_c = 0, where SCPR's first hop
     # is traversed at the snapshot instant: from t_c = 1 both policies need the

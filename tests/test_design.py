@@ -23,6 +23,9 @@ another module's underscore name.  What another module needs is public.
 
 Records are named tuples, so no module imports ``dataclasses``: that import
 loads inspect, ast, dis and tokenize, about a third of a command's start-up.
+
+Every CLI option is read by a handler: an option that nothing reads can only
+mislead the caller who sets it.
 """
 
 import ast
@@ -53,6 +56,11 @@ ALLOWED_OVERRIDDEN: dict[str, str] = {}
 ALLOWED_FIXED = {
     "grid_topology.hop_distance.b": "the benchmark tracer's BFS detour metric calls hop_distance(spec, src, dst) "
                                     "until the benchmark revision of ROADMAP item 6",
+}
+
+# cli.OPTIONS keys that no handler reads as args.<key>, each kept on purpose, with its reason.
+ALLOWED_UNREAD_OPTIONS = {
+    "threads": "ROADMAP item 18 runs trials in worker processes; until then existing scripts pass it",
 }
 
 
@@ -260,3 +268,14 @@ def private_imports(path: Path) -> list[str]:
 def test_no_module_imports_another_modules_private_name():
     found = {path.stem: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    options = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(target, "id", None) for target in node.targets] == ["OPTIONS"])
+    keys = {key.value for key in options.keys}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert keys - read - set(ALLOWED_UNREAD_OPTIONS) == set()
+    assert set(ALLOWED_UNREAD_OPTIONS) <= keys - read  # a stale entry would hide nothing and mislead
