@@ -23,8 +23,9 @@ _EXPORTS = {
     "optimal_policies": ("ValueTable", "check_mean_delay_ordering", "find_best_intermediate",
                          "value_iterate_delay", "verify_connected_path_ordering"),
     "simulator": ("Estimate", "GrRun", "ScprRun", "TrialOutcome", "estimate", "run_gr_trial",
-                  "run_scpr_trial", "run_stylized_scpr_path"),
-    "special_functions": ("beta_fn", "binom", "reg_inc_beta"),
+                  "run_scpr_trial"),
+    "special_functions": ("beta_fn", "reg_inc_beta"),
+    "verify": ("run_stylized_scpr_path",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

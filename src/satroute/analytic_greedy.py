@@ -19,7 +19,7 @@ import sys
 
 from .link_dynamics import LinkParams
 from .simulator import DETERMINISTIC
-from .special_functions import beta_fn, binom, log_neg_binomial_terms, log_sum_exp, neg_binomial_sum, reg_inc_beta
+from .special_functions import beta_fn, log_neg_binomial_terms, log_sum_exp, neg_binomial_sum, reg_inc_beta
 
 
 def gr_throughput(p: float, x: int, y: int, u: float) -> float:
@@ -103,28 +103,6 @@ def shape_condition_holds(params: LinkParams, x: int, y: int) -> bool:
     attainable when min(x, y)/(x+y) reaches the lower end.
     """
     return min(x, y) / (x + y) >= w_from_u(params, 0.0) - 1e-12
-
-
-def min_tau_pmf(x: int, y: int, w: float) -> dict[int, float]:
-    """P(min(tau_x, tau_y) = k) for the i.i.d. Bernoulli(w) direction walk.
-
-    P(tau_x = k) = C(k-1, x-1) w^(k-x) wbar^x and symmetrically for tau_y;
-    the min is supported on k = min(x,y) .. x+y-1 and the two events are
-    disjoint (the walk cannot exhaust both axes on the same move).
-    """
-    if x < 1 or y < 1:
-        raise ValueError("need x >= 1 and y >= 1")
-    _check_prob("w", w)
-    wb = 1.0 - w
-    pmf: dict[int, float] = {}
-    for k in range(min(x, y), x + y):
-        prob = 0.0
-        if k >= x:
-            prob += binom(k - 1, x - 1) * w ** (k - x) * wb**x
-        if k >= y:
-            prob += binom(k - 1, y - 1) * w**y * wb ** (k - y)
-        pmf[k] = prob
-    return pmf
 
 
 def expected_min_tau(x: int, y: int, w: float) -> float:

@@ -41,42 +41,6 @@ import math
 from .link_dynamics import LinkParams, transition_prob
 
 
-# Dual and mgf_coefficients (A, B of G = 1 - H in derivative form) serve only
-# verify.dual_derivative_error, which `verify analytic` and criterion 5 share.
-# Replacing that check renames a verify line that the benchmark's closed_forms
-# reference pins, so they go with the next benchmark revision (ROADMAP item 16).
-class Dual:
-    """Minimal forward-mode dual number: value + first derivative (floats or arrays)."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d=0.0):
-        self.v = v
-        self.d = d
-
-    def __getitem__(self, index):
-        return Dual(self.v[index], self.d[index])
-
-    def __add__(self, other):
-        other = other if isinstance(other, Dual) else Dual(other)
-        return Dual(self.v + other.v, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __rsub__(self, other):
-        return Dual(other - self.v, -self.d)
-
-    def __mul__(self, other):
-        other = other if isinstance(other, Dual) else Dual(other)
-        return Dual(self.v * other.v, self.d * other.v + self.v * other.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, Dual) else Dual(other)
-        return Dual(self.v / other.v, (self.d * other.v - self.v * other.d) / (other.v * other.v))
-
-
 def scpr_path_success_prob(params: LinkParams, path_len: int, t_c: int) -> float:
     """Exact bufferless success probability of one snapshot-connected path.
 
@@ -122,13 +86,3 @@ def scpr_delay_recursion(params: LinkParams, depth: int, t_c: int) -> float:
         mean += 1.0 + wait * (omc + (1.0 - omc) * h[0])
         h = c[:n] + a[:n] * h[:n] + b[:n] * h[1 : n + 1]
     return float(mean)
-
-
-def mgf_coefficients(params: LinkParams, t_c: int, t) -> tuple[Dual, Dual]:
-    """A(t), B(t) as dual numbers (value .v, derivative in t .d); t a float or array."""
-    p, e2, mu = params.p, params.epsilon2, params.mu
-    m = Dual(mu**t, mu**t * math.log(mu))
-    den = 1.0 - (1.0 - e2) * m
-    a = (p * (1.0 - m) * m + e2 * m * m) / den
-    b = (1.0 - p) * (mu**t_c) * (m * (1.0 - m)) / den
-    return a, b

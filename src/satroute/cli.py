@@ -279,18 +279,20 @@ def _labels(buffered: bool) -> tuple[str, str]:
 
 
 def _analytic_rows(policy: str, buffered: bool, params, x: int, y: int, tc: int, u_arg: str | float):
-    """(quantity, claim tag, value) triples for one configuration.  No GR delivery
-    probability below the normal float range is printed, from either walk."""
+    """(quantity, claim tag, value) triples for one configuration.  No delivery probability
+    below the normal float range is printed: not GR's, from either walk, nor SCPR's bound."""
     if policy == "gr":
         rows = _gr_figures(buffered, params, x, y, u_arg)[0]
         if not buffered:
-            _check_delivery(rows[0][2], params, x, y)
+            _check_delivery(rows[0][2], "GR's delivery probability", params, x, y)
         return rows
     from . import analytic_scpr as scpr  # SCPR's closed forms; GR commands never load them
 
     if buffered:
         return [("scpr_delay_lower_bound", "claim2", scpr.scpr_delay_recursion(params, x + y, tc))]
-    return [("scpr_throughput_bound", "claim1", scpr.scpr_path_success_prob(params, x + y, tc))]
+    bound = scpr.scpr_path_success_prob(params, x + y, tc)
+    _check_delivery(bound, f"at t_c={tc} SCPR's delivery probability bound", params, x, y)
+    return [("scpr_throughput_bound", "claim1", bound)]
 
 
 def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
@@ -309,7 +311,7 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
         if buffered:
             delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
             return [("gr_walk_delay", "walk23", delay), ("gr_walk_interior_moves", "walkEK", interior)], delay
-        _check_delivery(delivered, params, x, y)
+        _check_delivery(delivered, "GR's delivery probability", params, x, y)
         return [("gr_walk_throughput", "walk3", delivered)], math.log(delivered) - (x + y) * math.log(params.p)
     u = 0.5 if tie == DETERMINISTIC else tie  # from an axis source any u gives the forced walk
     if not buffered:
@@ -325,10 +327,10 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
     return rows, delay
 
 
-def _check_delivery(delivered: float, params, x: int, y: int) -> None:
-    """Refuse a GR delivery probability below the normal float range: no value printed, no log taken."""
+def _check_delivery(delivered: float, what: str, params, x: int, y: int) -> None:
+    """Refuse a delivery probability below the normal float range: no value printed, no log taken."""
     if not delivered >= sys.float_info.min:
-        raise ValueError(f"x={x}, y={y}, p={params.p}: GR's delivery probability is below the normal float range")
+        raise ValueError(f"x={x}, y={y}, p={params.p}: {what} is below the normal float range")
 
 
 def _estimate(args, params, policy: str, x: int, y: int, tc: int, seed: int) -> simulator.Estimate:

@@ -1,4 +1,4 @@
-"""Monte Carlo engine: full-network trials, stylized-path oracles, estimation.
+"""Monte Carlo engine: full-network trials and their estimation.
 
 Links are only sampled when a policy actually observes them, and both
 policies address links by id (``node index * 4 + direction``).  An SCPR
@@ -20,11 +20,8 @@ waits near static links finish.
 An estimate keeps one generator and reseeds it for each trial with that
 trial's seed, in C: the state is that of a new ``random.Random(seed)``.
 Delays are integer slot counts, so estimates aggregate as exact integer
-sums.  numpy is imported only inside run_stylized_scpr_path, the one
-vectorised oracle: loading it is about half of a CLI process's start-up, and
-the trials themselves never call it.  For the same reason Estimate and
-TrialOutcome are named tuples: a dataclass would load inspect, ast, dis and
-tokenize into every command.
+sums.  Estimate and TrialOutcome are named tuples: a dataclass would load
+inspect, ast, dis and tokenize into every command.
 """
 
 from __future__ import annotations
@@ -196,7 +193,7 @@ def _geometric(random, log_fail: float) -> int:
 class GrRun:
     """What the GR trials of one ``(spec, params, src)`` share, computed once.
 
-    The normalized ``src`` and its node index ``src_id``; ``hops``, the
+    The node index ``src_id`` of the normalized ``src``; ``hops``, the
     moves left along x and along y, (|x|, |y|); for each axis the direction
     of the link toward the origin (``x_dir``, ``y_dir``) and the change of
     node index per move (``x_step``, ``y_step``); and ``step_on``, the
@@ -207,12 +204,12 @@ class GrRun:
     regime and tie mode may share one run.
     """
 
-    __slots__ = ("src", "src_id", "hops", "x_dir", "y_dir", "x_step", "y_step", "step_on")
+    __slots__ = ("src_id", "hops", "x_dir", "y_dir", "x_step", "y_step", "step_on")
 
     def __init__(self, spec: GridSpec, params: LinkParams, src: NodeCoord):
-        self.src = grid.normalize(spec, src)
-        self.src_id = grid.node_index(spec, self.src)
-        x, y = self.src
+        src = grid.normalize(spec, src)
+        self.src_id = grid.node_index(spec, src)
+        x, y = src
         self.hops = (abs(x), abs(y))
         self.x_dir, self.x_step = (LEFT, -spec.n_per_plane) if x > 0 else (RIGHT, spec.n_per_plane)
         self.y_dir, self.y_step = (DOWN, -1) if y > 0 else (UP, 1)
@@ -227,7 +224,7 @@ def run_gr_trial(
     tie: float | str,
     rng,
 ) -> TrialOutcome:
-    """One greedy-routing trial from ``run.src`` toward the origin.
+    """One greedy-routing trial from the run's source toward the origin.
 
     At each node only the one or two links that reduce the remaining distance
     are observed, horizontal first.  Both ON: tie-break (vertical with
@@ -312,43 +309,6 @@ def _jump_wait(state: NetworkState, x_lid, y_lid, t: int, random) -> tuple[int, 
     return t, x_on, y_on
 
 
-def run_stylized_scpr_path(
-    params: LinkParams,
-    path_len: int,
-    t_c: int,
-    buffered: bool,
-    trials: int,
-    seed: int,
-) -> Estimate:
-    """Monte Carlo over an abstract path of ``path_len`` links, all ON at t=0.
-
-    Link i evolves independently and is checked when the packet reaches it
-    (slot t_c + i bufferless; t_c + accumulated delay buffered, then a
-    Geometric(epsilon2) wait if OFF).  Bufferless estimates the delivery
-    probability; buffered estimates the mean delay.  Vectorized over trials.
-    """
-    import numpy as np
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    p, e2, mu = params.p, params.epsilon2, params.mu
-    if buffered:
-        s = np.zeros(trials, dtype=np.int64)
-        for _ in range(path_len):
-            p_on = p + (1.0 - p) * np.power(mu, t_c + s)
-            on = rng.random(trials) < p_on
-            waits = rng.geometric(e2, size=trials)
-            s += 1 + np.where(on, 0, waits)
-        return _estimate_from_sums(int(s.sum()), int(np.dot(s, s)), trials, seed)
-    ok = np.ones(trials, dtype=bool)
-    for i in range(path_len):
-        p_on = transition_prob(params, True, t_c + i)
-        ok &= rng.random(trials) < p_on
-    good = int(ok.sum())
-    return _estimate_from_sums(good, good, trials, seed)
-
-
 def _trial_seed(key: int, index: int) -> int:
     """The seed of trial ``index``'s independent, replayable stream under ``key`` = ``mix64(master_seed)``."""
     return mix64(key ^ mix64(index + 0x9E3779B97F4A7C15))
@@ -410,10 +370,11 @@ def estimate(
         v = out.delay if buffered else int(out.success)
         total += v
         total_sq += v * v
-    return _estimate_from_sums(total, total_sq, trials, master_seed)
+    return estimate_from_sums(total, total_sq, trials, master_seed)
 
 
-def _estimate_from_sums(total: int, total_sq: int, trials: int, seed: int) -> Estimate:
+def estimate_from_sums(total: int, total_sq: int, trials: int, seed: int) -> Estimate:
+    """The Estimate of ``trials`` outcomes from their exact integer sum and sum of squares."""
     mean = total / trials
     if trials > 1:
         var = (total_sq - total * total / trials) / (trials - 1)

@@ -29,13 +29,6 @@ from math import comb, exp, fsum, inf, log
 MIN_NORMAL = sys.float_info.min  # below it v^a has lost relative precision
 
 
-def binom(n: int, k: int) -> float:
-    """Binomial coefficient as a float (exact integer arithmetic underneath)."""
-    if k < 0 or k > n:
-        return 0.0
-    return float(comb(n, k))
-
-
 def beta_fn(a: int, b: int) -> float:
     """B(a, b) = (a-1)!(b-1)!/(a+b-1)! for positive integers.
 
@@ -77,10 +70,16 @@ def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
     evaluation of I_v(a, n).  The loop is neg_binomial_sum's, with the same
     coefficients and the same order of operations.  Where v^a is subnormal
     or 0.0 each partial sum is scaled as reg_inc_beta scales it, in logs.
+    Past the float range of that sum (a + n past about 1030) the row raises
+    a ValueError, where ``reg_inc_beta`` still answers one value at a time.
     """
     _check_shape(a, n)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
+    try:
+        coefficients = _neg_binomial_coefficients(a, n)
+    except OverflowError:  # a coefficient passes the float range, so the sum does: raised below
+        coefficients = (inf,)
     scale = v**a
     r = 1.0 - v
     row = []
@@ -88,15 +87,18 @@ def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
     weight = 1.0  # r^k
     if scale < MIN_NORMAL and v > 0.0:
         log_scale = a * log(v)
-        for coefficient in _neg_binomial_coefficients(a, n):
+        for coefficient in coefficients:
             total += coefficient * weight
             weight *= r
             row.append(min(exp(log_scale + log(total)), 1.0))
-        return row
-    for coefficient in _neg_binomial_coefficients(a, n):
-        total += coefficient * weight
-        weight *= r
-        row.append(min(scale * total, 1.0))
+    else:
+        for coefficient in coefficients:
+            total += coefficient * weight
+            weight *= r
+            row.append(min(scale * total, 1.0))
+    if total == inf:
+        raise ValueError(f"v={v}, a={a}, n={n}: reg_inc_beta_row needs each coefficient C(k+a-1, k) and each "
+                         f"partial sum of the row within the float range (about 1.8e308); use reg_inc_beta")
     return row
 
 

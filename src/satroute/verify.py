@@ -6,9 +6,10 @@ from the closed form it validates:
 
 * ``analytic_greedy.gr_walk``: the lattice recursion over the four per-node
   routing cases (both links ON / one ON / none), here under a coin tie-break.
-* ``expected_min_tau_direct``: sum of k * P(min = k) over the hitting-time pmf.
-* ``quadrature_reg_inc_beta``: adaptive Simpson integration of the beta
-  density.
+* ``expected_min_tau_direct``: sum of k * P(min = k) over ``min_tau_pmf``.
+* ``quadrature_reg_inc_beta``: adaptive Simpson integration of the beta density.
+* ``run_stylized_scpr_path``: Monte Carlo over SCPR's stylized path (bufferless, on claim1's own kernel).
+* ``mgf_coefficients``: SCPR's A(t), B(t) and their derivatives, as ``Dual``s.
 
 Each claim is checked by one function here that returns its statistic (a
 worst error, a worst z or excess in standard errors, or a list of
@@ -45,8 +46,31 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 # independent oracles
 
 
+def min_tau_pmf(x: int, y: int, w: float) -> dict[int, float]:
+    """P(min(tau_x, tau_y) = k) for the i.i.d. Bernoulli(w) direction walk.
+
+    P(tau_x = k) = C(k-1, x-1) w^(k-x) wbar^x and symmetrically for tau_y;
+    the min is supported on k = min(x,y) .. x+y-1 and the two events are
+    disjoint (the walk cannot exhaust both axes on the same move).
+    """
+    if x < 1 or y < 1:
+        raise ValueError("need x >= 1 and y >= 1")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w={w}: need a probability in [0, 1]")
+    wb = 1.0 - w
+    pmf: dict[int, float] = {}
+    for k in range(min(x, y), x + y):
+        prob = 0.0
+        if k >= x:
+            prob += math.comb(k - 1, x - 1) * w ** (k - x) * wb**x
+        if k >= y:
+            prob += math.comb(k - 1, y - 1) * w**y * wb ** (k - y)
+        pmf[k] = prob
+    return pmf
+
+
 def expected_min_tau_direct(x: int, y: int, w: float) -> float:
-    return sum(k * prob for k, prob in greedy.min_tau_pmf(x, y, w).items())
+    return sum(k * prob for k, prob in min_tau_pmf(x, y, w).items())
 
 
 def quadrature_reg_inc_beta(v: float, a: int, b: int) -> float:
@@ -74,6 +98,79 @@ def quadrature_reg_inc_beta(v: float, a: int, b: int) -> float:
     mid = 0.5 * v
     whole = simpson(0.0, v, f(0.0), f(mid), f(v))
     return adapt(0.0, v, f(0.0), f(mid), f(v), whole, 1e-12) / beta_fn(a, b)  # error target 1e-12 over [0, v]
+
+
+def run_stylized_scpr_path(params: links.LinkParams, path_len: int, t_c: int, buffered: bool, trials: int,
+                           seed: int) -> simulator.Estimate:
+    """Monte Carlo over an abstract path of ``path_len`` links, all ON at t=0.
+
+    Link i evolves independently and is checked when the packet reaches it
+    (slot t_c + i bufferless; t_c + accumulated delay buffered, then a
+    Geometric(epsilon2) wait if OFF).  Bufferless estimates the delivery
+    probability; buffered estimates the mean delay.  Vectorized over trials.
+    """
+    import numpy as np
+
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    p, e2, mu = params.p, params.epsilon2, params.mu
+    if buffered:
+        s = np.zeros(trials, dtype=np.int64)
+        for _ in range(path_len):
+            p_on = p + (1.0 - p) * np.power(mu, t_c + s)
+            on = rng.random(trials) < p_on
+            waits = rng.geometric(e2, size=trials)
+            s += 1 + np.where(on, 0, waits)
+        return simulator.estimate_from_sums(int(s.sum()), int(np.dot(s, s)), trials, seed)
+    ok = np.ones(trials, dtype=bool)
+    for i in range(path_len):
+        p_on = links.transition_prob(params, True, t_c + i)
+        ok &= rng.random(trials) < p_on
+    good = int(ok.sum())
+    return simulator.estimate_from_sums(good, good, trials, seed)
+
+
+class Dual:
+    """Minimal forward-mode dual number: value + first derivative (floats or arrays)."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d=0.0):
+        self.v = v
+        self.d = d
+
+    def __getitem__(self, index):
+        return Dual(self.v[index], self.d[index])
+
+    def __add__(self, other):
+        other = other if isinstance(other, Dual) else Dual(other)
+        return Dual(self.v + other.v, self.d + other.d)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return Dual(other - self.v, -self.d)
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Dual) else Dual(other)
+        return Dual(self.v * other.v, self.d * other.v + self.v * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = other if isinstance(other, Dual) else Dual(other)
+        return Dual(self.v / other.v, (self.d * other.v - self.v * other.d) / (other.v * other.v))
+
+
+def mgf_coefficients(params: links.LinkParams, t_c: int, t) -> tuple[Dual, Dual]:
+    """A(t), B(t) as dual numbers (value .v, derivative in t .d); t a float or array."""
+    p, e2, mu = params.p, params.epsilon2, params.mu
+    m = Dual(mu**t, mu**t * math.log(mu))
+    den = 1.0 - (1.0 - e2) * m
+    a = (p * (1.0 - m) * m + e2 * m * m) / den
+    b = (1.0 - p) * (mu**t_c) * (m * (1.0 - m)) / den
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +248,9 @@ def dual_derivative_error(cases, ts) -> float:
     for p, mu, tc in cases:
         params = links.from_p_mu(p, mu)
         for t in ts:
-            a, b = scpr.mgf_coefficients(params, tc, t)
-            a_hi, b_hi = scpr.mgf_coefficients(params, tc, t + h)
-            a_lo, b_lo = scpr.mgf_coefficients(params, tc, t - h)
+            a, b = mgf_coefficients(params, tc, t)
+            a_hi, b_hi = mgf_coefficients(params, tc, t + h)
+            a_lo, b_lo = mgf_coefficients(params, tc, t - h)
             worst = max(worst, abs(a.d - (a_hi.v - a_lo.v) / (2 * h)), abs(b.d - (b_hi.v - b_lo.v) / (2 * h)))
     return worst
 
@@ -191,7 +288,7 @@ def stylized_path_z(buffered: bool, mus, seeds: dict[int, int], lengths, trials:
         params = links.from_p_mu(0.9, mu)
         for tc, seed in seeds.items():
             for length in lengths:
-                est = simulator.run_stylized_scpr_path(params, length, tc, buffered, trials, seed=seed)
+                est = run_stylized_scpr_path(params, length, tc, buffered, trials, seed=seed)
                 target = closed_form(params, length, tc)
                 worst = max(worst, abs(est.mean - target) / max(est.stderr, 1e-12))
     return worst
@@ -385,14 +482,18 @@ def suite_simulation(scale: float) -> list[CheckResult]:
     z_buf = stylized_path_z(True, (0.0, 0.5, 0.9, 0.99), {0: 90_002, 5: 90_002}, (10,), n_big)
     scpr_points = ((0.0, 5, 5), (0.9, 5, 5), (0.99, 5, 5), (0.99, 35, 5), (0.99, 5, 10))
     scpr_excess = scpr_bound_excess(scpr_points, n_net, 90_003)
-    gap, gr_z, _, _ = gr_memory_independence(n_gr, 90_004)
-    gr_excess = gr_delay_bound_excess([(mu, 5) for mu in (0.0, 0.5, 0.9, 0.99)], n_net, 90_005)
+    gap, gr_z, means, _ = gr_memory_independence(n_gr, 90_004)
+    gr_points = [(mu, 5) for mu in (0.0, 0.5, 0.9, 0.99)]
+    gr_excess = gr_delay_bound_excess(gr_points, n_net, 90_005)
     return [
         CheckResult("stylized bufferless MC matches survival product (3 sigma)", z_free <= 3.0, f"worst z={z_free:.2f}"),
         CheckResult("stylized buffered MC matches delay recursion (3 sigma)", z_buf <= 3.0, f"worst z={z_buf:.2f}"),
-        CheckResult("network SCPR throughput <= analytic bound + 3 sigma", scpr_excess <= 3.0),
-        CheckResult("greedy throughput memory-independent and matches formula (3 sigma)", gap <= 3.0 and gr_z <= 3.0),
-        CheckResult("greedy delay bound >= network MC - 3 sigma", gr_excess <= 3.0),
+        CheckResult("network SCPR throughput <= analytic bound + 3 sigma", scpr_excess <= 3.0,
+                    f"worst excess={scpr_excess:.2f} of {len(scpr_points)} points"),
+        CheckResult("greedy throughput memory-independent and matches formula (3 sigma)", gap <= 3.0 and gr_z <= 3.0,
+                    f"gap={gap:.2f}, worst z={gr_z:.2f} of {len(means)} points"),
+        CheckResult("greedy delay bound >= network MC - 3 sigma", gr_excess <= 3.0,
+                    f"worst excess={gr_excess:.2f} of {len(gr_points)} points"),
     ]
 
 

@@ -52,11 +52,11 @@ import numpy as np
 
 from satroute import grid_topology as grid
 from satroute import simulator as sim
-from satroute.analytic_scpr import Dual, mgf_coefficients
 from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from satroute.link_dynamics import LinkParams, transition_prob
 from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _trial_seed, mix64
 from satroute.special_functions import reg_inc_beta
+from satroute.verify import Dual, mgf_coefficients
 
 DIR_STEPS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # (L, D, R, U)
 

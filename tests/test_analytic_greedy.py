@@ -159,7 +159,7 @@ def test_shape_condition_matches_interval_endpoint():
 
 def test_min_tau_pmf_sums_to_one():
     for x, y, w in ((1, 1, 0.5), (3, 5, 0.37), (6, 2, 0.81), (4, 4, 0.5)):
-        assert sum(greedy.min_tau_pmf(x, y, w).values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(verify.min_tau_pmf(x, y, w).values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expected_min_tau_trivial_cases():

@@ -53,7 +53,7 @@ def test_throughput_bound_monotone():
 
 def test_coefficients_at_zero():
     for p, mu, tc in ((0.9, 0.9, 5), (0.6, 0.3, 0), (0.99, 0.99, 12)):
-        a0, b0 = scpr.mgf_coefficients(ld.from_p_mu(p, mu), tc, 0.0)
+        a0, b0 = verify.mgf_coefficients(ld.from_p_mu(p, mu), tc, 0.0)
         assert a0.v == pytest.approx(1.0, abs=1e-12)
         assert b0.v == pytest.approx(0.0, abs=1e-12)
 
@@ -66,7 +66,7 @@ def test_mgf_table_row_zero_and_recursion_identity():
         assert rows[i][0] == pytest.approx(inv_log_mu, rel=1e-12)
     for i in range(1, 9):
         for t in range(8 - i + 1):
-            a, b = scpr.mgf_coefficients(params, 5, float(t))
+            a, b = verify.mgf_coefficients(params, 5, float(t))
             lhs = rows[i][t]
             rhs = a.v * rows[i - 1][t] + b.v * rows[i - 1][t + 1]
             assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -203,9 +203,10 @@ def test_verify_simulation_golden_output(capsys):
     assert out.splitlines() == [
         "PASS  stylized bufferless MC matches survival product (3 sigma)  (worst z=2.85)",
         "PASS  stylized buffered MC matches delay recursion (3 sigma)  (worst z=1.52)",
-        "PASS  network SCPR throughput <= analytic bound + 3 sigma",
-        "PASS  greedy throughput memory-independent and matches formula (3 sigma)",
-        "PASS  greedy delay bound >= network MC - 3 sigma",
+        "PASS  network SCPR throughput <= analytic bound + 3 sigma  (worst excess=0.95 of 5 points)",
+        "PASS  greedy throughput memory-independent and matches formula (3 sigma)  "
+        "(gap=0.45, worst z=0.42 of 2 points)",
+        "PASS  greedy delay bound >= network MC - 3 sigma  (worst excess=-0.08 of 4 points)",
         "5/5 checks passed",
     ]
 
@@ -881,6 +882,28 @@ def test_no_delivery_probability_below_the_normal_float_range_is_printed(p, x, u
     # a normal T is still printed, however small
     code, out = run_cli(capsys, "analytic", "--policy", "gr", "--p", "0.3", "--x", "400", "--y", "400")
     assert code == 0 and out == "gr_throughput claim3 4.57868096920308e-236\n"
+
+
+def test_no_scpr_bound_below_the_normal_float_range_is_printed(tmp_path, capsys, monkeypatch):
+    """The same rule for SCPR's claim1: at p = 0.01 from (100, 100) with t_c =
+    5000 the survival product is 0.0, so analytic and sweep exit 2 with an
+    error: line, the sweep before its first trial and with no file written.
+    A normal bound is still printed, however small."""
+    point = ("--p", "0.01", "--x", "100", "--y", "100")
+    out_csv = tmp_path / "rows.csv"
+    trials = []
+    monkeypatch.setattr(simulator, "estimate", lambda *args, **kwargs: trials.append(args))
+    for argv in (("analytic", "--policy", "scpr", "--tc", "5000", *point),
+                 ("sweep", "--sweep", "tc", "--values", "5,5000", "--policy", "scpr", "--grid", "201x201",
+                  "--trials", "1", "--out", str(out_csv), *point)):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert_refused(code, out, err)
+        assert "SCPR's delivery probability bound is below the normal float range" in err
+    assert not out_csv.exists() and trials == []
+    code, out = run_cli(capsys, "analytic", "--policy", "scpr", "--p", "1e-6", "--x", "100", "--y", "100",
+                        "--tc", "50")
+    assert code == 0 and out == "scpr_throughput_bound claim1 3.109502871372526e-131\n"
 
 
 @pytest.mark.parametrize("argv", [

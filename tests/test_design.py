@@ -16,7 +16,10 @@ callee; callees that only ``verify.py`` calls are exempt, since its checks
 pass their own points.
 
 The Monte Carlo engine is what the closed forms are checked against, so
-``simulator.py`` imports none of them.
+``simulator.py`` imports none of them, and it imports no numpy: its trials
+never call it.  The engine and the closed-form modules hold only what
+commands run: a public name there that only ``verify.py`` reaches is an
+oracle of its checks, and lives in ``verify.py``.
 
 A leading underscore keeps a name to its module: no ``src/`` module imports
 another module's underscore name.  What another module needs is public.
@@ -41,6 +44,10 @@ ALLOWED = {
     "grid_topology.coord_table": "the benchmark tracer's detour metric reads it until the "
                                  "next benchmark revision moves it to tests/oracles.py",
 }
+
+# Public names of the engine and the closed-form modules that only verify.py
+# reaches, each kept on purpose, with its reason.
+ALLOWED_VERIFY_ONLY: dict[str, str] = {}
 
 # Defaulted parameters that no src/ call sets, each kept on purpose, with its reason.
 ALLOWED_PARAMETERS = {
@@ -124,6 +131,28 @@ def test_no_production_code_only_tests_call():
                 unused.append(qualname)
     assert unused == []
     assert set(ALLOWED) <= defined  # a stale entry would hide nothing and mislead
+
+
+def test_no_engine_or_closed_form_code_only_verify_reaches():
+    """Uses inside verify.py do not count, nor uses inside a definition that
+    only verify.py reaches (a class that only such a function builds)."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = [References(tree) for module, tree in trees.items() if module != "verify"]
+    candidates = [definition for module in ("simulator", "analytic_scpr", "analytic_greedy")
+                  for definition in public_definitions(module, trees[module])]
+    verify_only: dict[str, ast.AST] = {}
+    while True:
+        reached_by_them = [References(node) for node in verify_only.values()]
+        found = {qualname: node for qualname, name, node, method in candidates
+                 if qualname not in verify_only
+                 and sum(r.count(name, method) for r in refs) - References(node).count(name, method)
+                 - sum(r.count(name, method) for r in reached_by_them) <= 0}
+        if not found:
+            break
+        verify_only.update(found)
+    assert sorted(set(verify_only) - set(ALLOWED_VERIFY_ONLY)) == []
+    assert set(ALLOWED_VERIFY_ONLY) <= {qualname for qualname, *_ in candidates}  # a stale entry would mislead
 
 
 def parameters(module: str, tree: ast.Module):
@@ -250,6 +279,10 @@ def imported(path: Path) -> set[str]:
 def test_simulator_imports_no_closed_form():
     assert not [name for name in imported(PACKAGE / "simulator.py")
                 if name.rpartition(".")[2].startswith("analytic_")]
+
+
+def test_simulator_imports_no_numpy():
+    assert not [name for name in imported(PACKAGE / "simulator.py") if name.partition(".")[0] == "numpy"]
 
 
 def test_no_module_imports_dataclasses():

@@ -10,6 +10,7 @@ from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
 from satroute import link_dynamics as ld
 from satroute import simulator as sim
+from satroute import verify
 from satroute.grid_topology import GridSpec, NodeCoord
 
 # chi-square 0.999 quantiles by degrees of freedom
@@ -159,7 +160,7 @@ def test_gr_boundary_hit_distribution_bufferless_tilted():
     params = ld.from_p_mu(p, 0.0)
     spec = GridSpec(30, 30)
     w_cond = (u * p * p + p * (1 - p)) / (2 * p - p * p)
-    base = greedy.min_tau_pmf(x, y, w_cond)
+    base = verify.min_tau_pmf(x, y, w_cond)
     survive = 2 * p - p * p
     tilted = {k: v * survive**k for k, v in base.items()}
     norm = sum(tilted.values())
@@ -183,7 +184,7 @@ def test_gr_boundary_hit_distribution_buffered():
     p, mu, u, x, y = 0.7, 0.5, 0.3, 2, 4
     params = ld.from_p_mu(p, mu)
     spec = GridSpec(30, 30)
-    pmf = greedy.min_tau_pmf(x, y, greedy.w_from_u(params, u))
+    pmf = verify.min_tau_pmf(x, y, greedy.w_from_u(params, u))
     counts = dict.fromkeys(pmf, 0)
     n = 30000
     run = sim.GrRun(spec, params, NodeCoord(x, y))
@@ -257,7 +258,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
     params = ld.from_p_mu(p, mu)
     spec = GridSpec(20, 20)
     w = greedy.w_from_u(params, u)
-    pmf = greedy.min_tau_pmf(x, y, w)
+    pmf = verify.min_tau_pmf(x, y, w)
     counts = dict.fromkeys(pmf, 0)
     n = 20000
     total = total_sq = 0
@@ -296,20 +297,20 @@ def test_wait_jump_keeps_the_law(monkeypatch):
 
 def test_stylized_single_link_at_snapshot_is_certain():
     params = ld.from_p_mu(0.6, 0.9)
-    est = sim.run_stylized_scpr_path(params, 1, 0, False, 2000, seed=17)
+    est = verify.run_stylized_scpr_path(params, 1, 0, False, 2000, seed=17)
     assert est.mean == 1.0
 
 
 def test_stylized_bufferless_matches_product():
     params = ld.from_p_mu(0.9, 0.9)
-    est = sim.run_stylized_scpr_path(params, 8, 3, False, 10**5, seed=18)
+    est = verify.run_stylized_scpr_path(params, 8, 3, False, 10**5, seed=18)
     target = scpr.scpr_path_success_prob(params, 8, 3)
     assert abs(est.mean - target) <= 3 * est.stderr
 
 
 def test_stylized_buffered_matches_recursion():
     params = ld.from_p_mu(0.9, 0.9)
-    est = sim.run_stylized_scpr_path(params, 10, 5, True, 10**5, seed=19)
+    est = verify.run_stylized_scpr_path(params, 10, 5, True, 10**5, seed=19)
     target = scpr.scpr_delay_recursion(params, 10, 5)
     assert abs(est.mean - target) <= 3 * est.stderr
 
@@ -317,14 +318,14 @@ def test_stylized_buffered_matches_recursion():
 def test_stylized_buffered_memoryless_closed_form():
     params = ld.from_p_mu(0.9, 0.0)
     for tc in (0, 5):
-        est = sim.run_stylized_scpr_path(params, 10, tc, True, 10**5, seed=20 + tc)
+        est = verify.run_stylized_scpr_path(params, 10, tc, True, 10**5, seed=20 + tc)
         target = scpr.scpr_delay_recursion(params, 10, tc)
         assert abs(est.mean - target) <= 3 * est.stderr
 
 
 def test_stylized_rejects_zero_trials():
     with pytest.raises(ValueError):
-        sim.run_stylized_scpr_path(ld.from_p_mu(0.5, 0.5), 3, 0, True, 0, seed=1)
+        verify.run_stylized_scpr_path(ld.from_p_mu(0.5, 0.5), 3, 0, True, 0, seed=1)
 
 
 def test_lazy_jump_equivalent_to_slotwise_stepping():
@@ -528,7 +529,7 @@ def test_estimate_equals_a_loop_over_trial_rng(policy):
             total_sq += v * v
         est = sim.estimate(spec, params, policy, src=src, buffered=buffered, t_c=t_c,
                            tie=tie if policy == "gr" else None, trials=trials, master_seed=seed)
-        assert est == sim._estimate_from_sums(total, total_sq, trials, seed)
+        assert est == sim.estimate_from_sums(total, total_sq, trials, seed)
 
 
 def test_gr_estimate_computes_the_kernel_once_per_run(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from satroute import special_functions, verify
-from satroute.special_functions import beta_fn, binom, neg_binomial_sum, reg_inc_beta, reg_inc_beta_row
+from satroute.special_functions import beta_fn, neg_binomial_sum, reg_inc_beta, reg_inc_beta_row
 
 from oracles import exact_reg_inc_beta, pointwise_beta_identities
 
@@ -80,14 +80,6 @@ def test_beta_values():
             assert beta_fn(a, b) == beta_fn(b, a)
             exact = math.factorial(a - 1) * math.factorial(b - 1) / math.factorial(a + b - 1)
             assert beta_fn(a, b) == pytest.approx(exact, rel=1e-14)
-
-
-def test_binom_exact_and_edges():
-    assert binom(0, 0) == 1.0
-    assert binom(10, 3) == 120.0
-    assert binom(5, 7) == 0.0
-    assert binom(5, -1) == 0.0
-    assert binom(60, 30) == float(math.comb(60, 30))
 
 
 def comb_per_term_partial_sums(r, a, b_max):
@@ -235,3 +227,13 @@ def test_reg_inc_beta_past_the_float_range_of_its_coefficients(v, a, b):
     with mpmath.workdps(40):
         exact = mpmath.betainc(a, b, 0, v, regularized=True)
     assert reg_inc_beta(v, a, b) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("v, a, n", [(0.5, 600, 600), (1e-9, 515, 516), (0.0, 600, 600), (1.0, 600, 600)])
+def test_row_past_the_float_range_is_a_value_error(v, a, n):
+    """The row's domain is the float range of its sum: past it (at (515, 516)
+    only the sum passes it) the row names that domain in a ValueError, not a
+    bare OverflowError or a clamped 1.0, while reg_inc_beta still answers."""
+    with pytest.raises(ValueError, match=rf"v={v}, a={a}, n={n}: .*float range"):
+        reg_inc_beta_row(v, a, n)
+    assert 0.0 <= reg_inc_beta(v, a, n) <= 1.0
