@@ -10,11 +10,9 @@ tail sum
 probability ``v`` sees at most ``b-1`` failures).  No continued fractions,
 no convergence tuning; the only error is float rounding.  Every term is
 positive, so the sum keeps its relative accuracy where I_v is tiny (where
-v^a is subnormal or underflows, the product is taken in logs), and
-I_v(a, 1), ..., I_v(a, n) are its partial sums:
-``reg_inc_beta_row`` returns them in one pass.  The coefficients
-C(k+a-1, k) are exact integers rounded once to floats, which is the
-rounding an ``int * float`` product applies to them anyway.  Where a
+v^a is subnormal or underflows, the product is taken in logs).  The
+coefficients C(k+a-1, k) are exact integers rounded once to floats, which
+is the rounding an ``int * float`` product applies to them anyway.  Where a
 coefficient or the sum passes the float range (a + b past about 1030),
 ``reg_inc_beta`` adds the terms' logs instead, each taken from its exact
 integer coefficient.
@@ -63,45 +61,6 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     return min(scale * total, 1.0)
 
 
-def reg_inc_beta_row(v: float, a: int, n: int) -> list[float]:
-    """[I_v(a, b) for b = 1..n], each equal to ``reg_inc_beta(v, a, b)``.
-
-    The values are the partial sums of one series, so the row costs one
-    evaluation of I_v(a, n).  The loop is neg_binomial_sum's, with the same
-    coefficients and the same order of operations.  Where v^a is subnormal
-    or 0.0 each partial sum is scaled as reg_inc_beta scales it, in logs.
-    Past the float range of that sum (a + n past about 1030) the row raises
-    a ValueError, where ``reg_inc_beta`` still answers one value at a time.
-    """
-    _check_shape(a, n)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"v={v}: need 0 <= v <= 1")
-    try:
-        coefficients = _neg_binomial_coefficients(a, n)
-    except OverflowError:  # a coefficient passes the float range, so the sum does: raised below
-        coefficients = (inf,)
-    scale = v**a
-    r = 1.0 - v
-    row = []
-    total = 0.0
-    weight = 1.0  # r^k
-    if scale < MIN_NORMAL and v > 0.0:
-        log_scale = a * log(v)
-        for coefficient in coefficients:
-            total += coefficient * weight
-            weight *= r
-            row.append(min(exp(log_scale + log(total)), 1.0))
-    else:
-        for coefficient in coefficients:
-            total += coefficient * weight
-            weight *= r
-            row.append(min(scale * total, 1.0))
-    if total == inf:
-        raise ValueError(f"v={v}, a={a}, n={n}: reg_inc_beta_row needs each coefficient C(k+a-1, k) and each "
-                         f"partial sum of the row within the float range (about 1.8e308); use reg_inc_beta")
-    return row
-
-
 def neg_binomial_sum(r: float, a: int, b: int) -> float:
     """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum.
 
@@ -144,7 +103,8 @@ def log_sum_exp(logs: list[float]) -> float:
 
 @lru_cache(maxsize=256)
 def _neg_binomial_coefficients(a: int, b: int) -> tuple[float, ...]:
-    """C(k+a-1, k) for k < b as floats, the terms of neg_binomial_sum.
+    """C(k+a-1, k) for k < b as floats, the terms of neg_binomial_sum, its one
+    caller (and through it of reg_inc_beta's float path).
 
     Each exact integer is rounded once by ``float()``, the same correctly
     rounded conversion that ``int * float`` applies, so the sum is unchanged

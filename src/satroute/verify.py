@@ -11,6 +11,10 @@ from the closed form it validates:
 * ``run_stylized_scpr_path``: Monte Carlo over SCPR's stylized path (bufferless, on claim1's own kernel).
 * ``mgf_coefficients``: SCPR's A(t), B(t) and their derivatives, as ``Dual``s.
 
+``_reg_inc_beta_row`` gives ``beta_identity_errors`` the values I_v(a, 1..30)
+at one point in one pass, each bit-equal to ``reg_inc_beta``'s; it serves
+that check's grid only.
+
 Each claim is checked by one function here that returns its statistic (a
 worst error, a worst z or excess in standard errors, or a list of
 violations) for the points, seeds and trial counts it is given.  The suites
@@ -32,7 +36,7 @@ from . import comparison, simulator
 from . import link_dynamics as links
 from . import optimal_policies as optimal
 from .grid_topology import GridSpec, NodeCoord
-from .special_functions import beta_fn, reg_inc_beta, reg_inc_beta_row
+from .special_functions import beta_fn, reg_inc_beta
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
@@ -140,9 +144,6 @@ class Dual:
         self.v = v
         self.d = d
 
-    def __getitem__(self, index):
-        return Dual(self.v[index], self.d[index])
-
     def __add__(self, other):
         other = other if isinstance(other, Dual) else Dual(other)
         return Dual(self.v + other.v, self.d + other.d)
@@ -207,6 +208,26 @@ def hitting_time_error() -> tuple[float, bool]:
     return worst, greedy.expected_min_tau(1, 1, 0.5) == 1.0
 
 
+def _reg_inc_beta_row(v: float, a: int, coefficients: list[float]) -> list[float]:
+    """[I_v(a, b) for b = 1..len(coefficients)], given the floats C(k+a-1, k).
+
+    The partial sums of reg_inc_beta's series, with its coefficients and its
+    order of operations, so each value equals ``reg_inc_beta(v, a, b)``
+    wherever v^a is 0.0 or a normal float and the sum stays within the float
+    range: on beta_identity_errors' grid (v = i/100, a, b <= 30).
+    """
+    scale = v**a
+    r = 1.0 - v
+    row = []
+    total = 0.0
+    weight = 1.0  # r^k
+    for coefficient in coefficients:
+        total += coefficient * weight
+        weight *= r
+        row.append(min(scale * total, 1.0))
+    return row
+
+
 def beta_identity_errors() -> tuple[float, float]:
     """(worst complement error, worst Pascal error) of reg_inc_beta.
 
@@ -222,7 +243,8 @@ def beta_identity_errors() -> tuple[float, float]:
     worst_sym = worst_pascal = 0.0
     above: list[list[float]] = []  # at each point, the row I_v(a-1, b) for b = 1..30
     for a in shapes:
-        rows = [reg_inc_beta_row(v, a, 30) for v in points]  # rows[i][b-1] = I_v(a, b) at points[i]
+        coefficients = [float(math.comb(k + a - 1, k)) for k in range(30)]
+        rows = [_reg_inc_beta_row(v, a, coefficients) for v in points]  # rows[i][b-1] = I_v(a, b) at points[i]
         for b in shapes:
             for i, v in enumerate(points):
                 value = rows[i][b - 1]

@@ -335,7 +335,8 @@ def mgf_rows(params: LinkParams, t_c: int, depth: int, t: float = 0.0) -> Iterat
     yield row
     for n in range(depth, 0, -1):
         # per cell the same operations, in the same order, as a * g(t) + b * g(t + 1)
-        row = a[:n] * row[:n] + b[:n] * row[1 : n + 1]
+        row = (Dual(a.v[:n], a.d[:n]) * Dual(row.v[:n], row.d[:n])
+               + Dual(b.v[:n], b.d[:n]) * Dual(row.v[1 : n + 1], row.d[1 : n + 1]))
         yield row
 
 
