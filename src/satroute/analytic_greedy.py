@@ -19,7 +19,7 @@ import sys
 
 from .link_dynamics import LinkParams
 from .simulator import DETERMINISTIC
-from .special_functions import beta_fn, log_neg_binomial_terms, log_sum_exp, neg_binomial_sum, reg_inc_beta
+from .special_functions import beta_fn, log_neg_binomial_sum, neg_binomial_sum, reg_inc_beta
 
 
 def gr_throughput(p: float, x: int, y: int, u: float) -> float:
@@ -39,46 +39,37 @@ def gr_throughput(p: float, x: int, y: int, u: float) -> float:
     has a 0 * inf factor.  Independent of the memory parameter: every move
     lands on a never-observed node whose links are in steady state.
     """
-    bracket = _throughput_bracket(p, x, y, u)  # checks the inputs before p ** (x + y)
+    return gr_throughput_and_log_bracket(p, x, y, u)[0]
+
+
+def gr_throughput_and_log_bracket(p: float, x: int, y: int, u: float) -> tuple[float, float]:
+    """(gr_throughput, log(gr_throughput / p^(x+y))) from one evaluation of the
+    bracket above, exactly 1.0 from an axis source.  Where a sum of the bracket
+    passes the float range (x + y past about 1030) the bracket is taken in logs,
+    each sum's from ``log_neg_binomial_sum``."""
+    if x < 0 or y < 0:
+        raise ValueError(f"x={x}, y={y}: need x, y >= 0")
+    _check_prob("p", p)  # before p ** (x + y)
+    bracket = 1.0
+    if x and y:
+        _check_prob("u", u)
+        f1, f2 = 1.0 - u * p, 1.0 - (1.0 - u) * p
+        try:
+            bracket = f1**x * neg_binomial_sum(f2, x, y) + f2**y * neg_binomial_sum(f1, y, x)
+        except OverflowError:
+            bracket = math.inf
+    if bracket < math.inf:
+        log_bracket = math.log(bracket)
+    else:  # summed relative to the larger half
+        logs = [a * math.log(f) + log_neg_binomial_sum(r, a, b) for a, b, f, r in ((x, y, f1, f2), (y, x, f2, f1))
+                if f > 0.0]
+        log_bracket = max(logs) + math.log(sum(math.exp(t - max(logs)) for t in logs))
     scale = p ** (x + y)
     if scale < sys.float_info.min and p > 0.0 or bracket == math.inf:
         # p^(x+y) is subnormal or 0.0, or the bracket passes the float range,
         # but the product may be a normal float
-        return math.exp((x + y) * math.log(p) + log_throughput_bracket(p, x, y, u))
-    return scale * bracket
-
-
-def log_throughput_bracket(p: float, x: int, y: int, u: float) -> float:
-    """log(gr_throughput / p^(x+y)), the log of the bracket above.
-
-    Where a coefficient or a sum of the bracket passes the float range (x + y
-    past about 1030), its terms are added in logs, each from its exact
-    integer coefficient.
-    """
-    bracket = _throughput_bracket(p, x, y, u)
-    if bracket < math.inf:
-        return math.log(bracket)
-    f1, f2 = 1.0 - u * p, 1.0 - (1.0 - u) * p
-    return log_sum_exp([a * math.log(f) + t for a, b, f, r in ((x, y, f1, f2), (y, x, f2, f1)) if f > 0.0
-                        for t in log_neg_binomial_terms(r, a, b)])
-
-
-def _throughput_bracket(p: float, x: int, y: int, u: float) -> float:
-    """gr_throughput / p^(x+y): the bracket above, exactly 1.0 from an axis
-    source, and inf where it passes the float range."""
-    if x < 0 or y < 0:
-        raise ValueError(f"x={x}, y={y}: need x, y >= 0")
-    _check_prob("p", p)
-    if x == 0 or y == 0:
-        return 1.0
-    _check_prob("u", u)
-    ub = 1.0 - u
-    try:
-        s1 = neg_binomial_sum(1.0 - ub * p, x, y)
-        s2 = neg_binomial_sum(1.0 - u * p, y, x)
-    except OverflowError:
-        return math.inf
-    return (1.0 - u * p) ** x * s1 + (1.0 - ub * p) ** y * s2
+        return math.exp((x + y) * math.log(p) + log_bracket), log_bracket
+    return scale * bracket, log_bracket
 
 
 def w_from_u(params: LinkParams, u: float) -> float:

@@ -315,15 +315,17 @@ def _gr_figures(buffered: bool, params, x: int, y: int, u_arg: str | float):
         return [("gr_walk_throughput", "walk3", delivered)], math.log(delivered) - (x + y) * math.log(params.p)
     u = 0.5 if tie == DETERMINISTIC else tie  # from an axis source any u gives the forced walk
     if not buffered:
-        gain = greedy.log_throughput_bracket(params.p, x, y, u)
-        return [("gr_throughput", "claim3", greedy.gr_throughput(params.p, x, y, u))], gain
+        delivered, gain = greedy.gr_throughput_and_log_bracket(params.p, x, y, u)
+        return [("gr_throughput", "claim3", delivered)], gain
     w = greedy.w_from_u(params, u)  # the walk's vertical move probability
-    delay = greedy.gr_delay_exact_component(params, x, y, w)
-    rows = [("gr_delay_exact_component", "eq23", delay)]
-    if x and y:  # claim4 and eqEK describe interior sources only
-        rows.append(("expected_min_tau", "eqEK", greedy.expected_min_tau(x, y, w)))
-        if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
-            rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
+    if not (x and y):  # every move is on the boundary; claim4 and eqEK describe interior sources only
+        delay = greedy.gr_delay_exact_component(params, x, y, w)
+        return [("gr_delay_exact_component", "eq23", delay)], delay
+    interior = greedy.expected_min_tau(x, y, w)
+    delay = greedy.gr_delay_of_interior_moves(params, x, y, interior)
+    rows = [("gr_delay_exact_component", "eq23", delay), ("expected_min_tau", "eqEK", interior)]
+    if abs(w - y / (x + y)) <= 1e-12:  # claim4 bounds the diagonal-bias walk only
+        rows.insert(0, ("gr_delay_upper_bound", "claim4", greedy.gr_delay_upper_bound(params, x, y)))
     return rows, delay
 
 

@@ -14,15 +14,15 @@ v^a is subnormal or underflows, the product is taken in logs).  The
 coefficients C(k+a-1, k) are exact integers rounded once to floats, which
 is the rounding an ``int * float`` product applies to them anyway.  Where a
 coefficient or the sum passes the float range (a + b past about 1030),
-``reg_inc_beta`` adds the terms' logs instead, each taken from its exact
-integer coefficient.
+``log_neg_binomial_sum`` gives the sum's log from an O(b) float series,
+anchored on one exact integer coefficient.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from math import comb, exp, fsum, inf, log
+from math import comb, exp, floor, inf, log
 
 MIN_NORMAL = sys.float_info.min  # below it v^a has lost relative precision
 
@@ -55,7 +55,7 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     try:
         total = neg_binomial_sum(1.0 - v, a, b)
     except OverflowError:
-        return 0.0 if v == 0.0 else min(exp(a * log(v) + log_sum_exp(log_neg_binomial_terms(1.0 - v, a, b))), 1.0)
+        return 0.0 if v == 0.0 else min(exp(a * log(v) + log_neg_binomial_sum(1.0 - v, a, b)), 1.0)
     if scale < MIN_NORMAL and v > 0.0:
         return min(exp(a * log(v) + log(total)), 1.0)
     return min(scale * total, 1.0)
@@ -65,7 +65,7 @@ def neg_binomial_sum(r: float, a: int, b: int) -> float:
     """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum.
 
     Raises OverflowError where a coefficient or the sum passes the float
-    range; ``log_neg_binomial_terms`` serves those shapes.
+    range; ``log_neg_binomial_sum`` serves those shapes.
     """
     total = 0.0
     weight = 1.0  # r^k
@@ -77,28 +77,34 @@ def neg_binomial_sum(r: float, a: int, b: int) -> float:
     return total
 
 
-def log_neg_binomial_terms(r: float, a: int, b: int) -> list[float]:
-    """[log(C(k+a-1, k) r^k) for k < b], the logs of neg_binomial_sum's terms.
+def log_neg_binomial_sum(r: float, a: int, b: int) -> float:
+    """log(neg_binomial_sum(r, a, b)), finite at any shape.
 
-    Finite at any shape: each coefficient is an exact integer, C(k+a, k+1) =
-    C(k+a-1, k) (k+a) / (k+1), whose log Python takes without converting it
-    to a float.  At r = 0 only the k = 0 term, 1, is left.
+    Past the float range the terms t_k = C(k+a-1, k) r^k are summed relative
+    to the largest, t_m, by their ratio t_{k+1} / t_k = r (k+a) / (k+1), which
+    falls as k rises: up and down from m, each walk stopping once a term falls
+    below 1e-18 of the sum, so O(b) float work.  The log is anchored on
+    t_m's, from the exact integer C(m+a-1, m).  At r = 0 only the k = 0
+    term, 1, is left.
     """
-    if r == 0.0:
-        return [0.0]
-    log_r = log(r)
-    logs = []
-    coefficient = 1
-    for k in range(b):
-        logs.append(log(coefficient) + k * log_r)
-        coefficient = coefficient * (k + a) // (k + 1)
-    return logs
-
-
-def log_sum_exp(logs: list[float]) -> float:
-    """log(sum(exp(t) for t in logs)), summed relative to the largest term."""
-    top = max(logs)
-    return top + log(fsum([exp(t - top) for t in logs]))
+    try:
+        return log(neg_binomial_sum(r, a, b))
+    except OverflowError:
+        pass
+    m = b - 1 if r == 1.0 else min(b - 1, max(0, floor((r * a - 1.0) / (1.0 - r)) + 1))  # t_{k+1} < t_k from k = m on
+    total = term = 1.0
+    for k in range(m, b - 1):
+        term *= r * (k + a) / (k + 1)
+        total += term
+        if term < 1e-18 * total:
+            break
+    term = 1.0
+    for k in range(m, 0, -1):
+        term *= k / (r * (k - 1 + a))
+        total += term
+        if term < 1e-18 * total:
+            break
+    return log(comb(m + a - 1, m)) + (m * log(r) if m else 0.0) + log(total)  # m = 0 at r = 0
 
 
 @lru_cache(maxsize=256)

@@ -371,7 +371,7 @@ def crossovers() -> tuple[int | None, int | None]:
     """(throughput, delay) crossover t_c, over every t_c >= 0, for the source (5, 5)
     at p = 0.9, mu = 0.99, with the fair coin u = 0.5 and the walk w = 0.5."""
     params = links.from_p_mu(0.9, 0.99)
-    gain = greedy.log_throughput_bracket(0.9, 5, 5, 0.5)
+    gain = greedy.gr_throughput_and_log_bracket(0.9, 5, 5, 0.5)[1]
     delay = greedy.gr_delay_exact_component(params, 5, 5, 0.5)
     return (comparison.throughput_crossover_tc(params, 5, 5, gain),
             comparison.delay_crossover_tc(params, 5, 5, delay))

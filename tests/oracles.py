@@ -36,6 +36,10 @@
 * ``exact_reg_inc_beta`` / ``exact_expected_min_tau``: I_v(a, b) and
   E[min(tau_x, tau_y)] as exact rationals at the given float inputs, the
   reference for relative accuracy where v or w nears 0 or 1.
+* ``exact_log_neg_binomial_terms`` / ``log_sum_exp``: the logs of the
+  negative-binomial sum's terms, each from its exact integer coefficient, and
+  their sum's log; O(b^2) bit work, the reference for
+  ``special_functions.log_neg_binomial_sum``'s O(b) float series.
 """
 
 from __future__ import annotations
@@ -402,3 +406,25 @@ def exact_expected_min_tau(x: int, y: int, w: float) -> Fraction:
         if k >= y:
             total += k * math.comb(k - 1, y - 1) * w**y * wb ** (k - y)
     return total
+
+
+def exact_log_neg_binomial_terms(r: float, a: int, b: int) -> list[float]:
+    """[log(C(k+a-1, k) r^k) for k < b], finite at any shape: each coefficient
+    is an exact integer, C(k+a, k+1) = C(k+a-1, k) (k+a) / (k+1), whose log
+    Python takes without converting it to a float.  At r = 0 only the k = 0
+    term, 1, is left."""
+    if r == 0.0:
+        return [0.0]
+    log_r = math.log(r)
+    logs = []
+    coefficient = 1
+    for k in range(b):
+        logs.append(math.log(coefficient) + k * log_r)
+        coefficient = coefficient * (k + a) // (k + 1)
+    return logs
+
+
+def log_sum_exp(logs: list[float]) -> float:
+    """log(sum(exp(t) for t in logs)), summed relative to the largest term."""
+    top = max(logs)
+    return top + math.log(math.fsum([math.exp(t - top) for t in logs]))

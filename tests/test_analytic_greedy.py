@@ -6,6 +6,7 @@ import pytest
 from satroute import analytic_greedy as greedy
 from satroute import link_dynamics as ld
 from satroute import verify
+from satroute.special_functions import neg_binomial_sum
 from satroute.verify import expected_min_tau_direct
 
 from oracles import exact_expected_min_tau
@@ -54,7 +55,9 @@ def test_throughput_is_the_plain_product_where_p_to_the_distance_is_normal():
         for x in range(1, 9):
             for y in range(1, 9):
                 for u in (0.2, 0.5, 0.8, y / (x + y)):
-                    assert greedy.gr_throughput(p, x, y, u) == p ** (x + y) * greedy._throughput_bracket(p, x, y, u)
+                    f1, f2 = 1.0 - u * p, 1.0 - (1.0 - u) * p
+                    bracket = f1**x * neg_binomial_sum(f2, x, y) + f2**y * neg_binomial_sum(f1, y, x)
+                    assert greedy.gr_throughput(p, x, y, u) == p ** (x + y) * bracket
 
 
 def test_throughput_boundary_ties_regular():

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -932,6 +933,61 @@ def test_coin_rows_past_the_float_range_of_their_coefficients(argv, capsys):
         assert out == "crossover_tc=1045\n"
 
 
+@pytest.mark.parametrize("xy", ["5", "600"])
+def test_gr_commands_evaluate_each_figure_once(xy, monkeypatch, capsys):
+    """Each negative-binomial sum of the coin's bracket is evaluated at most
+    once per half, inside and past the float range, and eqEK at most once.
+    A sum that raises OverflowError past the float range is not counted: it
+    stops at the first coefficient out of range.  Evaluated apart, claim3 and
+    the crossover margin read 4 sums at (5, 5) and 4 at (600, 600), and the
+    eq23 and eqEK rows read eqEK twice."""
+    from satroute import special_functions
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            value = fn(*args)
+            calls[name] += 1
+            return value
+        return call
+
+    for name in ("neg_binomial_sum", "log_neg_binomial_sum"):
+        wrapped = counted(name, getattr(special_functions, name))
+        for module in (special_functions, greedy):
+            monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(greedy, "expected_min_tau", counted("eqEK", greedy.expected_min_tau))
+    # (command, its sums: the bracket's two halves, or eqEK's one I_w)
+    for argv, sums in ((("analytic", "--policy", "gr"), 2), (("crossover", "--metric", "throughput"), 2),
+                       (("analytic", "--policy", "gr", "--buffered", "true"), 1),
+                       (("crossover", "--metric", "delay"), 1)):
+        calls.clear()
+        assert run_cli(capsys, *argv, "--x", xy, "--y", xy)[0] == 0
+        assert calls["neg_binomial_sum"] + calls["log_neg_binomial_sum"] <= sums, (argv, calls)
+        assert calls["eqEK"] <= 1, (argv, calls)
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("--buffered", "true"), [("gr_delay_upper_bound claim4", 95546.5089569918),
+                              ("gr_delay_exact_component eq23", 95546.50036327046),
+                              ("expected_min_tau eqEK", 59804.559809574595)]),
+    (("--p", "0.99999"), [("gr_throughput claim3", 0.9980426059227474)]),
+], ids=["eq23-eqEK", "claim3"])
+def test_coin_rows_far_past_the_float_range(argv, rows, capsys):
+    """At (30000, 30000) the coin rows agree, to a relative 1e-11, with the
+    values computed from the logs of every term of each sum, each log from
+    its exact integer coefficient."""
+    code, out = run_cli(capsys, "analytic", "--policy", "gr", *argv, "--x", "30000", "--y", "30000")
+    got = [line.rsplit(" ", 1) for line in out.splitlines()]
+    assert code == 0 and [head for head, _ in got] == [head for head, _ in rows]
+    assert [float(value) for _, value in got] == pytest.approx([value for _, value in rows], rel=1e-11, abs=0)
+
+
+def test_crossover_far_past_the_float_range(capsys):
+    assert run_cli(capsys, "crossover", "--metric", "throughput", "--x", "30000", "--y", "30000") == (
+        0, "crossover_tc=0\n")
+
+
 def test_analytic_gr_axis_source(capsys):
     """An axis source is all boundary: p^n bufferless, eq23 alone buffered."""
     params = ld.from_p_mu(0.9, 0.99)
@@ -946,7 +1002,7 @@ def test_analytic_gr_axis_source(capsys):
 def test_crossover_throughput_axis_source(capsys):
     params = ld.from_p_mu(0.9, 0.5)
     for x, y in ((0, 2), (2, 0)):
-        gain = greedy.log_throughput_bracket(0.9, x, y, y / (x + y))  # 0.0: GR's T is p^(x+y)
+        gain = greedy.gr_throughput_and_log_bracket(0.9, x, y, y / (x + y))[1]  # 0.0: GR's T is p^(x+y)
         expected = comparison.throughput_crossover_tc(params, x, y, gain)
         code, out = run_cli(capsys, "crossover", "--metric", "throughput", "--mu", "0.5",
                             "--x", str(x), "--y", str(y))

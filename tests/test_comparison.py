@@ -10,7 +10,7 @@ from satroute import link_dynamics as ld
 
 def gain(p, x, y, u):
     """GR's log margin log(T / p^(x+y)) under the coin u, as the CLI computes it."""
-    return greedy.log_throughput_bracket(p, x, y, u)
+    return greedy.gr_throughput_and_log_bracket(p, x, y, u)[1]
 
 
 def test_crossovers_at_reference_parameters():

@@ -106,6 +106,32 @@ def test_ordering_fails_at_low_availability_pinned():
     assert signatures <= {(3, 4), (4, 5)}
 
 
+def test_ordering_fails_at_high_availability_on_a_larger_torus():
+    """At p = 0.9 the ordering holds on 9x9 and 11x11 but not on 25x25: the
+    axis node (12, 0) pays 1/p a hop, 40/3, and overtakes (7, 6), one hop
+    farther at 13.2435.  Those are the first pair to break (see below)."""
+    table = op.value_iterate_delay(GridSpec(25, 25), 0.9)
+    assert table.d_bar_at(NodeCoord(12, 0)) == pytest.approx(40 / 3, abs=1e-9)
+    assert table.d_bar_at(NodeCoord(7, 6)) == pytest.approx(13.2435445845067, abs=1e-9)
+    violations = op.check_mean_delay_ordering(table)
+    assert len(violations) == 128
+    assert {(abs(a.x) + abs(a.y), abs(b.x) + abs(b.y)) for a, b, _, _ in violations} == {(12, 13)}
+
+
+def test_first_axis_node_to_overtake_the_diagonal_at_p_0_9_is_12():
+    """At mu = 0 an axis hop costs 1/p and an interior hop less, so D(s, 0) =
+    s/p eventually exceeds D of the near-diagonal node one hop farther, here
+    from gr_walk's farther-axis walk (value iteration's 13.2435 at (7, 6))."""
+    p = 0.9
+    params = ld.from_p_mu(p, 0.0)
+
+    def diagonal_delay(s):
+        a, b = (s + 2) // 2, (s + 1) // 2  # ceil and floor of (s + 1) / 2
+        return greedy.gr_delay_of_interior_moves(params, a, b, greedy.gr_walk(params, a, b, sim.DETERMINISTIC)[0])
+
+    assert next(s for s in itertools.count(1) if s / p > diagonal_delay(s)) == 12
+
+
 def test_buffered_deterministic_greedy_matches_fixed_point():
     spec = GridSpec(9, 9)
     p = 0.6

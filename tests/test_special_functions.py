@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from satroute import special_functions, verify
-from satroute.special_functions import beta_fn, neg_binomial_sum, reg_inc_beta
+from satroute.special_functions import beta_fn, log_neg_binomial_sum, neg_binomial_sum, reg_inc_beta
 
-from oracles import exact_reg_inc_beta, pointwise_beta_identities
+from oracles import exact_log_neg_binomial_terms, exact_reg_inc_beta, log_sum_exp, pointwise_beta_identities
 
 
 def test_identity_shapes():
@@ -218,3 +218,28 @@ def test_reg_inc_beta_past_the_float_range_of_its_coefficients(v, a, b):
     with mpmath.workdps(40):
         exact = mpmath.betainc(a, b, 0, v, regularized=True)
     assert reg_inc_beta(v, a, b) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.55, 0.999])
+@pytest.mark.parametrize("a, b", [(600, 600), (3000, 3000), (20000, 3), (3, 20000), (30000, 30000)])
+def test_log_neg_binomial_sum_equals_the_exact_integer_terms(r, a, b):
+    """The O(b) float series against the logs of every term, each from its
+    exact integer coefficient.  The thin shapes stay in the float range,
+    where the log is of neg_binomial_sum."""
+    assert log_neg_binomial_sum(r, a, b) == pytest.approx(log_sum_exp(exact_log_neg_binomial_terms(r, a, b)),
+                                                          rel=0, abs=1e-11)
+
+
+@pytest.mark.parametrize("a, b", [(600, 600), (3000, 3000), (3, 20000)])
+def test_log_neg_binomial_sum_at_the_ends_of_r(a, b):
+    """r = 1, where every term rises to the last (u = 1 in GR's bracket), and
+    r = 0, where the k = 0 term, 1, is left (v = 1 in reg_inc_beta)."""
+    assert log_neg_binomial_sum(1.0, a, b) == pytest.approx(log_sum_exp(exact_log_neg_binomial_terms(1.0, a, b)),
+                                                            rel=0, abs=1e-11)
+    assert log_neg_binomial_sum(0.0, a, b) == 0.0
+
+
+def test_log_neg_binomial_sum_is_the_log_of_the_float_sum_in_range():
+    for r in (0.0, 0.3, 0.55, 0.999, 1.0):
+        for a, b in ((1, 1), (5, 5), (30, 12), (20000, 3), (3, 20000), (515, 515)):
+            assert log_neg_binomial_sum(r, a, b) == math.log(neg_binomial_sum(r, a, b))
