@@ -15,11 +15,10 @@ directions) before joining the boundary (one usable direction).
 from __future__ import annotations
 
 import math
-import sys
 
 from .link_dynamics import LinkParams
 from .simulator import DETERMINISTIC
-from .special_functions import beta_fn, log_neg_binomial_sum, neg_binomial_sum, reg_inc_beta
+from .special_functions import MIN_NORMAL, beta_fn, log_neg_binomial_sum, neg_binomial_sum, reg_inc_beta
 
 
 def gr_throughput(p: float, x: int, y: int, u: float) -> float:
@@ -54,18 +53,15 @@ def gr_throughput_and_log_bracket(p: float, x: int, y: int, u: float) -> tuple[f
     if x and y:
         _check_prob("u", u)
         f1, f2 = 1.0 - u * p, 1.0 - (1.0 - u) * p
-        try:
-            bracket = f1**x * neg_binomial_sum(f2, x, y) + f2**y * neg_binomial_sum(f1, y, x)
-        except OverflowError:
-            bracket = math.inf
+        bracket = f1**x * neg_binomial_sum(f2, x, y) + f2**y * neg_binomial_sum(f1, y, x)
     if bracket < math.inf:
         log_bracket = math.log(bracket)
-    else:  # summed relative to the larger half
+    else:  # inf, or nan where a 0.0 power meets an inf sum: summed relative to the larger half
         logs = [a * math.log(f) + log_neg_binomial_sum(r, a, b) for a, b, f, r in ((x, y, f1, f2), (y, x, f2, f1))
                 if f > 0.0]
         log_bracket = max(logs) + math.log(sum(math.exp(t - max(logs)) for t in logs))
     scale = p ** (x + y)
-    if scale < sys.float_info.min and p > 0.0 or bracket == math.inf:
+    if scale < MIN_NORMAL and p > 0.0 or not bracket < math.inf:
         # p^(x+y) is subnormal or 0.0, or the bracket passes the float range,
         # but the product may be a normal float
         return math.exp((x + y) * math.log(p) + log_bracket), log_bracket

@@ -1,11 +1,10 @@
 """Two-state Markov link model: parameters, steady state, k-stage ON probabilities.
 
-A link is ON (available) or OFF.  Per slot it flips ON->OFF with probability
-``epsilon1`` and OFF->ON with probability ``epsilon2``.  The long-run ON
-probability is ``p = epsilon2 / (epsilon1 + epsilon2)`` and the memory
-parameter is ``mu = 1 - epsilon1 - epsilon2``.  Only positive-memory chains
-(``mu >= 0``) are supported: an ON link is then always at least as likely to
-be ON after k slots as an OFF link is to have turned ON.
+A link is ON (available) or OFF.  ``LinkParams`` stores its chain as the
+long-run ON probability ``p`` and the memory ``mu``: per slot it turns OFF->ON
+with probability ``epsilon2 = (1 - mu) p`` and ON->OFF with ``(1 - mu)(1 - p)``.
+With ``mu >= 0``, the only chains supported, an ON link is always at least as
+likely to be ON after k slots as an OFF link is to have turned ON.
 
 Link states are plain bools (True == ON).  The Monte Carlo samples them
 lazily: an SCPR trial draws its t = 0 snapshot inside the BFS, keeps only the
@@ -24,40 +23,31 @@ from collections import namedtuple
 MU_MAX = 1.0 - 1e-9
 
 
-class LinkParams(namedtuple("LinkParams", "epsilon1 epsilon2 p mu")):
-    """Immutable link-chain parameters, stored in both representations.
+class LinkParams(namedtuple("LinkParams", "p mu")):
+    """Immutable link-chain parameters, checked against the CLI's domain.
 
-    epsilon1: P(OFF at t | ON at t-1), per-slot failure probability.
-    epsilon2: P(ON at t | OFF at t-1), per-slot recovery probability.
-    p:        steady-state ON probability, epsilon2 / (epsilon1 + epsilon2).
-    mu:       memory parameter, 1 - epsilon1 - epsilon2.
+    p:  steady-state ON probability, 0 < p < 1 (p in {0, 1} is degenerate).
+    mu: memory parameter, 0 <= mu <= MU_MAX (a static chain never recovers).
+    epsilon2, derived: (1 - mu) p, the per-slot recovery probability.
     """
 
     __slots__ = ()
 
-    def __new__(cls, epsilon1: float, epsilon2: float, p: float, mu: float) -> LinkParams:
-        if not (0.0 < epsilon1 <= 1.0 and 0.0 < epsilon2 <= 1.0):
-            raise ValueError(f"epsilon1={epsilon1}, epsilon2={epsilon2}: both must be in (0, 1]")
-        if mu < 0.0:
-            raise ValueError(f"negative memory mu={mu} not supported")
-        if abs(mu - (1.0 - epsilon1 - epsilon2)) > 1e-12:
-            raise ValueError("mu inconsistent with epsilon1, epsilon2")
-        if abs(p - epsilon2 / (epsilon1 + epsilon2)) > 1e-12:
-            raise ValueError("p inconsistent with epsilon1, epsilon2")
-        return super().__new__(cls, epsilon1, epsilon2, p, mu)
+    def __new__(cls, p: float, mu: float) -> LinkParams:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p={p}: need 0 < p < 1")
+        if not 0.0 <= mu <= MU_MAX:
+            raise ValueError(f"mu={mu}: need 0 <= mu <= {MU_MAX}")
+        return super().__new__(cls, p, mu)
+
+    @property
+    def epsilon2(self) -> float:
+        return (1.0 - self.mu) * self.p
 
 
 def from_p_mu(p: float, mu: float) -> LinkParams:
-    """Build LinkParams from steady-state ON probability and memory.
-
-    Inverts p = e2/(e1+e2), mu = 1-e1-e2:  e1 = (1-mu)(1-p), e2 = (1-mu)p.
-    p in {0, 1} and mu >= ~1 are rejected (degenerate or static chains).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p={p}: need 0 < p < 1")
-    if not 0.0 <= mu <= MU_MAX:
-        raise ValueError(f"mu={mu}: need 0 <= mu <= {MU_MAX}")
-    return LinkParams((1.0 - mu) * (1.0 - p), (1.0 - mu) * p, p, mu)
+    """LinkParams(p, mu): the chain with steady-state ON probability p and memory mu."""
+    return LinkParams(p, mu)
 
 
 def transition_prob(params: LinkParams, from_on: bool, k: int) -> float:

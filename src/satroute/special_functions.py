@@ -44,36 +44,33 @@ def reg_inc_beta(v: float, a: int, b: int) -> float:
     result keeps its relative accuracy, and it is exact at v = 0 and v = 1.
     (The complement 1 - I_{1-v}(b, a) keeps only absolute accuracy: for
     I_{1e-6}(30, 4) = 5.5e-177 it gives 2.2e-16, a rounding residue.)  Where
-    v^a is subnormal or 0.0 but v > 0, the product is exp(a log v + log sum):
-    I_{0.2}(460, 400) = 9.81e-105, with v^a subnormal, would read 9.77e-105
-    as a product.
+    v^a is subnormal or 0.0 but v > 0, or the sum passes the float range, the
+    product is exp(a log v + log sum): I_{0.2}(460, 400) = 9.81e-105, with v^a
+    subnormal, would read 9.77e-105 as a product.
     """
     _check_shape(a, b)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v}: need 0 <= v <= 1")
+    if v == 0.0:
+        return 0.0
     scale = v**a
-    try:
-        total = neg_binomial_sum(1.0 - v, a, b)
-    except OverflowError:
-        return 0.0 if v == 0.0 else min(exp(a * log(v) + log_neg_binomial_sum(1.0 - v, a, b)), 1.0)
-    if scale < MIN_NORMAL and v > 0.0:
-        return min(exp(a * log(v) + log(total)), 1.0)
+    total = neg_binomial_sum(1.0 - v, a, b)
+    if scale < MIN_NORMAL or total == inf:
+        return min(exp(a * log(v) + log_neg_binomial_sum(1.0 - v, a, b)), 1.0)
     return min(scale * total, 1.0)
 
 
 def neg_binomial_sum(r: float, a: int, b: int) -> float:
     """sum_{k=0}^{b-1} C(k+a-1, k) r^k, the negative-binomial partial sum.
 
-    Raises OverflowError where a coefficient or the sum passes the float
-    range; ``log_neg_binomial_sum`` serves those shapes.
+    inf where a coefficient or the sum passes the float range;
+    ``log_neg_binomial_sum`` serves those shapes.
     """
     total = 0.0
     weight = 1.0  # r^k
     for coefficient in _neg_binomial_coefficients(a, b):
         total += coefficient * weight
         weight *= r
-    if total == inf:
-        raise OverflowError(f"a={a}, b={b}, r={r}: the sum passes the float range")
     return total
 
 
@@ -87,10 +84,9 @@ def log_neg_binomial_sum(r: float, a: int, b: int) -> float:
     t_m's, from the exact integer C(m+a-1, m).  At r = 0 only the k = 0
     term, 1, is left.
     """
-    try:
-        return log(neg_binomial_sum(r, a, b))
-    except OverflowError:
-        pass
+    total = neg_binomial_sum(r, a, b)
+    if total < inf:
+        return log(total)
     m = b - 1 if r == 1.0 else min(b - 1, max(0, floor((r * a - 1.0) / (1.0 - r)) + 1))  # t_{k+1} < t_k from k = m on
     total = term = 1.0
     for k in range(m, b - 1):
@@ -113,8 +109,9 @@ def _neg_binomial_coefficients(a: int, b: int) -> tuple[float, ...]:
     caller (and through it of reg_inc_beta's float path).
 
     Each exact integer is rounded once by ``float()``, the same correctly
-    rounded conversion that ``int * float`` applies, so the sum is unchanged
-    (and a coefficient past the float range raises the same OverflowError).
+    rounded conversion that ``int * float`` applies, so the sum is unchanged.
+    A shape with a coefficient past the float range is kept as ``(inf,)``,
+    whose sum is inf, so that its builds are not repeated on every call.
     A Beta check calls the sum for a few (a, b) pairs at many points, so the
     coefficients are built once per pair; the bound keeps a scan over many
     shapes from holding them all.  The tuple is built from a list, so it is
@@ -122,7 +119,10 @@ def _neg_binomial_coefficients(a: int, b: int) -> tuple[float, ...]:
     resizes, and each cache miss then leaves a block in another size's free
     list.
     """
-    return tuple([float(comb(k + a - 1, k)) for k in range(b)])
+    try:
+        return tuple([float(comb(k + a - 1, k)) for k in range(b)])
+    except OverflowError:
+        return (inf,)
 
 
 def _check_shape(a: int, b: int) -> None:

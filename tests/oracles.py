@@ -92,7 +92,7 @@ def reference_neighbor_table(spec: GridSpec) -> tuple[tuple[int, int, int, int],
 def sample_next(params: LinkParams, on: bool, rng) -> bool:
     """Advance the link one slot.  ``rng`` needs only a ``random()`` method."""
     if on:
-        return rng.random() >= params.epsilon1
+        return rng.random() >= (1.0 - params.mu) * (1.0 - params.p)  # ON->OFF
     return rng.random() < params.epsilon2
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import re
@@ -937,8 +938,9 @@ def test_coin_rows_past_the_float_range_of_their_coefficients(argv, capsys):
 def test_gr_commands_evaluate_each_figure_once(xy, monkeypatch, capsys):
     """Each negative-binomial sum of the coin's bracket is evaluated at most
     once per half, inside and past the float range, and eqEK at most once.
-    A sum that raises OverflowError past the float range is not counted: it
-    stops at the first coefficient out of range.  Evaluated apart, claim3 and
+    A sum that reads inf past the float range is not counted, as the
+    OverflowError it replaces was not: it is the cached (inf,) of a shape
+    with a coefficient out of range, or one float loop.  Evaluated apart, claim3 and
     the crossover margin read 4 sums at (5, 5) and 4 at (600, 600), and the
     eq23 and eqEK rows read eqEK twice."""
     from satroute import special_functions
@@ -948,7 +950,8 @@ def test_gr_commands_evaluate_each_figure_once(xy, monkeypatch, capsys):
     def counted(name, fn):
         def call(*args):
             value = fn(*args)
-            calls[name] += 1
+            if value != math.inf:
+                calls[name] += 1
             return value
         return call
 
@@ -965,6 +968,28 @@ def test_gr_commands_evaluate_each_figure_once(xy, monkeypatch, capsys):
         assert run_cli(capsys, *argv, "--x", xy, "--y", xy)[0] == 0
         assert calls["neg_binomial_sum"] + calls["log_neg_binomial_sum"] <= sums, (argv, calls)
         assert calls["eqEK"] <= 1, (argv, calls)
+
+
+@pytest.mark.parametrize("argv", [("analytic", "--policy", "gr"), ("analytic", "--policy", "gr", "--buffered", "true"),
+                                  ("crossover", "--metric", "throughput"), ("crossover", "--metric", "delay")],
+                         ids=["claim3", "eq23", "crossover-throughput", "crossover-delay"])
+def test_far_field_commands_build_each_shape_once(argv, monkeypatch, capsys):
+    """A shape whose coefficient passes the float range is cached like any
+    other, so a command that reads it again does not build it again.  When
+    the build raised, the cache kept nothing: `crossover --metric throughput`
+    at (100000, 100000) made 272 math.comb calls, where 92 build each shape."""
+    from satroute import special_functions
+
+    builds, uncached = [], special_functions._neg_binomial_coefficients.__wrapped__
+
+    def build(a, b):
+        builds.append((a, b))
+        return uncached(a, b)
+
+    recorded = functools.lru_cache(maxsize=256)(build)
+    monkeypatch.setattr(special_functions, "_neg_binomial_coefficients", recorded)
+    assert run_cli(capsys, *argv, "--x", "600", "--y", "600")[0] == 0
+    assert builds and len(builds) == len(set(builds)), builds
 
 
 @pytest.mark.parametrize("argv, rows", [

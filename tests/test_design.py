@@ -26,6 +26,9 @@ another module's underscore name.  What another module needs is public.
 
 Records are named tuples, so no module imports ``dataclasses``: that import
 loads inspect, ast, dis and tokenize, about a third of a command's start-up.
+Every field of a record is read as an attribute somewhere in ``src/``: a
+field that only tests read is work the program does for nothing, or a second
+copy of a value it already stores.
 
 Every CLI option is read by a handler: an option that nothing reads can only
 mislead the caller who sets it.
@@ -63,6 +66,15 @@ ALLOWED_OVERRIDDEN: dict[str, str] = {}
 ALLOWED_FIXED = {
     "grid_topology.hop_distance.b": "the benchmark tracer's BFS detour metric calls hop_distance(spec, src, dst) "
                                     "until the benchmark revision of ROADMAP item 6",
+}
+
+# Record fields that no src/ code reads, each kept on purpose, with its reason.
+ALLOWED_UNREAD_FIELDS = {
+    "simulator.TrialOutcome.path_len": "ROADMAP items 20, 21 and 12 read it; the oracle stream tests compare it",
+    "simulator.TrialOutcome.hit_boundary_at": "ROADMAP items 20, 21 and 12 read it; "
+                                              "the oracle stream tests compare it",
+    "optimal_policies.ValueTable.residual_history": "test_residuals_shrink_monotonically checks the contraction "
+                                                    "through it",
 }
 
 # cli.OPTIONS keys that no handler reads as args.<key>, each kept on purpose, with its reason.
@@ -267,6 +279,25 @@ def test_no_required_parameter_production_fixes():
                 fixed.add(qualname)
     assert fixed - set(ALLOWED_FIXED) == set()
     assert set(ALLOWED_FIXED) <= fixed  # a stale entry would hide nothing and mislead
+
+
+def record_fields(module: str, tree: ast.Module):
+    """(qualified name, field) of each field of each ``namedtuple`` a module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+            typename, fields = (arg.value for arg in node.args[:2])
+            for field in fields.replace(",", " ").split():
+                yield f"{module}.{typename}.{field}", field
+
+
+def test_no_record_field_only_tests_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {qualname for module, tree in trees.items() for qualname, field in record_fields(module, tree)
+              if field not in read}
+    assert unread - set(ALLOWED_UNREAD_FIELDS) == set()
+    assert set(ALLOWED_UNREAD_FIELDS) <= unread  # a stale entry would hide nothing and mislead
 
 
 def imported(path: Path) -> set[str]:

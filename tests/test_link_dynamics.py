@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -11,59 +12,64 @@ from satroute import link_dynamics as ld
 
 def test_from_p_mu_memoryless_symmetric():
     params = ld.from_p_mu(0.5, 0.0)
-    assert params.epsilon1 == 0.5 and params.epsilon2 == 0.5
+    assert params.epsilon2 == 0.5
     assert params.p == 0.5 and params.mu == 0.0
 
 
 def test_from_p_mu_high_memory():
     params = ld.from_p_mu(0.9, 0.99)
-    assert math.isclose(params.epsilon1, 0.001, rel_tol=1e-12)
     assert math.isclose(params.epsilon2, 0.009, rel_tol=1e-12)
 
 
 def test_from_p_mu_mu_zero_forces_rates_to_sum_to_one():
+    """At mu = 0 the ON->OFF and OFF->ON probabilities sum to one."""
     params = ld.from_p_mu(0.9, 0.0)
-    assert math.isclose(params.epsilon1, 0.1, rel_tol=1e-12)
-    assert math.isclose(params.epsilon2, 0.9, rel_tol=1e-12)
+    assert params.epsilon2 == 0.9
+    assert math.isclose(1.0 - ld.transition_prob(params, True, 1) + params.epsilon2, 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.37, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("mu", [0.0, 0.2, 0.77, 0.99])
 def test_from_p_mu_round_trip(p, mu):
     params = ld.from_p_mu(p, mu)
-    assert math.isclose(params.p, p, rel_tol=1e-12)
-    assert math.isclose(params.mu, mu, rel_tol=1e-12, abs_tol=1e-15)
-    assert math.isclose(params.epsilon2 / (params.epsilon1 + params.epsilon2), p, rel_tol=1e-12)
+    assert params.p == p and params.mu == mu
+    assert math.isclose(params.epsilon2 / (1.0 - params.mu), p, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("p,mu", [(0.0, 0.5), (1.0, 0.5), (0.5, 1.0), (0.5, -0.1), (-0.2, 0.0)])
+@pytest.mark.parametrize("p", [1e-12, 0.3, 0.9, 1.0 - 1e-12])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 0.99, ld.MU_MAX])
+def test_record_is_the_chain_from_p_mu_with_its_recovery_rate(p, mu):
+    """The record stores (p, mu) alone; epsilon2 is the expression that
+    from_p_mu stored when the record held both forms, so the closed forms
+    read the same bits."""
+    params = ld.LinkParams(p, mu)
+    assert params == ld.from_p_mu(p, mu)
+    assert params.epsilon2 == (1.0 - mu) * p
+
+
+@pytest.mark.parametrize("p,mu", [(0.0, 0.5), (1.0, 0.5), (0.5, 1.0), (0.5, -0.1), (-0.2, 0.0),
+                                  (0.5, 1.0 - 2e-12)])
 def test_from_p_mu_rejects_degenerate(p, mu):
-    with pytest.raises(ValueError):
+    """The record's constructor refuses the same chains, with the same
+    message: mu = 1 - 2e-12 is past MU_MAX (the four-field record built it)."""
+    with pytest.raises(ValueError) as refused:
         ld.from_p_mu(p, mu)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        ld.LinkParams(p, mu)
 
 
 def test_negative_memory_rejected():
-    with pytest.raises(ValueError):
-        ld.LinkParams(0.6, 0.6, 0.5, -0.2)
+    with pytest.raises(ValueError, match=re.escape(f"mu=-0.2: need 0 <= mu <= {ld.MU_MAX}")):
+        ld.LinkParams(0.5, -0.2)
 
 
-@pytest.mark.parametrize("args", [
-    (0.1, 0.2, 0.5, 0.7),  # p should be 2/3
-    (0.1, 0.2, 2.0 / 3.0, 0.5),  # mu should be 0.7
-    (0.0, 0.2, 1.0, 0.8),  # epsilon1 outside (0, 1]
-])
-def test_inconsistent_params_rejected(args):
-    with pytest.raises(ValueError):
-        ld.LinkParams(*args)
-    with pytest.raises(ValueError):
-        ld.LinkParams(**dict(zip(("epsilon1", "epsilon2", "p", "mu"), args)))
-
-
-def test_params_are_immutable_and_print_as_before():
+def test_params_are_immutable_and_print_p_and_mu():
     params = ld.from_p_mu(0.9, 0.5)
     with pytest.raises(AttributeError):
         params.p = 0.5
-    assert repr(params) == "LinkParams(epsilon1=0.04999999999999999, epsilon2=0.45, p=0.9, mu=0.5)"
+    with pytest.raises(AttributeError):
+        params.epsilon2 = 0.5
+    assert repr(params) == "LinkParams(p=0.9, mu=0.5)" and ld.LinkParams._fields == ("p", "mu")
 
 
 @pytest.mark.parametrize("p, mu", [(0.3, ld.MU_MAX), (0.9, 0.5), (0.05, 0.99)])
@@ -79,7 +85,7 @@ def test_recovery_prob_matches_mpmath(p, mu, k):
 
 
 def test_one_step_transition_matches_rates():
-    params = ld.LinkParams(0.25, 0.4, 0.4 / 0.65, 0.35)
+    params = ld.LinkParams(0.4 / 0.65, 0.35)  # OFF->ON 0.4, ON->OFF 0.25
     assert ld.transition_prob(params, True, 1) == pytest.approx(0.75, abs=1e-15)
     assert 1.0 - ld.transition_prob(params, True, 1) == pytest.approx(0.25, abs=1e-15)
     assert ld.transition_prob(params, False, 1) == pytest.approx(0.4, abs=1e-15)
@@ -125,18 +131,18 @@ def test_positive_memory_ordering():
 
 
 def test_sample_next_near_degenerate_rates():
-    # epsilon1 = 0 / epsilon2 = 1 are excluded by the positive-rate and
-    # positive-memory invariants; probe the admissible limit instead.
-    params = ld.LinkParams(1e-15, 1.0 - 1e-15, 1.0 - 1e-15, 0.0)
+    # ON->OFF 0 / OFF->ON 1 are excluded by p < 1 and the positive-memory
+    # invariant; probe the admissible limit instead.
+    params = ld.LinkParams(1.0 - 1e-15, 0.0)
     rng = random.Random(7)
     assert all(sample_next(params, True, rng) for _ in range(1000))
     assert all(sample_next(params, False, rng) for _ in range(1000))
 
 
 def test_sample_next_long_run_frequency():
-    # epsilon1 + epsilon2 = 1, so after the first step the chain is i.i.d.
+    # mu = 0, so after the first step the chain is i.i.d.
     # and the binomial confidence interval applies directly.
-    params = ld.LinkParams(0.1, 0.9, 0.9, 0.0)
+    params = ld.LinkParams(0.9, 0.0)
     rng = random.Random(12345)
     n = 10**6
     state = True
@@ -170,7 +176,7 @@ def test_sample_k_steps_vs_iterated_sample_next():
     state = np.zeros(n, dtype=bool)
     for _ in range(k):
         u = gen.random(n)
-        state = np.where(state, u >= params.epsilon1, u < params.epsilon2)
+        state = np.where(state, u >= (1.0 - params.mu) * (1.0 - params.p), u < params.epsilon2)
     step_hits = int(state.sum())
 
     f1, f2 = jump_hits / n, step_hits / n
