@@ -9,8 +9,10 @@ likely to be ON after k slots as an OFF link is to have turned ON.
 Link states are plain bools (True == ON).  The Monte Carlo samples them
 lazily: an SCPR trial draws its t = 0 snapshot inside the BFS, keeps only the
 states its route may read (see ``grid_topology.shortest_connected_hops``) and
-advances route links with ``transition_prob``; ``simulator.NetworkState``
-serves GR trials only.
+advances route links with ``transition_prob``; a GR trial's
+``simulator.NetworkState`` makes only GR's two looks, a first look and a
+wait's look one slot after an OFF one.  The general lazy chain is the tests'
+reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ source's and the origin's node ids, a wait's recovery probability, a memo
 of the kernel from ON by slot, and the BFS's parent buffer, which every
 search leaves all -1, so that a trial allocates no search state.
 A GR estimate likewise computes once, in one GrRun, the source's node id,
-the link direction and node-id step of each axis, and the one-step kernel: a
-GR wait re-observes its links one slot apart, so nearly every re-observation
-uses it.  Each GR trial owns a lazily evaluated NetworkState built on the
-run's kernel, which serves GR only.  A wait on OFF links is drawn slot by
-slot for its first ``WAIT_SLOTWISE`` slots and then jumps in one draw, so
-waits near static links finish.
+the link direction and node-id step of each axis, and a wait's recovery
+probability.  Each GR trial owns a NetworkState, which makes the only two
+looks GR makes: a link's first look, and a look one slot after an OFF look.
+A wait on OFF links is drawn slot by slot for its first ``WAIT_SLOTWISE``
+slots and then jumps in one draw, so waits near static links finish.
 An estimate keeps one generator and reseeds it for each trial with that
 trial's seed, in C: the state is that of a new ``random.Random(seed)``.
 Delays are integer slot counts, so estimates aggregate as exact integer
@@ -50,48 +49,35 @@ TrialOutcome = namedtuple("TrialOutcome", "success delay path_len hit_boundary_a
 
 
 class NetworkState:
-    """Per-directed-link ON/OFF cache with lazy Markov evolution (GR trials).
+    """The links one GR trial looks at, keyed by link id.
 
-    A link observed for the first time at slot t is drawn from the steady
-    state (the chain is stationary, so this matches an implicit time-0 draw).
-    Re-observation at a later slot advances it through the k-step kernel in
-    one draw.  Time must never move backwards for any single link.
-
-    ``step_on[s]`` is the one-step kernel P(ON at t+1 | state s at t), with s
-    False (OFF) or True (ON), and a re-observation one slot later reads it
-    instead of calling ``transition_prob``.  A GR trial passes its run's
-    ``GrRun.step_on``, computed once per run.
+    GR looks at a link only while the packet sits at the link's tail node,
+    and the packet never returns to a node.  So a link is looked at once, a
+    steady-state draw ``random() < p``, and then once a slot while a wait
+    finds it OFF, each a one-step draw ``random() < q`` with q = P(ON at t+1
+    | OFF at t).  Any other look (again in the same slot, after a gap, or
+    after an ON look) raises ValueError.
     """
 
-    __slots__ = ("spec", "params", "rng", "_cache", "step_on")
+    __slots__ = ("p", "q", "rng", "_last")
 
-    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_on: tuple[float, float]):
-        self.spec = spec
-        self.params = params
+    def __init__(self, p: float, q: float, rng):
+        self.p = p
+        self.q = q
         self.rng = rng
-        self._cache: dict[int, tuple[bool, int]] = {}
-        self.step_on = step_on
+        self._last: dict[int, tuple[bool, int]] = {}  # link id -> (ON, slot) of its last look
 
     def link_on_id(self, lid: int, t: int) -> bool:
-        cached = self._cache.get(lid)
-        if cached is None:
-            on = self.rng.random() < self.params.p
+        last = self._last.get(lid)
+        if last is None:
+            on = self.rng.random() < self.p
+        elif last == (False, t - 1):
+            on = self.rng.random() < self.q
         else:
-            on, last_t = cached
-            k = t - last_t
-            if k == 1:
-                on = self.rng.random() < self.step_on[on]
-            elif k > 1:
-                on = self.rng.random() < transition_prob(self.params, on, k)
-            elif k < 0:
-                raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
-        self._cache[lid] = (on, t)
+            raise ValueError(f"link {lid} looked at in slot {t} after the look (ON, slot) = {last}: "
+                             "GR looks again only one slot after an OFF look")
+        self._last[lid] = (on, t)
         return on
-
-
-def _one_step_kernel(params: LinkParams) -> tuple[float, float]:
-    """(P(ON at t+1 | OFF at t), P(ON at t+1 | ON at t))."""
-    return transition_prob(params, False, 1), transition_prob(params, True, 1)
 
 
 class ScprRun:
@@ -136,10 +122,10 @@ def run_scpr_trial(
     is looked up in the snapshot, which then holds every link the search
     drew.  A link with a t = 0 state is advanced by the t-step kernel; one
     the search never examined is a steady-state draw.  The draws are the ones
-    a NetworkState would make for the same observations.  ``run.on_prob``
-    keeps the kernel from ON only at slots t < t_c + route length, the ones
-    a route reaches without waiting, so that it stays as short as the
-    longest route however long the waits.
+    the tests' general lazy link chain would make for the same observations.
+    ``run.on_prob`` keeps the kernel from ON only at slots t < t_c + route
+    length, the ones a route reaches without waiting, so that it stays as
+    short as the longest route however long the waits.
     """
     random = rng.random
     p = params.p
@@ -196,15 +182,15 @@ class GrRun:
     The node index ``src_id`` of the normalized ``src``; ``hops``, the
     moves left along x and along y, (|x|, |y|); for each axis the direction
     of the link toward the origin (``x_dir``, ``y_dir``) and the change of
-    node index per move (``x_step``, ``y_step``); and ``step_on``, the
-    one-step kernel of ``_one_step_kernel``.  The walk never crosses the wrap
+    node index per move (``x_step``, ``y_step``); and ``q`` = P(ON at t+1 |
+    OFF at t), which a wait draws against.  The walk never crosses the wrap
     seam and never changes the sign of x or y, so a move along y changes the
     node index by one and a move along x by N (``spec.n_per_plane``), each
     in the same direction for the whole trial.  Immutable: trials of any
     regime and tie mode may share one run.
     """
 
-    __slots__ = ("src_id", "hops", "x_dir", "y_dir", "x_step", "y_step", "step_on")
+    __slots__ = ("src_id", "hops", "x_dir", "y_dir", "x_step", "y_step", "q")
 
     def __init__(self, spec: GridSpec, params: LinkParams, src: NodeCoord):
         src = grid.normalize(spec, src)
@@ -213,7 +199,7 @@ class GrRun:
         self.hops = (abs(x), abs(y))
         self.x_dir, self.x_step = (LEFT, -spec.n_per_plane) if x > 0 else (RIGHT, spec.n_per_plane)
         self.y_dir, self.y_step = (DOWN, -1) if y > 0 else (UP, 1)
-        self.step_on = _one_step_kernel(params)
+        self.q = transition_prob(params, False, 1)
 
 
 def run_gr_trial(
@@ -233,13 +219,13 @@ def run_gr_trial(
     re-observes (after WAIT_SLOTWISE slots, the rest of the wait is one
     jump).  The move count at first boundary contact is recorded.
 
-    The tie mode is decided once per trial.  The trial's NetworkState shares
-    the run's one-step kernel, and every wait slot re-observes its links one
-    slot after the last look, so it draws them from that kernel.  The looks
-    and draws are those of the same trial on a NetworkState of its own
-    (``oracle_gr_trial`` in the tests).
+    The tie mode is decided once per trial.  The trial's NetworkState draws a
+    first look from the steady state and a wait slot's look, one slot after
+    an OFF look, against the run's ``q``.  The looks and draws are those of
+    the same trial on the general lazy chain (``oracle_gr_trial`` in the
+    tests).
     """
-    state = NetworkState(spec, params, rng, run.step_on)
+    state = NetworkState(params.p, run.q, rng)
     link_on_id = state.link_on_id
     random = rng.random
     deterministic = tie == DETERMINISTIC
@@ -264,7 +250,7 @@ def run_gr_trial(
                 if x_on or y_on:
                     break
             else:
-                t, x_on, y_on = _jump_wait(state, x_lid, y_lid, t, random)
+                t, x_on, y_on = _jump_wait(run.q, x_lid, y_lid, t, random)
         if x_on and y_on:
             if deterministic:
                 vertical = ny > nx or (ny == nx and random() < 0.5)
@@ -285,15 +271,14 @@ def run_gr_trial(
     return TrialOutcome(True, t, moves, hit_boundary)
 
 
-def _jump_wait(state: NetworkState, x_lid, y_lid, t: int, random) -> tuple[int, bool, bool]:
+def _jump_wait(q: float, x_lid, y_lid, t: int, random) -> tuple[int, bool, bool]:
     """Draw the rest of a GR wait at once; the links were last seen OFF at t.
 
     One link waits Geometric(q) slots, two wait Geometric(1 - (1-q)^2); at
     arrival the pair is (ON, ON) with probability q / (2 - q), else exactly
-    one link is ON, each with probability 1/2.  The arrival states are
-    cached at the arrival slot.  Returns (arrival slot, x ON, y ON).
+    one link is ON, each with probability 1/2.  The trial moves at once and
+    never looks at the links again.  Returns (arrival slot, x ON, y ON).
     """
-    q = state.step_on[False]
     if x_lid is None or y_lid is None:
         t += _geometric(random, math.log1p(-q))
         x_on, y_on = x_lid is not None, y_lid is not None
@@ -303,9 +288,6 @@ def _jump_wait(state: NetworkState, x_lid, y_lid, t: int, random) -> tuple[int, 
         both = q / (2.0 - q)
         x_on = v < (1.0 + both) / 2.0  # both ON below ``both``, x alone up to the midpoint of the rest
         y_on = v < both or not x_on
-    for lid, on in ((x_lid, x_on), (y_lid, y_on)):
-        if lid is not None:
-            state._cache[lid] = (on, t)
     return t, x_on, y_on
 
 

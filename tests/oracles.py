@@ -6,20 +6,25 @@
   the node ids of each plane; each row a search builds must equal its own.
 * ``sample_next`` / ``sample_k_steps``: one-slot and one-draw k-slot link
   sampling, straight from the Markov chain's definition and its kernel.
-* ``SlotwiseNetworkState``: a NetworkState that evolves every re-observed
+* ``ReferenceNetworkState`` / ``one_step_kernel``: the general lazy link
+  chain, keyed by link id, which draws a first look from the steady state
+  and any later look through the k-step kernel, reading the one-step kernel
+  it is given at k = 1.  Production's ``simulator.NetworkState`` makes only
+  GR's two looks, which this chain must match draw for draw.
+* ``SlotwiseNetworkState``: the reference chain evolving every re-observed
   link slot by slot, which the one-draw k-step jump must match in law.
-* ``KernelNetworkState``: a NetworkState that calls ``transition_prob`` at
-  every re-observation, which the production one's cached one-step kernel
-  must match draw for draw.
+* ``KernelNetworkState``: the reference chain calling ``transition_prob`` at
+  every re-observation, which its given one-step kernel must match draw for
+  draw.
 * ``trial_rng``: trial i's random stream, rebuilt from (master_seed, i) as
   ``simulator.estimate`` derives it, so a test can replay any one trial.
 * ``validate_hops``: a validity check for hop lists
   ``[(tail node index, direction), ...]``.
 * ``oracle_scpr_trial``: the SCPR trial observing every link, the t = 0
-  snapshot included, through a NetworkState, with the BFS asking a predicate
+  snapshot included, through a reference chain, with the BFS asking a predicate
   once per link (``oracle_connected_hops``).  The production trial must make
   the same draws in the same order.
-* ``oracle_gr_trial``: the GR trial on a NetworkState of its own, built
+* ``oracle_gr_trial``: the GR trial on a reference chain of its own, built
   with a one-step kernel computed per trial, which finds its link ids and
   moves from the signed coordinates at every step.  The production trial, which
   reads them from a per-run ``GrRun``, must make the same draws in the same
@@ -58,7 +63,7 @@ from satroute import grid_topology as grid
 from satroute import simulator as sim
 from satroute.grid_topology import DOWN, LEFT, ORIGIN, RIGHT, UP, GridSpec, NodeCoord
 from satroute.link_dynamics import LinkParams, transition_prob
-from satroute.simulator import DETERMINISTIC, NetworkState, TrialOutcome, _trial_seed, mix64
+from satroute.simulator import DETERMINISTIC, TrialOutcome, _trial_seed, mix64
 from satroute.special_functions import reg_inc_beta
 from satroute.verify import Dual, mgf_coefficients
 
@@ -107,8 +112,52 @@ def sample_k_steps(params: LinkParams, on: bool, k: int, rng) -> bool:
     return rng.random() < transition_prob(params, on, k)
 
 
-class SlotwiseNetworkState(NetworkState):
-    """NetworkState whose re-observed links take one sample_next per slot."""
+class ReferenceNetworkState:
+    """Per-directed-link ON/OFF cache with lazy Markov evolution.
+
+    A link observed for the first time at slot t is drawn from the steady
+    state (the chain is stationary, so this matches an implicit time-0 draw).
+    Re-observation at a later slot advances it through the k-step kernel in
+    one draw.  Time must never move backwards for any single link.
+
+    ``step_on[s]`` is the one-step kernel P(ON at t+1 | state s at t), with s
+    False (OFF) or True (ON), and a re-observation one slot later reads it
+    instead of calling ``transition_prob``.
+    """
+
+    __slots__ = ("spec", "params", "rng", "_cache", "step_on")
+
+    def __init__(self, spec: GridSpec, params: LinkParams, rng, step_on: tuple[float, float]):
+        self.spec = spec
+        self.params = params
+        self.rng = rng
+        self._cache: dict[int, tuple[bool, int]] = {}
+        self.step_on = step_on
+
+    def link_on_id(self, lid: int, t: int) -> bool:
+        cached = self._cache.get(lid)
+        if cached is None:
+            on = self.rng.random() < self.params.p
+        else:
+            on, last_t = cached
+            k = t - last_t
+            if k == 1:
+                on = self.rng.random() < self.step_on[on]
+            elif k > 1:
+                on = self.rng.random() < transition_prob(self.params, on, k)
+            elif k < 0:
+                raise ValueError(f"link {lid} queried backwards in time ({last_t} -> {t})")
+        self._cache[lid] = (on, t)
+        return on
+
+
+def one_step_kernel(params: LinkParams) -> tuple[float, float]:
+    """(P(ON at t+1 | OFF at t), P(ON at t+1 | ON at t))."""
+    return transition_prob(params, False, 1), transition_prob(params, True, 1)
+
+
+class SlotwiseNetworkState(ReferenceNetworkState):
+    """ReferenceNetworkState whose re-observed links take one sample_next per slot."""
 
     __slots__ = ()
 
@@ -126,8 +175,8 @@ class SlotwiseNetworkState(NetworkState):
         return on
 
 
-class KernelNetworkState(NetworkState):
-    """NetworkState that computes the k-step kernel at every re-observation."""
+class KernelNetworkState(ReferenceNetworkState):
+    """ReferenceNetworkState that computes the k-step kernel at every re-observation."""
 
     __slots__ = ()
 
@@ -203,7 +252,7 @@ def trial_rng(master_seed: int, index: int) -> random.Random:
     return random.Random(_trial_seed(mix64(master_seed), index))
 
 
-def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: bool, rng) -> TrialOutcome:
+def oracle_scpr_trial(state: ReferenceNetworkState, src: NodeCoord, t_c: int, buffered: bool, rng) -> TrialOutcome:
     """One SCPR trial toward the origin with every observation a ``state.link_on_id`` call.
 
     The snapshot is the state at t = 0; the packet departs at t_c, waits slot
@@ -234,7 +283,7 @@ def oracle_scpr_trial(state: NetworkState, src: NodeCoord, t_c: int, buffered: b
 
 
 def oracle_gr_trial(
-    state: NetworkState,
+    state: ReferenceNetworkState,
     src: NodeCoord,
     buffered: bool,
     tie: float | str,
@@ -283,7 +332,7 @@ def oracle_gr_trial(
                 if x_on or y_on:
                     break
             else:
-                t, x_on, y_on = sim._jump_wait(state, x_lid, y_lid, t, random)
+                t, x_on, y_on = sim._jump_wait(state.step_on[False], x_lid, y_lid, t, random)
         if x_on and y_on:
             if deterministic:
                 vertical = abs(y) > abs(x) or (abs(y) == abs(x) and random() < 0.5)

@@ -32,6 +32,10 @@ copy of a value it already stores.
 
 Every CLI option is read by a handler: an option that nothing reads can only
 mislead the caller who sets it.
+
+An oracle is an independent reference, so no class of ``tests/oracles.py``
+inherits from a ``satroute`` class: it would share the constructor, slots
+and methods of the code it checks.
 """
 
 import ast
@@ -41,6 +45,7 @@ from pathlib import Path
 import satroute
 
 PACKAGE = Path(satroute.__file__).resolve().parent
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Each kept on purpose, with its reason.
 ALLOWED = {
@@ -347,3 +352,27 @@ def test_every_cli_option_is_read():
             and isinstance(node.value, ast.Name) and node.value.id == "args"}
     assert keys - read - set(ALLOWED_UNREAD_OPTIONS) == set()
     assert set(ALLOWED_UNREAD_OPTIONS) <= keys - read  # a stale entry would hide nothing and mislead
+
+
+def src_subclasses(path: Path) -> list[str]:
+    """The classes of a source file whose base is a name imported from a ``satroute`` module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    src_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "satroute":
+            src_names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            src_names |= {alias.asname or "satroute" for alias in node.names
+                          if alias.name.partition(".")[0] == "satroute"}
+
+    def root(base):
+        while isinstance(base, ast.Attribute):
+            base = base.value
+        return getattr(base, "id", None)
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(root(base) in src_names for base in node.bases)]
+
+
+def test_no_oracle_subclasses_a_src_class():
+    assert src_subclasses(ORACLES) == []

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from oracles import KernelNetworkState, SlotwiseNetworkState, oracle_gr_trial, oracle_scpr_trial, trial_rng
+from oracles import (KernelNetworkState, ReferenceNetworkState, SlotwiseNetworkState, one_step_kernel, oracle_gr_trial,
+                     oracle_scpr_trial, trial_rng)
 from satroute import analytic_greedy as greedy
 from satroute import analytic_scpr as scpr
 from satroute import grid_topology as grid
@@ -34,8 +35,8 @@ def record_fallbacks(monkeypatch):
 def test_network_state_rejects_backward_queries():
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.5, 0.5)
-    for state_cls in (sim.NetworkState, SlotwiseNetworkState, KernelNetworkState):
-        state = state_cls(spec, params, random.Random(0), sim._one_step_kernel(params))
+    for state_cls in (ReferenceNetworkState, SlotwiseNetworkState, KernelNetworkState):
+        state = state_cls(spec, params, random.Random(0), one_step_kernel(params))
         state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 5)
         with pytest.raises(ValueError):
             state.link_on_id(link_id(spec, NodeCoord(1, 1), 0), 3)
@@ -44,7 +45,7 @@ def test_network_state_rejects_backward_queries():
 def test_network_state_same_slot_is_stable():
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.5, 0.9)
-    state = sim.NetworkState(spec, params, random.Random(1), sim._one_step_kernel(params))
+    state = ReferenceNetworkState(spec, params, random.Random(1), one_step_kernel(params))
     first = state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4)
     for _ in range(5):
         assert state.link_on_id(link_id(spec, NodeCoord(0, 0), 2), 4) == first
@@ -53,9 +54,42 @@ def test_network_state_same_slot_is_stable():
 def test_network_state_near_static_links_persist():
     params = ld.from_p_mu(0.5, 0.99999)
     spec = GridSpec(5, 5)
-    state = sim.NetworkState(spec, params, random.Random(2), sim._one_step_kernel(params))
+    state = ReferenceNetworkState(spec, params, random.Random(2), one_step_kernel(params))
     first = state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 0)
     assert state.link_on_id(link_id(spec, NodeCoord(2, 2), 1), 3) == first  # flip odds ~1.5e-5
+
+
+def test_network_state_makes_only_the_looks_gr_makes():
+    """Production's NetworkState draws a first look as ``random() < p`` and a
+    look one slot after an OFF look as ``random() < q``, the draws of a
+    replayed generator.  A second look in the same slot, a look two slots
+    later and any look after an ON look raise ValueError and draw nothing."""
+    p, q, lid = 0.5, 0.4, 17
+    seen = set()
+    for seed in range(40):
+        rng, replay = random.Random(seed), random.Random(seed)
+        state = sim.NetworkState(p, q, rng)
+        t = 3
+        on = state.link_on_id(lid, t)
+        assert on == (replay.random() < p)
+        waited = 0
+        while not on:
+            with pytest.raises(ValueError):
+                state.link_on_id(lid, t)
+            with pytest.raises(ValueError):
+                state.link_on_id(lid, t + 2)
+            t += 1
+            on = state.link_on_id(lid, t)
+            assert on == (replay.random() < q)
+            waited += 1
+        assert rng.getstate() == replay.getstate()
+        for later in (t, t + 1, t + 2):
+            with pytest.raises(ValueError):
+                state.link_on_id(lid, later)
+        assert rng.getstate() == replay.getstate()
+        assert state.link_on_id(lid + 1, t) == (replay.random() < p)  # another link's first look
+        seen.add(min(waited, 2))
+    assert seen == {0, 1, 2}
 
 
 def test_scpr_trial_certain_links():
@@ -277,7 +311,7 @@ def test_wait_jump_keeps_the_law(monkeypatch):
 
     spec = GridSpec(12, 12)
     params = ld.from_p_mu(0.6, 0.5)
-    step_on = sim._one_step_kernel(params)
+    step_on = one_step_kernel(params)
     run = sim.ScprRun(spec, params, NodeCoord(2, 2))
     means = []
     for seed, trial in ((65, sim.run_scpr_trial), (66, None)):
@@ -285,7 +319,8 @@ def test_wait_jump_keeps_the_law(monkeypatch):
         for i in range(10000):
             rng = trial_rng(seed, i)
             if trial is None:
-                out = oracle_scpr_trial(sim.NetworkState(spec, params, rng, step_on), NodeCoord(2, 2), 3, True, rng)
+                out = oracle_scpr_trial(ReferenceNetworkState(spec, params, rng, step_on), NodeCoord(2, 2), 3, True,
+                                        rng)
             else:
                 out = trial(spec, params, run, 3, True, rng)
             delays.append(out.delay)
@@ -333,7 +368,7 @@ def test_lazy_jump_equivalent_to_slotwise_stepping():
     k-step jumps and slot-by-slot evolution of every observed link."""
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.5)
-    step_on = sim._one_step_kernel(params)
+    step_on = one_step_kernel(params)
     n = 10**5
     run = sim.ScprRun(spec, params, NodeCoord(1, 2))
     rates = []
@@ -366,7 +401,7 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
     waits = 0
     for p in (0.3, 0.6, 0.9):
         params = ld.from_p_mu(p, 0.7)
-        step_on = sim._one_step_kernel(params)
+        step_on = one_step_kernel(params)
         for t_c in (0, 3):
             for buffered in (False, True):
                 for i in range(40):
@@ -374,7 +409,7 @@ def test_scpr_trial_matches_network_state_oracle_stream(shape, monkeypatch):
                     rng = trial_rng(31, i)
                     ref_rng = trial_rng(31, i)
                     out = sim.run_scpr_trial(spec, params, sim.ScprRun(spec, params, src), t_c, buffered, rng)
-                    state = sim.NetworkState(spec, params, ref_rng, step_on)
+                    state = ReferenceNetworkState(spec, params, ref_rng, step_on)
                     ref = oracle_scpr_trial(state, src, t_c, buffered, ref_rng)
                     assert out == ref, (p, t_c, buffered, i)
                     assert rng.getstate() == ref_rng.getstate(), (p, t_c, buffered, i)
@@ -397,7 +432,7 @@ def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
     found = 0
     for p in (0.3, 0.6, 0.9):
         params = ld.from_p_mu(p, 0.7)
-        step_on = sim._one_step_kernel(params)
+        step_on = one_step_kernel(params)
         for src in (grid.ORIGIN, *pick.sample(nodes, 3)):
             run = sim.ScprRun(spec, params, src)
             i = longest = 0
@@ -408,8 +443,8 @@ def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
                         ref_rng = trial_rng(33, i)
                         before = len(fallbacks)
                         out = sim.run_scpr_trial(spec, params, run, t_c, buffered, rng)
-                        ref = oracle_scpr_trial(sim.NetworkState(spec, params, ref_rng, step_on), src, t_c, buffered,
-                                                ref_rng)
+                        ref = oracle_scpr_trial(ReferenceNetworkState(spec, params, ref_rng, step_on), src, t_c,
+                                                buffered, ref_rng)
                         assert out == ref, (p, src, t_c, buffered, i)
                         assert rng.getstate() == ref_rng.getstate(), (p, src, t_c, buffered, i)
                         assert run.parent == unvisited, (p, src, t_c, buffered, i)
@@ -423,17 +458,18 @@ def test_scpr_run_serves_consecutive_trials(shape, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 50])
 def test_link_on_id_matches_kernel_oracle(k):
-    """From ON and from OFF, a re-observation k slots later makes the draw
-    the kernel oracle makes, and none at k = 0.  A GR trial re-observes only
-    OFF links and only one slot later, so this is the check on the ON entry
-    of the one-step kernel and on k >= 2."""
+    """From ON and from OFF, the reference chain's re-observation k slots
+    later makes the draw the kernel oracle makes, and none at k = 0.  A GR
+    trial re-observes only OFF links and only one slot later, so this is the
+    check on the ON entry of the one-step kernel and on k >= 2."""
     spec = GridSpec(5, 5)
     params = ld.from_p_mu(0.6, 0.7)
-    step_on = sim._one_step_kernel(params)
+    step_on = one_step_kernel(params)
     lid = link_id(spec, NodeCoord(1, 1), grid.LEFT)
     seen = set()
     for seed in range(200):
-        state, ref = (cls(spec, params, random.Random(seed), step_on) for cls in (sim.NetworkState, KernelNetworkState))
+        state, ref = (cls(spec, params, random.Random(seed), step_on)
+                      for cls in (ReferenceNetworkState, KernelNetworkState))
         first = state.link_on_id(lid, 3)
         assert ref.link_on_id(lid, 3) == first
         before = state.rng.getstate()
@@ -449,7 +485,7 @@ def test_link_on_id_matches_kernel_oracle(k):
 @pytest.mark.parametrize("shape", [(5, 4), (7, 6), (100, 100)])
 def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
     """Trial by trial, the production GR trial gives the outcome of
-    ``oracle_gr_trial`` on a NetworkState and on one whose links call
+    ``oracle_gr_trial`` on the reference chain and on one whose links call
     ``transition_prob`` at every re-observation, and leaves its random stream
     in the same state, after looking at the same link ids at the same slots.
     One GrRun per source serves both regimes and every tie mode.  Sources lie
@@ -464,9 +500,9 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
     side = None
     jump_wait = sim._jump_wait
 
-    def record_jump(state, x_lid, y_lid, t, random):
+    def record_jump(q, x_lid, y_lid, t, random):
         jumps.add((side, x_lid is not None and y_lid is not None))
-        return jump_wait(state, x_lid, y_lid, t, random)
+        return jump_wait(q, x_lid, y_lid, t, random)
 
     monkeypatch.setattr(sim, "_jump_wait", record_jump)
     looks = []
@@ -477,7 +513,7 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
             return link_on_id(state, lid, t)
         return recorded
 
-    for state_cls in (sim.NetworkState, KernelNetworkState):
+    for state_cls in (sim.NetworkState, ReferenceNetworkState, KernelNetworkState):
         monkeypatch.setattr(state_cls, "link_on_id", record_looks(state_cls.link_on_id))
     chains = [(p, mu, 12) for p in (0.3, 0.6, 0.9) for mu in (0.0, 0.7, 0.99)] + [(0.3, 1 - 1e-7, 2)]
     waits = 0
@@ -494,17 +530,17 @@ def test_gr_trial_matches_kernel_oracle_stream(shape, monkeypatch):
                     looks.clear()
                     out = sim.run_gr_trial(spec, params, run, buffered, tie, rng)
                     out_looks = looks[:]
-                    for side in (sim.NetworkState, KernelNetworkState):
+                    for side in (ReferenceNetworkState, KernelNetworkState):
                         ref_rng = trial_rng(32, i)
                         looks.clear()
-                        state = side(spec, params, ref_rng, sim._one_step_kernel(params))
+                        state = side(spec, params, ref_rng, one_step_kernel(params))
                         ref = oracle_gr_trial(state, src, buffered, tie, ref_rng)
                         assert out == ref, (side, p, mu, buffered, src, tie)
                         assert rng.getstate() == ref_rng.getstate(), (side, p, mu, buffered, src, tie)
                         assert looks == out_looks, (side, p, mu, buffered, src, tie)
                     waits += buffered and out.delay > out.path_len
     assert waits
-    assert jumps == {(side, pair) for side in ("production", sim.NetworkState, KernelNetworkState)
+    assert jumps == {(side, pair) for side in ("production", ReferenceNetworkState, KernelNetworkState)
                      for pair in (False, True)}
 
 
@@ -534,7 +570,8 @@ def test_estimate_equals_a_loop_over_trial_rng(policy):
 
 def test_gr_estimate_computes_the_kernel_once_per_run(monkeypatch):
     """A GR estimate's transition_prob calls do not grow with its trials: its
-    GrRun computes the one-step kernel, and every trial's NetworkState reads it."""
+    GrRun computes a wait's recovery probability q, and every trial's
+    NetworkState reads it.  No GR look reads the kernel from ON."""
     calls = []
     kernel = sim.transition_prob
     monkeypatch.setattr(sim, "transition_prob", lambda *a: calls.append(a) or kernel(*a))
@@ -544,7 +581,7 @@ def test_gr_estimate_computes_the_kernel_once_per_run(monkeypatch):
         sim.estimate(GridSpec(20, 20), ld.from_p_mu(0.5, 0.7), "gr", src=NodeCoord(3, -4), buffered=True,
                      tie=0.5, trials=trials, master_seed=5)
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 def test_estimate_deterministic_across_thread_counts():
